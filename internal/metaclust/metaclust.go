@@ -14,6 +14,10 @@
 // medoid representatives) — so the streaming sliding-window ensemble in
 // internal/stream can generate per chunk and group per snapshot while a
 // single-chunk stream stays byte-identical to RunContext.
+//
+// Grouping m solutions of n objects costs O(m²·n) with the default
+// dissimilarity: each of the m(m−1)/2 Rand indices is read from contingency
+// sums in O(n), not from the n(n−1)/2 object pairs.
 package metaclust
 
 import (
@@ -64,9 +68,7 @@ func (cfg Config) normalize(n int) (Config, error) {
 		cfg.FeatureJitter = 1
 	}
 	if cfg.Diss == nil {
-		cfg.Diss = func(a, b *core.Clustering) float64 {
-			return 1 - metrics.RandIndex(a.Labels, b.Labels)
-		}
+		cfg.Diss = metrics.RandDissimilarity()
 	}
 	return cfg, nil
 }
@@ -245,9 +247,7 @@ func Group(ctx context.Context, sols []*core.Clustering, metaClusters int, dissF
 		return nil, errors.New("metaclust: MetaClusters exceeds NumSolutions")
 	}
 	if dissFn == nil {
-		dissFn = func(a, b *core.Clustering) float64 {
-			return 1 - metrics.RandIndex(a.Labels, b.Labels)
-		}
+		dissFn = metrics.RandDissimilarity()
 	}
 	workers = parallel.Workers(workers)
 	rec := obs.From(ctx)

@@ -2,9 +2,20 @@ package metrics
 
 import "testing"
 
+// wideLabel spreads a fuzz byte over noise, ids below the labeling length,
+// and sparse ids far beyond it, so both the slice and the map relabelling
+// paths of the pair-counting kernel run.
+func wideLabel(v byte) int {
+	if v >= 128 {
+		return int(v-128) * 500003
+	}
+	return int(v) - 2
+}
+
 // FuzzComparisonMeasures drives the pair-counting and information-theoretic
 // comparison measures with arbitrary labelings and asserts their ranges and
-// symmetry, whatever the input.
+// symmetry, whatever the input, and that the pair-counting kernel equals the
+// pair-visiting reference exactly.
 func FuzzComparisonMeasures(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 1}, []byte{1, 1, 0, 0})
 	f.Add([]byte{}, []byte{})
@@ -19,10 +30,15 @@ func FuzzComparisonMeasures(f *testing.F) {
 		}
 		a := make([]int, n)
 		b := make([]int, n)
+		wa := make([]int, n)
+		wb := make([]int, n)
 		for i := 0; i < n; i++ {
 			a[i] = int(rawA[i]%5) - 1 // includes Noise
 			b[i] = int(rawB[i]%5) - 1
+			wa[i], wb[i] = wideLabel(rawA[i]), wideLabel(rawB[i])
 		}
+		assertMatchesReference(t, a, b)
+		assertMatchesReference(t, wa, wb)
 		ri := RandIndex(a, b)
 		if ri < 0 || ri > 1 {
 			t.Fatalf("Rand out of range: %v", ri)

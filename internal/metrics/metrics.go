@@ -35,36 +35,74 @@ type PairCounts struct{ A, B, C, D float64 }
 
 // CountPairs tallies object pairs for two labelings of equal length.
 // Mismatched lengths yield the zero PairCounts; the exported indices built
-// on it return NaN in that case.
+// on it return NaN in that case. The cells come from contingency sums, not
+// from visiting pairs, so the cost is O(n + kx + ky).
 func CountPairs(x, y []int) PairCounts {
-	var pc PairCounts
 	if len(x) != len(y) {
-		return pc
+		return PairCounts{}
 	}
-	n := len(x)
-	for i := 0; i < n; i++ {
-		if x[i] < 0 || y[i] < 0 {
-			continue
-		}
-		for j := i + 1; j < n; j++ {
-			if x[j] < 0 || y[j] < 0 {
-				continue
-			}
-			sx := x[i] == x[j]
-			sy := y[i] == y[j]
-			switch {
-			case sx && sy:
-				pc.A++
-			case sx && !sy:
-				pc.B++
-			case !sx && sy:
-				pc.C++
-			default:
-				pc.D++
-			}
+	a, rows, cols, n := pairSums(x, y)
+	b, c := rows-a, cols-a
+	return PairCounts{
+		A: float64(a),
+		B: float64(b),
+		C: float64(c),
+		D: float64(n*(n-1)/2 - a - b - c),
+	}
+}
+
+// pairSums returns the contingency sums every pair-counting index is built
+// from, over the n objects that are non-noise in both labelings (of equal
+// length): together = Σᵢⱼ C(nᵢⱼ, 2), rowPairs = Σᵢ C(rowᵢ, 2) and
+// colPairs = Σⱼ C(colⱼ, 2). The sums are exact int64 arithmetic, so their
+// float64 conversions are exact below 2⁵³.
+//
+// Time and memory are O(n + kx + ky); no kx×ky table is built. The objects
+// are counting-sorted by row, and each row's cells are tallied in one
+// ky-length counter that is cleared again before the next row.
+func pairSums(x, y []int) (together, rowPairs, colPairs, n int64) {
+	buf := make([]int32, 3*len(x))
+	rx, ry, byRow := buf[:len(x)], buf[len(x):2*len(x)], buf[2*len(x):]
+	kx, ky := stats.RelabelPair(rx, ry, x, y)
+	rowEnd := make([]int32, kx)
+	count := make([]int64, ky)
+	for i, r := range rx {
+		if r >= 0 {
+			rowEnd[r]++
+			count[ry[i]]++
+			n++
 		}
 	}
-	return pc
+	var off int32
+	for r, s := range rowEnd {
+		rowPairs += int64(s) * int64(s-1) / 2
+		rowEnd[r] = off // the start of row r until the fill below
+		off += s
+	}
+	for _, s := range count {
+		colPairs += s * (s - 1) / 2
+	}
+	for i, r := range rx {
+		if r >= 0 {
+			byRow[rowEnd[r]] = ry[i]
+			rowEnd[r]++
+		}
+	}
+	// count now tallies the current row's cells and is cleared after it.
+	clear(count)
+	var lo int32
+	for _, hi := range rowEnd {
+		row := byRow[lo:hi]
+		for _, c := range row {
+			together += count[c] // the m-th object of a cell pairs with the m-1 before it
+			count[c]++
+		}
+		for _, c := range row {
+			count[c] = 0
+		}
+		lo = hi
+	}
+	return together, rowPairs, colPairs, n
 }
 
 // RandIndex returns (a+d)/(a+b+c+d) in [0,1]; 1 means identical partitions.
@@ -84,25 +122,15 @@ func RandIndex(x, y []int) float64 {
 
 // AdjustedRand returns the Hubert–Arabie adjusted Rand index, which is 0 in
 // expectation for independent partitions and 1 for identical ones.
-// Mismatched labeling lengths return NaN.
+// Mismatched labeling lengths return NaN. It reads the same contingency sums
+// as CountPairs, so it never builds a kx×ky table either.
 func AdjustedRand(x, y []int) float64 {
-	ct, err := stats.NewContingencyTable(x, y)
-	if err != nil {
+	if ValidatePair(x, y) != nil {
 		return math.NaN()
 	}
-	var sumComb, sumRow, sumCol float64
-	for _, row := range ct.Counts {
-		for _, nij := range row {
-			sumComb += comb2(nij)
-		}
-	}
-	for _, r := range ct.RowSums {
-		sumRow += comb2(r)
-	}
-	for _, c := range ct.ColSums {
-		sumCol += comb2(c)
-	}
-	total := comb2(ct.Total)
+	together, rowPairs, colPairs, n := pairSums(x, y)
+	sumComb, sumRow, sumCol := float64(together), float64(rowPairs), float64(colPairs)
+	total := float64(n * (n - 1) / 2)
 	if total == 0 {
 		return 1
 	}
@@ -114,8 +142,6 @@ func AdjustedRand(x, y []int) float64 {
 	}
 	return (sumComb - expected) / den
 }
-
-func comb2(n float64) float64 { return n * (n - 1) / 2 }
 
 // JaccardIndex returns a/(a+b+c), ignoring jointly-separated pairs.
 // Mismatched labeling lengths return NaN.

@@ -9,62 +9,106 @@ import (
 
 // ContingencyTable is the joint count table of two labelings over the same
 // objects. Rows index the clusters of the first labeling, columns the
-// clusters of the second. Noise objects (label < 0 in either labeling) are
-// excluded.
+// clusters of the second, both in first-seen order. Noise objects (label < 0
+// in either labeling) are excluded.
 type ContingencyTable struct {
-	Counts   [][]float64
-	RowSums  []float64
-	ColSums  []float64
-	Total    float64
-	RowIDs   []int // original label of each row
-	ColIDs   []int // original label of each column
-	rowIndex map[int]int
-	colIndex map[int]int
+	Counts  [][]float64
+	RowSums []float64
+	ColSums []float64
+	Total   float64
+	RowIDs  []int // original label of each row
+	ColIDs  []int // original label of each column
 }
 
 // NewContingencyTable builds the table for labelings a and b, which must have
-// equal length; unequal lengths return an error wrapping core.ErrShape.
+// equal length; unequal lengths return an error wrapping core.ErrShape. Both
+// labelings are relabelled in one pass, then Counts is allocated once at
+// kx×ky, so the cost is O(n + kx·ky).
 func NewContingencyTable(a, b []int) (*ContingencyTable, error) {
 	if len(a) != len(b) {
 		return nil, fmt.Errorf("stats: contingency table labelings of length %d and %d: %w",
 			len(a), len(b), core.ErrShape)
 	}
-	t := &ContingencyTable{rowIndex: map[int]int{}, colIndex: map[int]int{}}
-	for i := range a {
-		if a[i] < 0 || b[i] < 0 {
+	ra := make([]int32, len(a))
+	rb := make([]int32, len(b))
+	kx, ky := RelabelPair(ra, rb, a, b)
+	t := &ContingencyTable{
+		Counts:  make([][]float64, kx),
+		RowSums: make([]float64, kx),
+		ColSums: make([]float64, ky),
+		RowIDs:  make([]int, 0, kx),
+		ColIDs:  make([]int, 0, ky),
+	}
+	cells := make([]float64, kx*ky)
+	for r := range t.Counts {
+		t.Counts[r] = cells[r*ky : (r+1)*ky : (r+1)*ky]
+	}
+	for i, r := range ra {
+		if r < 0 {
 			continue
 		}
-		ri, ok := t.rowIndex[a[i]]
-		if !ok {
-			ri = len(t.RowIDs)
-			t.rowIndex[a[i]] = ri
+		c := rb[i]
+		// Ids are numbered in first-seen order, so an id equal to the
+		// number of ids recorded so far is seen here for the first time.
+		if int(r) == len(t.RowIDs) {
 			t.RowIDs = append(t.RowIDs, a[i])
-			t.Counts = append(t.Counts, nil)
-			t.RowSums = append(t.RowSums, 0)
-			for r := range t.Counts {
-				for len(t.Counts[r]) < len(t.ColIDs) {
-					t.Counts[r] = append(t.Counts[r], 0)
-				}
-			}
 		}
-		ci, ok := t.colIndex[b[i]]
-		if !ok {
-			ci = len(t.ColIDs)
-			t.colIndex[b[i]] = ci
+		if int(c) == len(t.ColIDs) {
 			t.ColIDs = append(t.ColIDs, b[i])
-			t.ColSums = append(t.ColSums, 0)
-			for r := range t.Counts {
-				for len(t.Counts[r]) < len(t.ColIDs) {
-					t.Counts[r] = append(t.Counts[r], 0)
-				}
-			}
 		}
-		t.Counts[ri][ci]++
-		t.RowSums[ri]++
-		t.ColSums[ci]++
+		t.Counts[r][c]++
+		t.RowSums[r]++
+		t.ColSums[c]++
 		t.Total++
 	}
 	return t, nil
+}
+
+// RelabelPair maps the labels of every object that is non-noise in both
+// labelings to dense ids numbered in first-seen order: ra[i] in [0, kx) for
+// a[i], rb[i] in [0, ky) for b[i]. An object that is noise (label < 0) in
+// either labeling gets -1 in both. Labels in [0, len(a)) resolve through a
+// slice and only larger ones through a map, so time and memory are O(len(a))
+// whatever the label values. ra and rb must be as long as a and b, which
+// must have equal length.
+func RelabelPair(ra, rb []int32, a, b []int) (kx, ky int) {
+	da := denseIDs{slot: make([]int32, len(a))}
+	db := denseIDs{slot: make([]int32, len(b))}
+	for i, l := range a {
+		if l < 0 || b[i] < 0 {
+			ra[i], rb[i] = -1, -1
+			continue
+		}
+		ra[i], rb[i] = da.id(l), db.id(b[i])
+	}
+	return int(da.k), int(db.k)
+}
+
+// denseIDs hands out dense ids to labels in first-seen order.
+type denseIDs struct {
+	slot []int32       // id+1 of label l < len(slot); 0 means unseen
+	far  map[int]int32 // id+1 of labels beyond the slot range
+	k    int32         // ids handed out so far
+}
+
+func (d *denseIDs) id(l int) int32 {
+	if l < len(d.slot) {
+		if d.slot[l] == 0 {
+			d.k++
+			d.slot[l] = d.k
+		}
+		return d.slot[l] - 1
+	}
+	v, ok := d.far[l]
+	if !ok {
+		if d.far == nil {
+			d.far = map[int]int32{}
+		}
+		d.k++
+		v = d.k
+		d.far[l] = v
+	}
+	return v - 1
 }
 
 // MutualInformation returns I(A;B) in nats.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -182,6 +183,26 @@ func TestContingencyNoiseExcluded(t *testing.T) {
 	ct := mustCT(t, a, b)
 	if ct.Total != 2 {
 		t.Errorf("Total = %v, want 2 (noise excluded)", ct.Total)
+	}
+}
+
+// Rows and columns follow first-seen order over the non-noise objects, for
+// dense ids and ids far beyond the labeling length alike; the entropy
+// measures sum cells in this order, so it must not change.
+func TestContingencyFirstSeenOrder(t *testing.T) {
+	a := []int{7, -1, 2, 7, 900000, 2, 0}
+	b := []int{3, 5, 1, 1, 3, -1, 8}
+	ct := mustCT(t, a, b)
+	want := &ContingencyTable{
+		Counts:  [][]float64{{1, 1, 0}, {0, 1, 0}, {1, 0, 0}, {0, 0, 1}},
+		RowSums: []float64{2, 1, 1, 1},
+		ColSums: []float64{2, 2, 1},
+		Total:   5,
+		RowIDs:  []int{7, 2, 900000, 0},
+		ColIDs:  []int{3, 1, 8},
+	}
+	if !reflect.DeepEqual(ct, want) {
+		t.Errorf("table = %+v\nwant    %+v", ct, want)
 	}
 }
 
