@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json lint-sarif lint-fix test race cover bench bench-json bench-baseline experiments examples fuzz fuzz-smoke chaos chaos-serve stream-chaos logs-check ci clean
+.PHONY: all build vet lint lint-json lint-sarif lint-fix test race cover bench bench-json bench-baseline experiments examples fuzz fuzz-smoke chaos chaos-serve stream-chaos logs-check e2ebench-check ci clean
 
 all: build vet lint test
 
@@ -109,8 +109,16 @@ stream-chaos:
 logs-check:
 	$(GO) test -run 'TestLogSchema' -count=1 ./internal/obs/ ./internal/ops/ ./internal/jobs/
 
+# The end-to-end benchmark (e2ebench/) is its own Go module that imports
+# serve and internal packages, so root ./... never compiles it: vet and
+# test it separately, so an API break shows up here and not only when the
+# benchmark runs.
+e2ebench-check:
+	$(GO) -C e2ebench vet ./...
+	$(GO) -C e2ebench test ./...
+
 # Everything the GitHub Actions workflow runs, locally.
-ci: build vet test race lint fuzz-smoke chaos chaos-serve stream-chaos logs-check cover bench-json
+ci: build vet test race lint fuzz-smoke chaos chaos-serve stream-chaos logs-check e2ebench-check cover bench-json
 
 clean:
 	$(GO) clean -testcache

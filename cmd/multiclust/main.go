@@ -5,19 +5,19 @@
 //
 //	multiclust -algo <name> [-in data.csv] [flags]
 //
-// Algorithms: kmeans, dbscan, em, spectral, meta, coala, cib, mincentropy,
-// deckmeans, cami, contingency, metricflip, alttransform, orthproj, clique,
-// schism, subclu, proclus, orclus, predecon, doc, mineclus, enclus,
-// condens, flexible, taxonomy.
+// Every algorithm of the internal/registry table is runnable by name; `-h`
+// lists them under -algo, and `-algo taxonomy` prints the tutorial's
+// comparison table instead of clustering.
 //
 // When -in is omitted a demonstration dataset (the four-blob toy) is used.
-// Given-knowledge algorithms (coala, cib, metricflip, alttransform) read the
-// known clustering from -given, a CSV with one integer label per line; if
-// omitted the result of k-means is used as the given clustering.
+// The given-knowledge algorithms (listed by -h under -given) read the known
+// clustering from -given, a CSV with one integer label per line; if omitted
+// the result of k-means is used as the given clustering. No other
+// algorithm reads -given or derives it.
 //
 // With -stream the dataset is replayed through the incremental layer in
 // chunks of -chunk rows instead of one batch solve: -algo selects the
-// streaming learner (kmeans, meta, or coem), each chunk prints a progress
+// streaming learner (again listed by -h), each chunk prints a progress
 // line, and the final snapshot is reported when the stream ends.
 package main
 
@@ -30,6 +30,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -38,15 +39,16 @@ import (
 	"multiclust"
 	"multiclust/internal/jobs/chaos"
 	"multiclust/internal/ops"
+	"multiclust/internal/registry"
 	"multiclust/serve"
 )
 
 func main() {
 	var (
-		algo       = flag.String("algo", "taxonomy", "algorithm to run (see doc comment)")
+		algo       = flag.String("algo", "taxonomy", "algorithm to run: taxonomy (the comparison table), "+batchNames)
 		in         = flag.String("in", "", "input CSV file (default: built-in toy dataset)")
 		header     = flag.Bool("header", true, "input CSV has a header row")
-		givenF     = flag.String("given", "", "file with one integer label per line (given clustering)")
+		givenF     = flag.String("given", "", "file with one integer label per line: the given clustering of "+givenNames+" (default: k-means with -k)")
 		k          = flag.Int("k", 2, "number of clusters (per solution)")
 		seed       = flag.Int64("seed", 1, "random seed")
 		eps        = flag.Float64("eps", 0.1, "DBSCAN epsilon")
@@ -62,7 +64,7 @@ func main() {
 		jobWorkers = flag.Int("jobs-workers", 0, "worker goroutines for the /v1/jobs engine (0 = MULTICLUST_WORKERS env, then GOMAXPROCS)")
 		jobQueue   = flag.Int("jobs-queue", 0, "bounded admission queue for /v1/jobs (0 = default 64); a full queue answers 429")
 		drainTO    = flag.Duration("drain-timeout", 10*time.Second, "on SIGINT/SIGTERM, wait this long for running jobs before cutting them to best-so-far")
-		streamMode = flag.Bool("stream", false, "replay the dataset through the incremental layer chunk by chunk (-algo kmeans, meta or coem)")
+		streamMode = flag.Bool("stream", false, "replay the dataset through the incremental layer chunk by chunk (-algo "+streamNames+")")
 		chunkRows  = flag.Int("chunk", 64, "rows per chunk in -stream mode")
 		logF       = flag.String("log", "", "write structured JSONL logs (HTTP access lines, job lifecycle lines) to this file, or '-' for stderr")
 		logLevel   = flag.String("log-level", "info", "minimum log level for -log: debug, info, warn or error")
@@ -124,9 +126,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "multiclust: ops endpoints at %s\n", handle.URL)
 	}
 	if *streamMode {
-		err = runStream(*algo, *in, *header, *k, *seed, *chunkRows)
+		err = runStream(*algo, *in, *header, registry.Params{K: *k, Seed: *seed}, *chunkRows)
 	} else {
-		err = run(*algo, *in, *header, *givenF, *k, *seed, *eps, *minPts, *xi, *tau)
+		err = run(*algo, *in, *header, *givenF, registry.Params{
+			K: *k, Seed: *seed, Eps: *eps, MinPts: *minPts, Xi: *xi, Tau: *tau, Restarts: 5,
+		})
 	}
 	if cerr := cleanup(); err == nil {
 		err = cerr
@@ -277,399 +281,178 @@ func setupObservability(traceF string, metrics bool) (cleanup func() error, coll
 	return cleanup, collector, nil
 }
 
-func run(algo, in string, header bool, givenF string, k int, seed int64, eps float64, minPts, xi int, tau float64) error {
+// The registry names, in table order, behind the -algo, -stream and -given
+// usage texts.
+var (
+	batchNames  = algoNames(func(a registry.Algorithm) bool { return a.Run != nil })
+	streamNames = algoNames(func(a registry.Algorithm) bool { return a.Stream != nil })
+	givenNames  = algoNames(func(a registry.Algorithm) bool { return a.Given })
+)
+
+func algoNames(keep func(registry.Algorithm) bool) string {
+	var names []string
+	for _, a := range registry.All() {
+		if keep(a) {
+			names = append(names, a.Name)
+		}
+	}
+	return strings.Join(names, ", ")
+}
+
+// run clusters the dataset with the named registry algorithm and prints
+// the result; "taxonomy" prints the comparison table instead. The given
+// clustering is read or derived only for algorithms that consume one.
+func run(algo, in string, header bool, givenF string, p registry.Params) error {
 	if algo == "taxonomy" {
 		return multiclust.WriteTaxonomyTable(os.Stdout)
 	}
-
-	ds, truthHor, truthVer, err := loadData(in, header)
+	a, ok := registry.Lookup(algo)
+	if ok && a.Run == nil {
+		return fmt.Errorf("algorithm %q runs only with -stream", algo)
+	}
+	if !ok {
+		return fmt.Errorf("unknown algorithm %q (want taxonomy, %s)", algo, batchNames)
+	}
+	ds, truths, err := loadData(in, header)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("dataset: n=%d d=%d\n", ds.N(), ds.Dim())
-
-	given, err := loadGiven(givenF, ds, k, seed)
+	p.Points = ds.Points
+	if a.Given {
+		if p.Given, err = loadGiven(givenF, ds, p); err != nil {
+			return err
+		}
+	}
+	res, err := a.Run(context.Background(), p)
 	if err != nil {
 		return err
 	}
-
-	printOne := func(name string, c *multiclust.Clustering) {
-		fmt.Printf("%s: k=%d noise=%d silhouette=%.3f", name, c.K(), c.NoiseCount(),
-			multiclust.Silhouette(ds.Points, c))
-		if truthHor != nil {
-			fmt.Printf(" ARI(view1)=%.2f ARI(view2)=%.2f",
-				multiclust.AdjustedRand(truthHor, c.Labels),
-				multiclust.AdjustedRand(truthVer, c.Labels))
-		}
-		fmt.Println()
-		fmt.Printf("  labels: %s\n", labelString(c.Labels, 40))
-	}
-	printSubspace := func(name string, m multiclust.SubspaceClustering) {
-		fmt.Printf("%s: %d subspace clusters in %d subspaces\n", name, len(m), len(m.GroupBySubspace()))
-		for i, c := range m {
-			if i == 12 {
-				fmt.Printf("  ... %d more\n", len(m)-12)
-				break
-			}
-			fmt.Printf("  %s\n", c)
-		}
-	}
-
-	switch algo {
-	case "kmeans":
-		res, err := multiclust.KMeans(ds.Points, multiclust.KMeansConfig{K: k, Seed: seed, Restarts: 5})
-		if err != nil {
-			return err
-		}
-		printOne("kmeans", res.Clustering)
-	case "dbscan":
-		res, err := multiclust.DBSCAN(ds.Points, multiclust.DBSCANConfig{Eps: eps, MinPts: minPts})
-		if err != nil {
-			return err
-		}
-		printOne("dbscan", res)
-	case "em":
-		res, err := multiclust.EM(ds.Points, multiclust.EMConfig{K: k, Seed: seed})
-		if err != nil {
-			return err
-		}
-		printOne("em", res.Clustering)
-		fmt.Printf("  log-likelihood: %.2f\n", res.LogLik)
-	case "spectral":
-		res, err := multiclust.Spectral(ds.Points, multiclust.SpectralConfig{K: k, Seed: seed})
-		if err != nil {
-			return err
-		}
-		printOne("spectral", res.Clustering)
-	case "meta":
-		res, err := multiclust.MetaClustering(ds.Points, multiclust.MetaClusteringConfig{K: k, Seed: seed})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("meta clustering: %d base solutions, mean pairwise dissimilarity %.3f\n",
-			len(res.Generated), res.MeanPairwise)
-		for i, r := range res.Representatives {
-			printOne(fmt.Sprintf("representative %d", i+1), r)
-		}
-	case "coala":
-		res, err := multiclust.Coala(ds.Points, given, multiclust.CoalaConfig{K: k})
-		if err != nil {
-			return err
-		}
-		printOne("coala alternative", res.Clustering)
-		fmt.Printf("  merges: %d quality, %d dissimilarity\n", res.QualityMerges, res.DissimilarityMerges)
-	case "cib":
-		res, err := multiclust.CIB(ds.Points, given, multiclust.CIBConfig{K: k, Seed: seed})
-		if err != nil {
-			return err
-		}
-		printOne("cib alternative", res.Clustering)
-	case "mincentropy":
-		res, err := multiclust.MinCEntropy(ds.Points, []*multiclust.Clustering{given}, multiclust.MinCEntropyConfig{K: k, Seed: seed})
-		if err != nil {
-			return err
-		}
-		printOne("minCEntropy alternative", res.Clustering)
-	case "deckmeans":
-		res, err := multiclust.DecKMeans(ds.Points, multiclust.DecKMeansConfig{Ks: []int{k, k}, Seed: seed})
-		if err != nil {
-			return err
-		}
-		for i, c := range res.Clusterings {
-			printOne(fmt.Sprintf("solution %d", i+1), c)
-		}
-		fmt.Printf("  NMI between solutions: %.3f\n",
-			multiclust.NMI(res.Clusterings[0].Labels, res.Clusterings[1].Labels))
-	case "cami":
-		res, err := multiclust.CAMI(ds.Points, multiclust.CAMIConfig{K1: k, K2: k, Mu: 5, Seed: seed})
-		if err != nil {
-			return err
-		}
-		printOne("model 1", res.Clustering1)
-		printOne("model 2", res.Clustering2)
-		fmt.Printf("  soft MI: %.3f\n", res.MutualInfo)
-	case "contingency":
-		res, err := multiclust.Contingency(ds.Points, multiclust.ContingencyConfig{K1: k, K2: k, Seed: seed})
-		if err != nil {
-			return err
-		}
-		printOne("solution 1", res.Clustering1)
-		printOne("solution 2", res.Clustering2)
-		fmt.Printf("  uniformity: %.3f\n", res.Uniformity)
-	case "metricflip":
-		res, err := multiclust.MetricFlip(ds.Points, given, multiclust.KMeansBase(k, seed))
-		if err != nil {
-			return err
-		}
-		printOne("flipped-space alternative", res.Clustering)
-	case "alttransform":
-		res, err := multiclust.AlternativeTransform(ds.Points, given, multiclust.KMeansBase(k, seed))
-		if err != nil {
-			return err
-		}
-		printOne("transformed-space alternative", res.Clustering)
-	case "orthproj":
-		iters, err := multiclust.OrthogonalProjections(ds.Points, multiclust.KMeansBase(k, seed), multiclust.OrthogonalProjectionsConfig{})
-		if err != nil {
-			return err
-		}
-		for i, it := range iters {
-			printOne(fmt.Sprintf("round %d (residual var %.2f)", i+1, it.ResidualVariance), it.Clustering)
-		}
-	case "clique":
-		res, err := multiclust.Clique(ds.Normalize().Points, multiclust.CliqueConfig{Xi: xi, Tau: tau})
-		if err != nil {
-			return err
-		}
-		printSubspace("clique", res.Clusters)
-		fmt.Printf("  candidates counted %d, pruned %d\n", res.Stats.CandidatesGenerated, res.Stats.CandidatesPruned)
-	case "schism":
-		res, err := multiclust.Schism(ds.Normalize().Points, multiclust.SchismConfig{Xi: xi, Tau: tau})
-		if err != nil {
-			return err
-		}
-		printSubspace("schism", res.Clusters)
-	case "dusc":
-		res, err := multiclust.Dusc(ds.Normalize().Points, multiclust.DuscConfig{Eps: eps, MaxDim: 3})
-		if err != nil {
-			return err
-		}
-		printSubspace("dusc", res.Clusters)
-	case "subclu":
-		res, err := multiclust.Subclu(ds.Normalize().Points, multiclust.SubcluConfig{Eps: eps, MinPts: minPts})
-		if err != nil {
-			return err
-		}
-		printSubspace("subclu", res.Clusters)
-	case "orclus":
-		res, err := multiclust.Orclus(ds.Points, multiclust.OrclusConfig{K: k, L: 2, Seed: seed})
-		if err != nil {
-			return err
-		}
-		printOne("orclus", res.Assignment)
-		fmt.Printf("  projected energy: %.4f\n", res.Energy)
-	case "predecon":
-		res, err := multiclust.Predecon(ds.Points, multiclust.PredeconConfig{Eps: eps, MinPts: minPts, Delta: eps * eps / 4})
-		if err != nil {
-			return err
-		}
-		printOne("predecon", res.Assignment)
-		printSubspace("predecon subspaces", res.Clusters)
-	case "proclus":
-		res, err := multiclust.Proclus(ds.Points, multiclust.ProclusConfig{K: k, L: 2, Seed: seed})
-		if err != nil {
-			return err
-		}
-		printSubspace("proclus", res.Clusters)
-	case "fires":
-		res, err := multiclust.Fires(ds.Normalize().Points, multiclust.FiresConfig{Eps: eps, MinPts: minPts})
-		if err != nil {
-			return err
-		}
-		printSubspace("fires", res.Clusters)
-	case "mineclus":
-		res, err := multiclust.MineClus(ds.Normalize().Points, multiclust.MineClusConfig{W: eps, Seed: seed})
-		if err != nil {
-			return err
-		}
-		printSubspace("mineclus", res.Clusters)
-	case "condens":
-		res, err := multiclust.CondEns(ds.Points, given, multiclust.CondEnsConfig{K: k, Seed: seed})
-		if err != nil {
-			return err
-		}
-		printOne("condens alternative", res.Clustering)
-	case "flexible":
-		res, err := multiclust.Flexible(ds.Points, []*multiclust.Clustering{given},
-			multiclust.SilhouetteQuality(), multiclust.RandDissimilarity(),
-			multiclust.FlexibleConfig{K: k, Seed: seed})
-		if err != nil {
-			return err
-		}
-		printOne("flexible alternative", res.Clustering)
-		fmt.Printf("  objective=%.3f quality=%.3f diss=%.3f\n", res.Objective, res.Quality, res.Dissimilarity)
-	case "doc":
-		res, err := multiclust.DOC(ds.Normalize().Points, multiclust.DOCConfig{W: eps, Seed: seed})
-		if err != nil {
-			return err
-		}
-		printSubspace("doc", res.Clusters)
-	case "universes":
-		res, err := multiclust.ParallelUniverses([][][]float64{ds.Points, ds.Points}, multiclust.UniversesConfig{K: k, Seed: seed})
-		if err != nil {
-			return err
-		}
-		for v, c := range res.Clusterings {
-			printOne(fmt.Sprintf("universe %d", v), c)
-		}
-	case "distdbscan":
-		res, err := multiclust.DistributedDBSCAN(ds.Points, multiclust.DistributedDBSCANConfig{Eps: eps, MinPts: minPts})
-		if err != nil {
-			return err
-		}
-		printOne("distributed dbscan", res.Clustering)
-		fmt.Printf("  representatives shipped: %d, local clusters: %d\n", len(res.Representatives), res.LocalClusters)
-	case "ris":
-		scores, err := multiclust.RIS(ds.Normalize().Points, multiclust.RISConfig{Eps: eps, MinPts: minPts, TopK: 15})
-		if err != nil {
-			return err
-		}
-		fmt.Println("ris subspace ranking (best first):")
-		for _, s := range scores {
-			fmt.Printf("  %v core=%d quality=%.2f\n", s.Dims, s.CoreObjects, s.Quality)
-		}
-	case "enclus":
-		scores, err := multiclust.Enclus(ds.Normalize().Points, multiclust.EnclusConfig{Xi: xi, MaxEntropy: 16})
-		if err != nil {
-			return err
-		}
-		fmt.Println("enclus subspace ranking (lowest entropy first):")
-		for i, s := range scores {
-			if i == 15 {
-				fmt.Printf("  ... %d more\n", len(scores)-15)
-				break
-			}
-			fmt.Printf("  %v H=%.3f interest=%.3f\n", s.Dims, s.Entropy, s.Interest)
-		}
-	default:
-		return fmt.Errorf("unknown algorithm %q", algo)
-	}
+	printResult(algo, ds.Points, truths, res)
 	return nil
 }
 
-// runStream replays the dataset through the incremental layer: the rows
-// are cut into chunks of chunkRows and pushed through the streaming
-// learner selected by algo, printing one progress line per chunk and the
-// final snapshot at the end. The result is a pure function of (config,
-// chunk sequence): replaying the same file with the same flags reproduces
-// it byte for byte.
-func runStream(algo, in string, header bool, k int, seed int64, chunkRows int) error {
+// printResult is the one printer of every algorithm's result: each
+// partition with its size, noise and silhouette (plus ARI against the
+// ground truths of the built-in toy), the subspace clusters, the subspace
+// ranking, and the scalar stats.
+func printResult(name string, points [][]float64, truths [][]int, res *registry.Result) {
+	for i, c := range res.Partitions {
+		label := name
+		if len(res.Partitions) > 1 {
+			label = fmt.Sprintf("%s solution %d", name, i+1)
+		}
+		fmt.Printf("%s: k=%d noise=%d silhouette=%.3f", label, c.K(), c.NoiseCount(), multiclust.Silhouette(points, c))
+		for v, truth := range truths {
+			fmt.Printf(" ARI(view%d)=%.2f", v+1, multiclust.AdjustedRand(truth, c.Labels))
+		}
+		fmt.Printf("\n  labels: %s\n", labelString(c.Labels, 40))
+	}
+	if m := res.Subspace; m != nil {
+		fmt.Printf("%s: %d subspace clusters in %d subspaces\n", name, len(m), len(m.GroupBySubspace()))
+		printCapped(len(m), func(i int) { fmt.Printf("  %s\n", m[i]) })
+	}
+	if res.Ranking != nil {
+		fmt.Printf("%s subspace ranking (best first):\n", name)
+		printCapped(len(res.Ranking), func(i int) {
+			fmt.Printf("  %v%s\n", res.Ranking[i].Dims, statString(res.Ranking[i].Scores))
+		})
+	}
+	if len(res.Stats) > 0 {
+		fmt.Printf("  stats:%s\n", statString(res.Stats))
+	}
+}
+
+// printCapped prints the first 15 of n list lines, then how many it cut.
+func printCapped(n int, line func(i int)) {
+	const max = 15
+	for i := 0; i < n && i < max; i++ {
+		line(i)
+	}
+	if n > max {
+		fmt.Printf("  ... %d more\n", n-max)
+	}
+}
+
+// statString renders named values as " name=value" pairs in name order,
+// each value in its shortest exact form.
+func statString(stats map[string]float64) string {
+	names := make([]string, 0, len(stats))
+	for name := range stats {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	for _, name := range names {
+		fmt.Fprintf(&b, " %s=%s", name, strconv.FormatFloat(stats[name], 'g', -1, 64))
+	}
+	return b.String()
+}
+
+// runStream replays the dataset through the named algorithm's incremental
+// learner: the rows are cut into chunks of chunkRows, each pushed and
+// followed by one progress line of the learner's stats, and the final
+// snapshot is printed at the end. The result is a pure function of
+// (config, chunk sequence): replaying the same file with the same flags
+// reproduces it byte for byte.
+func runStream(algo, in string, header bool, p registry.Params, chunkRows int) error {
+	a, ok := registry.Lookup(algo)
+	if !ok || a.Stream == nil {
+		return fmt.Errorf("algorithm %q has no streaming mode (want %s)", algo, streamNames)
+	}
 	if chunkRows <= 0 {
 		return fmt.Errorf("-chunk must be positive, got %d", chunkRows)
 	}
-	ds, _, _, err := loadData(in, header)
+	ds, _, err := loadData(in, header)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("dataset: n=%d d=%d, streaming in chunks of %d\n", ds.N(), ds.Dim(), chunkRows)
-
-	var push func(rows [][]float64) error
-	var report func() error
-	switch algo {
-	case "kmeans":
-		m, err := multiclust.NewStreamKMeans(multiclust.StreamKMeansConfig{K: k, Seed: seed})
-		if err != nil {
-			return err
-		}
-		push = func(rows [][]float64) error {
-			if err := m.Push(rows); err != nil {
-				return err
-			}
-			s, err := m.Snapshot()
-			if err != nil {
-				return err
-			}
-			fmt.Printf("chunk %d: rows=%d sse=%.3f reseeds=%d\n", s.Chunks, s.RowsSeen, s.LastSSE, s.Reseeds)
-			return nil
-		}
-		report = func() error {
-			s, err := m.Snapshot()
-			if err != nil {
-				return err
-			}
-			fmt.Printf("stream kmeans: k=%d rows=%d chunks=%d\n", len(s.Centers), s.RowsSeen, s.Chunks)
-			fmt.Printf("  last-chunk labels: %s\n", labelString(s.LastLabels, 40))
-			return nil
-		}
-	case "meta":
-		e, err := multiclust.NewStreamEnsemble(multiclust.StreamEnsembleConfig{K: k, Seed: seed})
-		if err != nil {
-			return err
-		}
-		push = func(rows [][]float64) error {
-			if err := e.Push(rows); err != nil {
-				return err
-			}
-			fmt.Printf("chunk %d: rows=%d\n", e.Chunks(), e.RowsSeen())
-			return nil
-		}
-		report = func() error {
-			s, err := e.Snapshot()
-			if err != nil {
-				return err
-			}
-			fmt.Printf("stream ensemble: %d representatives over window of %d chunks (%d rows), %d evicted, mean pairwise %.3f\n",
-				len(s.Representatives), s.WindowChunks, s.WindowRows, s.Evicted, s.MeanPairwise)
-			for i, r := range s.Representatives {
-				fmt.Printf("  representative %d: k=%d labels: %s\n", i+1, r.K(), labelString(r.Labels, 40))
-			}
-			return nil
-		}
-	case "coem":
-		c, err := multiclust.NewStreamCoEM(multiclust.StreamCoEMConfig{K: k, Seed: seed})
-		if err != nil {
-			return err
-		}
-		push = func(rows [][]float64) error {
-			if err := c.Push(rows); err != nil {
-				return err
-			}
-			s, err := c.Snapshot()
-			if err != nil {
-				return err
-			}
-			fmt.Printf("chunk %d: rows=%d agreement=%.3f loglik=(%.2f, %.2f)\n",
-				s.Chunks, s.RowsSeen, s.Agreement, s.LogLikA, s.LogLikB)
-			return nil
-		}
-		report = func() error {
-			s, err := c.Snapshot()
-			if err != nil {
-				return err
-			}
-			fmt.Printf("stream coem: k=%d rows=%d chunks=%d agreement=%.3f\n",
-				s.Clustering.K(), s.RowsSeen, s.Chunks, s.Agreement)
-			fmt.Printf("  consensus labels (last chunk): %s\n", labelString(s.Clustering.Labels, 40))
-			return nil
-		}
-	default:
-		return fmt.Errorf("algorithm %q has no streaming mode (want kmeans, meta or coem)", algo)
+	l, err := a.Stream(p)
+	if err != nil {
+		return err
 	}
-
+	ctx := context.Background()
 	for at := 0; at < len(ds.Points); at += chunkRows {
-		end := at + chunkRows
-		if end > len(ds.Points) {
-			end = len(ds.Points)
-		}
-		if err := push(ds.Points[at:end]); err != nil {
+		if err := l.Push(ctx, ds.Points[at:min(at+chunkRows, len(ds.Points))]); err != nil {
 			return err
 		}
+		snap, err := l.Snapshot(ctx)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("chunk %d:%s\n", at/chunkRows+1, statString(snap.Stats))
 	}
-	return report()
+	snap, err := l.Snapshot(ctx)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("stream %s: k=%d solutions=%d%s\n", algo, snap.Clusters(), len(snap.Partitions), statString(snap.Stats))
+	for i, c := range snap.Partitions {
+		fmt.Printf("  solution %d (latest chunk): k=%d labels: %s\n", i+1, c.K(), labelString(c.Labels, 40))
+	}
+	return nil
 }
 
 // loadData reads the CSV, or builds the toy with its two ground truths.
-func loadData(path string, header bool) (*multiclust.Dataset, []int, []int, error) {
+func loadData(path string, header bool) (*multiclust.Dataset, [][]int, error) {
 	if path == "" {
 		ds, hor, ver := multiclust.FourBlobToy(1, 25)
-		return ds, hor, ver, nil
+		return ds, [][]int{hor, ver}, nil
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	defer f.Close()
 	ds, err := multiclust.ReadCSV(f, header)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return ds, nil, nil, nil
+	return ds, nil, err
 }
 
 // loadGiven reads a labels file or derives a k-means clustering.
-func loadGiven(path string, ds *multiclust.Dataset, k int, seed int64) (*multiclust.Clustering, error) {
+func loadGiven(path string, ds *multiclust.Dataset, p registry.Params) (*multiclust.Clustering, error) {
 	if path == "" {
-		res, err := multiclust.KMeans(ds.Points, multiclust.KMeansConfig{K: k, Seed: seed, Restarts: 5})
+		res, err := multiclust.KMeans(ds.Points, multiclust.KMeansConfig{K: p.K, Seed: p.Seed, Restarts: p.Restarts})
 		if err != nil {
 			return nil, err
 		}

@@ -29,18 +29,7 @@ func T1Taxonomy() (*Table, error) {
 		Columns: []string{"algorithm", "space", "processing", "given know.", "#clusterings", "subspace detec.", "flexibility"},
 	}
 	for _, e := range taxonomy.Registry() {
-		flex := "specialized"
-		if e.Exchangeable {
-			flex = "exchang. def."
-		}
-		views := e.Views.String()
-		if views == "" {
-			views = "-"
-		}
-		t.Rows = append(t.Rows, []string{
-			e.Algorithm, e.Space.String(), e.Processing.String(),
-			e.Knowledge.String(), e.Solutions.String(), views, flex,
-		})
+		t.Rows = append(t.Rows, append([]string{e.Algorithm}, e.Cells()...))
 	}
 	t.Notes = append(t.Notes, "generated from internal/taxonomy, mirrors the tutorial's table")
 	return t, nil

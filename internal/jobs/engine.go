@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -114,30 +116,13 @@ func New(cfg Config) *Engine {
 	if cfg.MaxPoints <= 0 {
 		cfg.MaxPoints = 200000
 	}
-	runners := make(map[string]Runner, len(defaultRunners)+len(cfg.Runners))
-	for name, r := range defaultRunners {
-		runners[name] = r
-	}
-	for name, r := range cfg.Runners {
-		if r == nil {
-			delete(runners, name)
-			continue
-		}
-		runners[name] = r
-	}
-	cfg.Runners = runners
-	streams := make(map[string]StreamFactory, len(defaultStreams)+len(cfg.Streams))
-	for name, f := range defaultStreams {
-		streams[name] = f
-	}
-	for name, f := range cfg.Streams {
-		if f == nil {
-			delete(streams, name)
-			continue
-		}
-		streams[name] = f
-	}
-	cfg.Streams = streams
+	// Overrides land on copies of the defaults; a nil override deletes.
+	runners, streams := maps.Clone(defaultRunners), maps.Clone(defaultStreams)
+	maps.Copy(runners, cfg.Runners)
+	maps.Copy(streams, cfg.Streams)
+	maps.DeleteFunc(runners, func(_ string, r Runner) bool { return r == nil })
+	maps.DeleteFunc(streams, func(_ string, f StreamFactory) bool { return f == nil })
+	cfg.Runners, cfg.Streams = runners, streams
 
 	e := &Engine{
 		cfg:   cfg,
@@ -163,10 +148,10 @@ func New(cfg Config) *Engine {
 func (e *Engine) validate(spec Spec) error {
 	if spec.Stream {
 		if _, ok := e.cfg.Streams[spec.Algo]; !ok {
-			return fmt.Errorf("%w: unknown streaming algorithm %q (have %s)", ErrBadSpec, spec.Algo, e.algoNames(true))
+			return fmt.Errorf("%w: unknown streaming algorithm %q (have %s)", ErrBadSpec, spec.Algo, strings.Join(sortedNames(e.cfg.Streams), ", "))
 		}
 	} else if _, ok := e.cfg.Runners[spec.Algo]; !ok {
-		return fmt.Errorf("%w: unknown algorithm %q (have %s)", ErrBadSpec, spec.Algo, e.algoNames(false))
+		return fmt.Errorf("%w: unknown algorithm %q (have %s)", ErrBadSpec, spec.Algo, strings.Join(sortedNames(e.cfg.Runners), ", "))
 	}
 	if len(spec.Points) > e.cfg.MaxPoints {
 		return fmt.Errorf("%w: %d points exceeds the %d-row admission bound", ErrBadSpec, len(spec.Points), e.cfg.MaxPoints)
@@ -191,28 +176,6 @@ func (e *Engine) validate(spec Spec) error {
 		return fmt.Errorf("%w: negative window %d", ErrBadSpec, spec.Window)
 	}
 	return nil
-}
-
-func (e *Engine) algoNames(stream bool) string {
-	names := make([]string, 0, len(e.cfg.Runners))
-	if stream {
-		for name := range e.cfg.Streams {
-			names = append(names, name)
-		}
-	} else {
-		for name := range e.cfg.Runners {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += ", "
-		}
-		out += n
-	}
-	return out
 }
 
 // Submit admits one job. The returned bool is true when an idempotency key

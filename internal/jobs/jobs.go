@@ -87,8 +87,8 @@ type Spec struct {
 	// chunk, PATCH /v1/jobs/{id} appends more, GET serves the latest
 	// snapshot while the stream is open, and a final append — or a
 	// graceful drain — terminalizes the job (Done, or Partial with the
-	// last snapshot). Streaming algorithms live in their own registry;
-	// see StreamAlgorithms. TimeoutMS bounds each chunk, not the stream.
+	// last snapshot). StreamAlgorithms lists the algorithms with an
+	// incremental learner. TimeoutMS bounds each chunk, not the stream.
 	Stream bool `json:"stream,omitempty"`
 	// Window bounds the sliding window of the streaming "meta" ensemble
 	// (chunks retained before FIFO eviction); 0 defers to the

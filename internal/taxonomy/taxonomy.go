@@ -193,13 +193,20 @@ func Lookup(name string) (Entry, bool) {
 	return Entry{}, false
 }
 
-// BySpace groups the registry by search space in taxonomy order.
-func BySpace() map[SearchSpace][]Entry {
-	out := map[SearchSpace][]Entry{}
-	for _, e := range Registry() {
-		out[e.Space] = append(out[e.Space], e)
+// Cells renders the entry's classification as the comparison table's
+// cells: search space, processing, given knowledge, number of
+// clusterings, subspace detection ("-" when the method handles no views)
+// and flexibility.
+func (e Entry) Cells() []string {
+	views := e.Views.String()
+	if views == "" {
+		views = "-"
 	}
-	return out
+	flex := "specialized"
+	if e.Exchangeable {
+		flex = "exchang. def."
+	}
+	return []string{e.Space.String(), e.Processing.String(), e.Knowledge.String(), e.Solutions.String(), views, flex}
 }
 
 // WriteTable renders the taxonomy table (the slide-116 comparison) to w.
@@ -211,21 +218,17 @@ func WriteTable(w io.Writer) error {
 		}
 		return entries[i].Algorithm < entries[j].Algorithm
 	})
-	if _, err := fmt.Fprintf(w, "%-26s %-26s %-12s %-13s %-17s %-7s %-17s %s\n",
+	const format = "%-26s %-26s %-12s %-13s %-17s %-7s %-17s %s\n"
+	if _, err := fmt.Fprintf(w, format,
 		"algorithm", "reference", "space", "processing", "given knowledge", "#clust", "subspace detec.", "flexibility"); err != nil {
 		return err
 	}
 	for _, e := range entries {
-		flex := "specialized"
-		if e.Exchangeable {
-			flex = "exchang. def."
+		row := []any{e.Algorithm, e.Reference}
+		for _, c := range e.Cells() {
+			row = append(row, c)
 		}
-		views := e.Views.String()
-		if views == "" {
-			views = "-"
-		}
-		if _, err := fmt.Fprintf(w, "%-26s %-26s %-12s %-13s %-17s %-7s %-17s %s\n",
-			e.Algorithm, e.Reference, e.Space, e.Processing, e.Knowledge, e.Solutions, views, flex); err != nil {
+		if _, err := fmt.Fprintf(w, format, row...); err != nil {
 			return err
 		}
 	}

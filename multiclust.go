@@ -224,6 +224,21 @@ var (
 // used when a stochastic fit degenerates; see internal/robust.Retry.
 const retryBudget = 3
 
+// gate is the facade gate every algorithm in this package runs behind: the
+// first non-nil validation check is returned without running fn, and a
+// panic inside fn is converted into an error wrapping ErrPanic. The checks
+// are the caller's ValidateDataset / ValidateClustering(s) / ValidateViews
+// results, listed in the order they are reported.
+func gate[T any](fn func() (T, error), checks ...error) (res T, err error) {
+	defer robust.RecoverTo(&err)
+	for _, check := range checks {
+		if check != nil {
+			return res, check
+		}
+	}
+	return fn()
+}
+
 // ---------------------------------------------------------------------------
 // Core types
 // ---------------------------------------------------------------------------
@@ -329,11 +344,9 @@ func KMeans(points [][]float64, cfg KMeansConfig) (*KMeansResult, error) {
 // Lloyd iteration; when it is done, the best clustering found so far is
 // returned wrapped in ErrInterrupted.
 func KMeansContext(ctx context.Context, points [][]float64, cfg KMeansConfig) (res *KMeansResult, err error) {
-	defer robust.RecoverTo(&err)
-	if err := robust.ValidateDataset(points); err != nil {
-		return nil, err
-	}
-	return kmeans.RunContext(ctx, points, cfg)
+	return gate(func() (*KMeansResult, error) {
+		return kmeans.RunContext(ctx, points, cfg)
+	}, robust.ValidateDataset(points))
 }
 
 // DBSCANConfig configures density-based clustering.
@@ -351,11 +364,9 @@ func DBSCAN(points [][]float64, cfg DBSCANConfig) (*Clustering, error) {
 // width Eps) whenever the dimensionality permits, with labels identical to
 // the linear scan.
 func DBSCANContext(ctx context.Context, points [][]float64, cfg DBSCANConfig) (res *Clustering, err error) {
-	defer robust.RecoverTo(&err)
-	if err := robust.ValidateDataset(points); err != nil {
-		return nil, err
-	}
-	return dbscan.RunContext(ctx, points, nil, cfg)
+	return gate(func() (*Clustering, error) {
+		return dbscan.RunContext(ctx, points, nil, cfg)
+	}, robust.ValidateDataset(points))
 }
 
 // Linkage selects the agglomerative merge rule.
@@ -373,11 +384,9 @@ type Dendrogram = hierarchical.Dendrogram
 
 // Hierarchical builds the dendrogram of points under the Euclidean distance.
 func Hierarchical(points [][]float64, linkage Linkage) (res *Dendrogram, err error) {
-	defer robust.RecoverTo(&err)
-	if err := robust.ValidateDataset(points); err != nil {
-		return nil, err
-	}
-	return hierarchical.Run(points, dist.Euclidean, linkage)
+	return gate(func() (*Dendrogram, error) {
+		return hierarchical.Run(points, dist.Euclidean, linkage)
+	}, robust.ValidateDataset(points))
 }
 
 // EMConfig / EMResult / GMM configure and report Gaussian-mixture EM.
@@ -398,22 +407,20 @@ func EM(points [][]float64, cfg EMConfig) (*EMResult, error) {
 // iteration; when it is done, the current model and posteriors are returned
 // wrapped in ErrInterrupted.
 func EMContext(ctx context.Context, points [][]float64, cfg EMConfig) (res *EMResult, err error) {
-	defer robust.RecoverTo(&err)
-	if err := robust.ValidateDataset(points); err != nil {
-		return nil, err
-	}
-	return robust.RetryValueBackoff(ctx, cfg.Seed, retryBudget, robust.Backoff{}, func(seed int64) (*EMResult, error) {
-		c := cfg
-		c.Seed = seed
-		r, ferr := em.FitContext(ctx, points, c)
-		if ferr != nil || r == nil {
-			return r, ferr
-		}
-		if math.IsNaN(r.LogLik) || math.IsInf(r.LogLik, 0) {
-			return nil, fmt.Errorf("multiclust: em seed %d: non-finite log-likelihood: %w", seed, core.ErrDegenerate)
-		}
-		return r, nil
-	})
+	return gate(func() (*EMResult, error) {
+		return robust.RetryValueBackoff(ctx, cfg.Seed, retryBudget, robust.Backoff{}, func(seed int64) (*EMResult, error) {
+			c := cfg
+			c.Seed = seed
+			r, ferr := em.FitContext(ctx, points, c)
+			if ferr != nil || r == nil {
+				return r, ferr
+			}
+			if math.IsNaN(r.LogLik) || math.IsInf(r.LogLik, 0) {
+				return nil, fmt.Errorf("multiclust: em seed %d: non-finite log-likelihood: %w", seed, core.ErrDegenerate)
+			}
+			return r, nil
+		})
+	}, robust.ValidateDataset(points))
 }
 
 // SpectralConfig / SpectralResult configure and report normalized spectral
@@ -434,26 +441,24 @@ func Spectral(points [][]float64, cfg SpectralConfig) (*SpectralResult, error) {
 // Jacobi eigensolve sweep and every k-means iteration on the embedding; the
 // partial result is returned wrapped in ErrInterrupted.
 func SpectralContext(ctx context.Context, points [][]float64, cfg SpectralConfig) (res *SpectralResult, err error) {
-	defer robust.RecoverTo(&err)
-	if err := robust.ValidateDataset(points); err != nil {
-		return nil, err
-	}
-	return robust.RetryValueBackoff(ctx, cfg.Seed, retryBudget, robust.Backoff{}, func(seed int64) (*SpectralResult, error) {
-		c := cfg
-		c.Seed = seed
-		r, ferr := spectral.RunContext(ctx, points, c)
-		if ferr != nil || r == nil {
-			return r, ferr
-		}
-		if r.Embedding != nil {
-			for _, v := range r.Embedding.Data {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					return nil, fmt.Errorf("multiclust: spectral seed %d: non-finite embedding: %w", seed, core.ErrDegenerate)
+	return gate(func() (*SpectralResult, error) {
+		return robust.RetryValueBackoff(ctx, cfg.Seed, retryBudget, robust.Backoff{}, func(seed int64) (*SpectralResult, error) {
+			c := cfg
+			c.Seed = seed
+			r, ferr := spectral.RunContext(ctx, points, c)
+			if ferr != nil || r == nil {
+				return r, ferr
+			}
+			if r.Embedding != nil {
+				for _, v := range r.Embedding.Data {
+					if math.IsNaN(v) || math.IsInf(v, 0) {
+						return nil, fmt.Errorf("multiclust: spectral seed %d: non-finite embedding: %w", seed, core.ErrDegenerate)
+					}
 				}
 			}
-		}
-		return r, nil
-	})
+			return r, nil
+		})
+	}, robust.ValidateDataset(points))
 }
 
 // ---------------------------------------------------------------------------
@@ -477,11 +482,9 @@ func MetaClustering(points [][]float64, cfg MetaClusteringConfig) (*MetaClusteri
 // still valid clusterings, the meta grouping runs on them, and the result
 // is returned wrapped in ErrInterrupted.
 func MetaClusteringContext(ctx context.Context, points [][]float64, cfg MetaClusteringConfig) (res *MetaClusteringResult, err error) {
-	defer robust.RecoverTo(&err)
-	if err := robust.ValidateDataset(points); err != nil {
-		return nil, err
-	}
-	return metaclust.RunContext(ctx, points, cfg)
+	return gate(func() (*MetaClusteringResult, error) {
+		return metaclust.RunContext(ctx, points, cfg)
+	}, robust.ValidateDataset(points))
 }
 
 // CoalaConfig / CoalaResult: Bae & Bailey 2006.
@@ -502,14 +505,9 @@ func Coala(points [][]float64, given *Clustering, cfg CoalaConfig) (res *CoalaRe
 // wrapped in ErrInterrupted. With a background context the output is
 // byte-identical to Coala.
 func CoalaContext(ctx context.Context, points [][]float64, given *Clustering, cfg CoalaConfig) (res *CoalaResult, err error) {
-	defer robust.RecoverTo(&err)
-	if err := robust.ValidateDataset(points); err != nil {
-		return nil, err
-	}
-	if err := robust.ValidateClustering(given, len(points)); err != nil {
-		return nil, err
-	}
-	return alternative.CoalaContext(ctx, points, given, cfg)
+	return gate(func() (*CoalaResult, error) {
+		return alternative.CoalaContext(ctx, points, given, cfg)
+	}, robust.ValidateDataset(points), robust.ValidateClustering(given, len(points)))
 }
 
 // CIBConfig / CIBResult: conditional information bottleneck (Gondek &
@@ -522,14 +520,9 @@ type (
 // CIB computes an alternative clustering by minimizing
 // I(X;C) - Beta*I(Y;C|D).
 func CIB(points [][]float64, given *Clustering, cfg CIBConfig) (res *CIBResult, err error) {
-	defer robust.RecoverTo(&err)
-	if err := robust.ValidateDataset(points); err != nil {
-		return nil, err
-	}
-	if err := robust.ValidateClustering(given, len(points)); err != nil {
-		return nil, err
-	}
-	return alternative.CIB(points, given, cfg)
+	return gate(func() (*CIBResult, error) {
+		return alternative.CIB(points, given, cfg)
+	}, robust.ValidateDataset(points), robust.ValidateClustering(given, len(points)))
 }
 
 // FlexibleConfig / FlexibleResult: the tutorial's abstract problem (slide
@@ -543,14 +536,9 @@ type (
 // quality and dissimilarity definitions — the "exchangeable definition"
 // flexibility axis of the taxonomy.
 func Flexible(points [][]float64, givens []*Clustering, q QualityFunc, diss DissimilarityFunc, cfg FlexibleConfig) (res *FlexibleResult, err error) {
-	defer robust.RecoverTo(&err)
-	if err := robust.ValidateDataset(points); err != nil {
-		return nil, err
-	}
-	if err := robust.ValidateClusterings(givens, len(points)); err != nil {
-		return nil, err
-	}
-	return alternative.Flexible(points, givens, q, diss, cfg)
+	return gate(func() (*FlexibleResult, error) {
+		return alternative.Flexible(points, givens, q, diss, cfg)
+	}, robust.ValidateDataset(points), robust.ValidateClusterings(givens, len(points)))
 }
 
 // CondEnsConfig / CondEnsResult: conditional ensembles (Gondek & Hofmann
@@ -563,14 +551,9 @@ type (
 // CondEns selects an alternative clustering from a diverse ensemble by
 // quality minus information overlap with the given clustering.
 func CondEns(points [][]float64, given *Clustering, cfg CondEnsConfig) (res *CondEnsResult, err error) {
-	defer robust.RecoverTo(&err)
-	if err := robust.ValidateDataset(points); err != nil {
-		return nil, err
-	}
-	if err := robust.ValidateClustering(given, len(points)); err != nil {
-		return nil, err
-	}
-	return alternative.CondEns(points, given, cfg)
+	return gate(func() (*CondEnsResult, error) {
+		return alternative.CondEns(points, given, cfg)
+	}, robust.ValidateDataset(points), robust.ValidateClustering(given, len(points)))
 }
 
 // MinCEntropyConfig / MinCEntropyResult: Vinh & Epps 2010.
@@ -582,14 +565,9 @@ type (
 // MinCEntropy finds an alternative to a SET of given clusterings by
 // penalized kernel-quality search.
 func MinCEntropy(points [][]float64, givens []*Clustering, cfg MinCEntropyConfig) (res *MinCEntropyResult, err error) {
-	defer robust.RecoverTo(&err)
-	if err := robust.ValidateDataset(points); err != nil {
-		return nil, err
-	}
-	if err := robust.ValidateClusterings(givens, len(points)); err != nil {
-		return nil, err
-	}
-	return alternative.MinCEntropy(points, givens, cfg)
+	return gate(func() (*MinCEntropyResult, error) {
+		return alternative.MinCEntropy(points, givens, cfg)
+	}, robust.ValidateDataset(points), robust.ValidateClusterings(givens, len(points)))
 }
 
 // DecKMeansConfig / DecKMeansResult: Jain, Meka & Dhillon 2008.
@@ -600,11 +578,9 @@ type (
 
 // DecKMeans fits T decorrelated k-means clusterings simultaneously.
 func DecKMeans(points [][]float64, cfg DecKMeansConfig) (res *DecKMeansResult, err error) {
-	defer robust.RecoverTo(&err)
-	if err := robust.ValidateDataset(points); err != nil {
-		return nil, err
-	}
-	return simultaneous.DecKMeans(points, cfg)
+	return gate(func() (*DecKMeansResult, error) {
+		return simultaneous.DecKMeans(points, cfg)
+	}, robust.ValidateDataset(points))
 }
 
 // CAMIConfig / CAMIResult: Dang & Bailey 2010a.
@@ -616,11 +592,9 @@ type (
 // CAMI fits two mixture models maximizing likelihood minus mutual
 // information between the clusterings.
 func CAMI(points [][]float64, cfg CAMIConfig) (res *CAMIResult, err error) {
-	defer robust.RecoverTo(&err)
-	if err := robust.ValidateDataset(points); err != nil {
-		return nil, err
-	}
-	return simultaneous.CAMI(points, cfg)
+	return gate(func() (*CAMIResult, error) {
+		return simultaneous.CAMI(points, cfg)
+	}, robust.ValidateDataset(points))
 }
 
 // ContingencyConfig / ContingencyResult: Hossain et al. 2010.
@@ -632,11 +606,9 @@ type (
 // Contingency finds two prototype-based clusterings with a near-uniform
 // contingency table.
 func Contingency(points [][]float64, cfg ContingencyConfig) (res *ContingencyResult, err error) {
-	defer robust.RecoverTo(&err)
-	if err := robust.ValidateDataset(points); err != nil {
-		return nil, err
-	}
-	return simultaneous.Contingency(points, cfg)
+	return gate(func() (*ContingencyResult, error) {
+		return simultaneous.Contingency(points, cfg)
+	}, robust.ValidateDataset(points))
 }
 
 // ---------------------------------------------------------------------------
@@ -655,14 +627,9 @@ type MetricFlipResult = orthogonal.MetricFlipResult
 // MetricFlip learns a metric from the given clustering, SVDs it and inverts
 // the stretch to reveal an alternative grouping.
 func MetricFlip(points [][]float64, given *Clustering, base Base) (res *MetricFlipResult, err error) {
-	defer robust.RecoverTo(&err)
-	if err := robust.ValidateDataset(points); err != nil {
-		return nil, err
-	}
-	if err := robust.ValidateClustering(given, len(points)); err != nil {
-		return nil, err
-	}
-	return orthogonal.MetricFlip(points, given, base)
+	return gate(func() (*MetricFlipResult, error) {
+		return orthogonal.MetricFlip(points, given, base)
+	}, robust.ValidateDataset(points), robust.ValidateClustering(given, len(points)))
 }
 
 // AlternativeTransformResult: Qi & Davidson 2009.
@@ -670,14 +637,9 @@ type AlternativeTransformResult = orthogonal.AlternativeTransformResult
 
 // AlternativeTransform applies the closed-form M = Sigma~^{-1/2} transform.
 func AlternativeTransform(points [][]float64, given *Clustering, base Base) (res *AlternativeTransformResult, err error) {
-	defer robust.RecoverTo(&err)
-	if err := robust.ValidateDataset(points); err != nil {
-		return nil, err
-	}
-	if err := robust.ValidateClustering(given, len(points)); err != nil {
-		return nil, err
-	}
-	return orthogonal.AlternativeTransform(points, given, base)
+	return gate(func() (*AlternativeTransformResult, error) {
+		return orthogonal.AlternativeTransform(points, given, base)
+	}, robust.ValidateDataset(points), robust.ValidateClustering(given, len(points)))
 }
 
 // OrthogonalProjectionsConfig / ProjectionIteration: Cui, Fern & Dy 2007.
@@ -689,11 +651,9 @@ type (
 // OrthogonalProjections iteratively clusters and projects the data onto the
 // orthogonal complement of each clustering's mean subspace.
 func OrthogonalProjections(points [][]float64, base Base, cfg OrthogonalProjectionsConfig) (res []ProjectionIteration, err error) {
-	defer robust.RecoverTo(&err)
-	if err := robust.ValidateDataset(points); err != nil {
-		return nil, err
-	}
-	return orthogonal.OrthogonalProjections(points, base, cfg)
+	return gate(func() ([]ProjectionIteration, error) {
+		return orthogonal.OrthogonalProjections(points, base, cfg)
+	}, robust.ValidateDataset(points))
 }
 
 // ---------------------------------------------------------------------------
@@ -738,41 +698,33 @@ type (
 // Clique finds all clusters as connected dense grid cells in every subspace
 // (Agrawal et al. 1998). Points must be normalized to [0,1]^d.
 func Clique(points [][]float64, cfg CliqueConfig) (res *CliqueResult, err error) {
-	defer robust.RecoverTo(&err)
-	if err := robust.ValidateDataset(points); err != nil {
-		return nil, err
-	}
-	return subspace.Clique(points, cfg)
+	return gate(func() (*CliqueResult, error) {
+		return subspace.Clique(points, cfg)
+	}, robust.ValidateDataset(points))
 }
 
 // Schism runs the grid search with the dimensionality-adaptive
 // Chernoff–Hoeffding threshold (Sequeira & Zaki 2004).
 func Schism(points [][]float64, cfg SchismConfig) (res *SchismResult, err error) {
-	defer robust.RecoverTo(&err)
-	if err := robust.ValidateDataset(points); err != nil {
-		return nil, err
-	}
-	return subspace.Schism(points, cfg)
+	return gate(func() (*SchismResult, error) {
+		return subspace.Schism(points, cfg)
+	}, robust.ValidateDataset(points))
 }
 
 // Subclu finds density-connected clusters in all subspaces (Kailing et al.
 // 2004b).
 func Subclu(points [][]float64, cfg SubcluConfig) (res *SubcluResult, err error) {
-	defer robust.RecoverTo(&err)
-	if err := robust.ValidateDataset(points); err != nil {
-		return nil, err
-	}
-	return subspace.Subclu(points, cfg)
+	return gate(func() (*SubcluResult, error) {
+		return subspace.Subclu(points, cfg)
+	}, robust.ValidateDataset(points))
 }
 
 // Dusc runs SUBCLU with DUSC's dimensionality-unbiased density threshold
 // (Assent et al. 2007).
 func Dusc(points [][]float64, cfg DuscConfig) (res *SubcluResult, err error) {
-	defer robust.RecoverTo(&err)
-	if err := robust.ValidateDataset(points); err != nil {
-		return nil, err
-	}
-	return subspace.Dusc(points, cfg)
+	return gate(func() (*SubcluResult, error) {
+		return subspace.Dusc(points, cfg)
+	}, robust.ValidateDataset(points))
 }
 
 // Proclus runs projected k-medoid clustering (Aggarwal et al. 1999).
@@ -784,11 +736,9 @@ func Proclus(points [][]float64, cfg ProclusConfig) (*ProclusResult, error) {
 // medoid-refinement iteration; the best projected clustering so far is
 // returned wrapped in ErrInterrupted.
 func ProclusContext(ctx context.Context, points [][]float64, cfg ProclusConfig) (res *ProclusResult, err error) {
-	defer robust.RecoverTo(&err)
-	if err := robust.ValidateDataset(points); err != nil {
-		return nil, err
-	}
-	return subspace.ProclusContext(ctx, points, cfg)
+	return gate(func() (*ProclusResult, error) {
+		return subspace.ProclusContext(ctx, points, cfg)
+	}, robust.ValidateDataset(points))
 }
 
 // DOC finds projective clusters by Monte-Carlo sampling (Procopiuc et al.
@@ -800,68 +750,64 @@ func DOC(points [][]float64, cfg DOCConfig) (*DOCResult, error) {
 // DOCContext is DOC with cancellation: ctx is polled between cluster hunts;
 // the clusters found so far are returned wrapped in ErrInterrupted.
 func DOCContext(ctx context.Context, points [][]float64, cfg DOCConfig) (res *DOCResult, err error) {
-	defer robust.RecoverTo(&err)
-	if err := robust.ValidateDataset(points); err != nil {
-		return nil, err
-	}
-	return subspace.DOCContext(ctx, points, cfg)
+	return gate(func() (*DOCResult, error) {
+		return subspace.DOCContext(ctx, points, cfg)
+	}, robust.ValidateDataset(points))
 }
 
 // Enclus ranks subspaces by grid entropy (Cheng, Fu & Zhang 1999).
 func Enclus(points [][]float64, cfg EnclusConfig) (res []SubspaceScore, err error) {
-	defer robust.RecoverTo(&err)
-	if err := robust.ValidateDataset(points); err != nil {
-		return nil, err
-	}
-	return subspace.Enclus(points, cfg)
+	return gate(func() ([]SubspaceScore, error) {
+		return subspace.Enclus(points, cfg)
+	}, robust.ValidateDataset(points))
 }
 
 // RIS ranks subspaces by density-based interestingness (Kailing et al.
 // 2003).
 func RIS(points [][]float64, cfg RISConfig) (res []RISScore, err error) {
-	defer robust.RecoverTo(&err)
-	if err := robust.ValidateDataset(points); err != nil {
-		return nil, err
-	}
-	return subspace.RIS(points, cfg)
+	return gate(func() ([]RISScore, error) {
+		return subspace.RIS(points, cfg)
+	}, robust.ValidateDataset(points))
 }
 
 // Osclu selects an orthogonal-concept result set out of a redundant
 // candidate pool (Günnemann et al. 2009).
 func Osclu(all SubspaceClustering, cfg OscluConfig) (res SubspaceClustering, err error) {
-	defer robust.RecoverTo(&err)
-	return subspace.Osclu(all, cfg)
+	return gate(func() (SubspaceClustering, error) {
+		return subspace.Osclu(all, cfg)
+	})
 }
 
 // Asclu selects alternative subspace clusters w.r.t. a Known clustering
 // (Günnemann et al. 2010).
 func Asclu(all SubspaceClustering, cfg AscluConfig) (res SubspaceClustering, err error) {
-	defer robust.RecoverTo(&err)
-	return subspace.Asclu(all, cfg)
+	return gate(func() (SubspaceClustering, error) {
+		return subspace.Asclu(all, cfg)
+	})
 }
 
 // StatPC keeps statistically significant, unexplained clusters (reduced-form
 // Moise & Sander 2008).
 func StatPC(candidates []GridCluster, cfg StatPCConfig) (res *StatPCResult, err error) {
-	defer robust.RecoverTo(&err)
-	return subspace.StatPC(candidates, cfg)
+	return gate(func() (*StatPCResult, error) {
+		return subspace.StatPC(candidates, cfg)
+	})
 }
 
 // Rescu admits interesting clusters and excludes globally redundant ones
 // (reduced-form Müller et al. 2009c).
 func Rescu(all SubspaceClustering, cfg RescuConfig) (res SubspaceClustering, err error) {
-	defer robust.RecoverTo(&err)
-	return subspace.Rescu(all, cfg)
+	return gate(func() (SubspaceClustering, error) {
+		return subspace.Rescu(all, cfg)
+	})
 }
 
 // Fires approximates maximal-dimensional subspace clusters by merging
 // one-dimensional base clusters (Kriegel et al. 2005).
 func Fires(points [][]float64, cfg FiresConfig) (res *FiresResult, err error) {
-	defer robust.RecoverTo(&err)
-	if err := robust.ValidateDataset(points); err != nil {
-		return nil, err
-	}
-	return subspace.Fires(points, cfg)
+	return gate(func() (*FiresResult, error) {
+		return subspace.Fires(points, cfg)
+	}, robust.ValidateDataset(points))
 }
 
 // MineClus finds projective clusters with the deterministic
@@ -874,11 +820,9 @@ func MineClus(points [][]float64, cfg MineClusConfig) (*MineClusResult, error) {
 // cluster hunts; the clusters found so far are returned wrapped in
 // ErrInterrupted.
 func MineClusContext(ctx context.Context, points [][]float64, cfg MineClusConfig) (res *MineClusResult, err error) {
-	defer robust.RecoverTo(&err)
-	if err := robust.ValidateDataset(points); err != nil {
-		return nil, err
-	}
-	return subspace.MineClusContext(ctx, points, cfg)
+	return gate(func() (*MineClusResult, error) {
+		return subspace.MineClusContext(ctx, points, cfg)
+	}, robust.ValidateDataset(points))
 }
 
 // Orclus finds arbitrarily oriented projected clusters (Aggarwal & Yu 2000).
@@ -890,21 +834,17 @@ func Orclus(points [][]float64, cfg OrclusConfig) (*OrclusResult, error) {
 // assign-recompute iteration; the clustering finalized from the current
 // centers is returned wrapped in ErrInterrupted.
 func OrclusContext(ctx context.Context, points [][]float64, cfg OrclusConfig) (res *OrclusResult, err error) {
-	defer robust.RecoverTo(&err)
-	if err := robust.ValidateDataset(points); err != nil {
-		return nil, err
-	}
-	return subspace.OrclusContext(ctx, points, cfg)
+	return gate(func() (*OrclusResult, error) {
+		return subspace.OrclusContext(ctx, points, cfg)
+	}, robust.ValidateDataset(points))
 }
 
 // Predecon runs density-connected clustering with local subspace
 // preferences (Böhm et al. 2004a).
 func Predecon(points [][]float64, cfg PredeconConfig) (res *PredeconResult, err error) {
-	defer robust.RecoverTo(&err)
-	if err := robust.ValidateDataset(points); err != nil {
-		return nil, err
-	}
-	return subspace.Predecon(points, cfg)
+	return gate(func() (*PredeconResult, error) {
+		return subspace.Predecon(points, cfg)
+	}, robust.ValidateDataset(points))
 }
 
 // ---------------------------------------------------------------------------
@@ -936,87 +876,74 @@ const (
 
 // CoEM runs interleaved two-view EM (Bickel & Scheffer 2004).
 func CoEM(viewA, viewB [][]float64, cfg CoEMConfig) (res *CoEMResult, err error) {
-	defer robust.RecoverTo(&err)
-	if err := robust.ValidateViews(viewA, viewB); err != nil {
-		return nil, err
-	}
-	return multiview.CoEM(viewA, viewB, cfg)
+	return gate(func() (*CoEMResult, error) {
+		return multiview.CoEM(viewA, viewB, cfg)
+	}, robust.ValidateViews(viewA, viewB))
 }
 
 // MVDBSCAN runs multi-represented DBSCAN with union or intersection
 // neighbourhoods (Kailing et al. 2004a).
 func MVDBSCAN(views [][][]float64, cfg MVDBSCANConfig) (res *Clustering, err error) {
-	defer robust.RecoverTo(&err)
-	if err := robust.ValidateViews(views...); err != nil {
-		return nil, err
-	}
-	return multiview.MVDBSCAN(views, cfg)
+	return gate(func() (*Clustering, error) {
+		return multiview.MVDBSCAN(views, cfg)
+	}, robust.ValidateViews(views...))
 }
 
 // TwoViewSpectral clusters two views via their combined affinity (de Sa
 // 2005).
 func TwoViewSpectral(viewA, viewB [][]float64, k int, seed int64) (res *Clustering, err error) {
-	defer robust.RecoverTo(&err)
-	if err := robust.ValidateViews(viewA, viewB); err != nil {
-		return nil, err
-	}
-	return multiview.TwoViewSpectral(viewA, viewB, k, seed)
+	return gate(func() (*Clustering, error) {
+		return multiview.TwoViewSpectral(viewA, viewB, k, seed)
+	}, robust.ValidateViews(viewA, viewB))
 }
 
 // MSC extracts multiple non-redundant spectral views (Niu & Dy 2010 style).
 func MSC(points [][]float64, cfg MSCConfig) (res []MSCView, err error) {
-	defer robust.RecoverTo(&err)
-	if err := robust.ValidateDataset(points); err != nil {
-		return nil, err
-	}
-	return multiview.MSC(points, cfg)
+	return gate(func() ([]MSCView, error) {
+		return multiview.MSC(points, cfg)
+	}, robust.ValidateDataset(points))
 }
 
 // HSIC measures statistical dependence between two feature groups (Gretton
 // et al. 2005).
 func HSIC(x, y [][]float64) (v float64, err error) {
-	defer robust.RecoverTo(&err)
-	if err := robust.ValidateViews(x, y); err != nil {
-		return 0, err
-	}
-	return multiview.HSIC(x, y)
+	return gate(func() (float64, error) {
+		return multiview.HSIC(x, y)
+	}, robust.ValidateViews(x, y))
 }
 
 // ParallelUniverses runs fuzzy clustering in parallel universes (Wiswedel,
 // Höppner & Berthold 2010): objects learn which universe (view) they belong
 // to while each universe clusters only its own objects.
 func ParallelUniverses(views [][][]float64, cfg UniversesConfig) (res *UniversesResult, err error) {
-	defer robust.RecoverTo(&err)
-	if err := robust.ValidateViews(views...); err != nil {
-		return nil, err
-	}
-	return multiview.ParallelUniverses(views, cfg)
+	return gate(func() (*UniversesResult, error) {
+		return multiview.ParallelUniverses(views, cfg)
+	}, robust.ValidateViews(views...))
 }
 
 // DistributedDBSCAN runs scalable density-based distributed clustering
 // (Januzaj, Kriegel & Pfeifle 2004): local DBSCAN per site, representative
 // exchange, central merge.
 func DistributedDBSCAN(points [][]float64, cfg DistributedDBSCANConfig) (res *DistributedDBSCANResult, err error) {
-	defer robust.RecoverTo(&err)
-	if err := robust.ValidateDataset(points); err != nil {
-		return nil, err
-	}
-	return multiview.DistributedDBSCAN(points, cfg)
+	return gate(func() (*DistributedDBSCANResult, error) {
+		return multiview.DistributedDBSCAN(points, cfg)
+	}, robust.ValidateDataset(points))
 }
 
 // CSPA computes a consensus clustering from hard labelings (Strehl & Ghosh
 // 2002).
 func CSPA(labelings [][]int, cfg ConsensusConfig) (res *Clustering, err error) {
-	defer robust.RecoverTo(&err)
-	if len(labelings) == 0 {
-		return nil, core.ErrEmptyDataset
-	}
-	for i, l := range labelings {
-		if err := robust.ValidateLabels(l, len(labelings[0])); err != nil {
-			return nil, fmt.Errorf("multiclust: labeling %d: %w", i, err)
+	return gate(func() (*Clustering, error) {
+		if len(labelings) == 0 {
+			return nil, core.ErrEmptyDataset
 		}
-	}
-	return multiview.CSPA(labelings, cfg)
+		for i, l := range labelings {
+			if err := robust.ValidateLabels(l, len(labelings[0])); err != nil {
+				return nil, fmt.Errorf("multiclust: labeling %d: %w", i, err)
+			}
+		}
+		return multiview.CSPA(labelings, cfg)
+	})
 }
 
 // SharedNMI is the ensemble objective of Strehl & Ghosh.
@@ -1027,11 +954,9 @@ func SharedNMI(consensus []int, labelings [][]int) float64 {
 // RandomProjectionEnsemble runs the Fern & Brodley (2003) consensus
 // pipeline.
 func RandomProjectionEnsemble(points [][]float64, cfg RandomProjectionEnsembleConfig) (res *RandomProjectionEnsembleResult, err error) {
-	defer robust.RecoverTo(&err)
-	if err := robust.ValidateDataset(points); err != nil {
-		return nil, err
-	}
-	return multiview.RandomProjectionEnsemble(points, cfg)
+	return gate(func() (*RandomProjectionEnsembleResult, error) {
+		return multiview.RandomProjectionEnsemble(points, cfg)
+	}, robust.ValidateDataset(points))
 }
 
 // ---------------------------------------------------------------------------
