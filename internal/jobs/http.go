@@ -40,11 +40,6 @@ type appendResponse struct {
 	RowsAcked   int64  `json:"rows_acked"`
 }
 
-// maxBodyBytes bounds one POST body; a dataset bigger than this cannot be
-// admitted anyway (MaxPoints), so reading further would only buy memory
-// pressure.
-const maxBodyBytes = 64 << 20
-
 // Handler serves the job API:
 //
 //	POST   /v1/jobs        submit a Spec               -> 202 {id,state}
@@ -112,17 +107,8 @@ func (e *Engine) Handler() http.Handler {
 }
 
 func (e *Engine) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var spec Spec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeJSON(w, status, errorResponse{Error: "decode spec: " + err.Error()})
+	if !decodeRequest(w, r, "spec", &spec, &spec.Points) {
 		return
 	}
 	// The header wins over the body field, per the usual idempotency-key
@@ -168,17 +154,8 @@ func (e *Engine) handleGet(w http.ResponseWriter, id string) {
 }
 
 func (e *Engine) handleAppend(w http.ResponseWriter, r *http.Request, id string) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var req appendRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeJSON(w, status, errorResponse{Error: "decode chunk: " + err.Error()})
+	if !decodeRequest(w, r, "chunk", &req, &req.Points) {
 		return
 	}
 	j, err := e.Append(id, req.Points, req.Final)

@@ -3,6 +3,7 @@ package jobs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -205,5 +206,43 @@ func TestHTTPPatchEdges(t *testing.T) {
 	resp, _ = sendJSON(t, srv, http.MethodPut, "/v1/jobs/"+sub.ID, `{}`)
 	if resp.StatusCode != http.StatusMethodNotAllowed || !strings.Contains(resp.Header.Get("Allow"), "PATCH") {
 		t.Fatalf("PUT = %d allow %q, want 405 allowing PATCH", resp.StatusCode, resp.Header.Get("Allow"))
+	}
+}
+
+// spaces is an endless stream of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestHTTPBodyOverCap sends POST and PATCH bodies one byte over
+// maxBodyBytes, streamed from a reader: a valid JSON value padded with
+// whitespace. Both must be refused with 413 although the JSON value itself
+// ends well before the cap. (A body sent without a length meets the same
+// cap in http.MaxBytesReader; reading 64 MB of it is left out here for
+// the memory it costs under -race.)
+func TestHTTPBodyOverCap(t *testing.T) {
+	e := newTestEngine(t, Config{Workers: 1, Runners: map[string]Runner{"instant": instantRunner}})
+	stream, _, err := e.Submit(Spec{Algo: "kmeans", Stream: true, K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ method, path, json string }{
+		{http.MethodPost, "/v1/jobs", `{"algo":"instant","points":[[1,2]]}`},
+		{http.MethodPatch, "/v1/jobs/" + stream.ID, `{"points":[[1,2]]}`},
+	} {
+		pad := io.LimitReader(spaces{}, maxBodyBytes+1-int64(len(c.json)))
+		r := httptest.NewRequest(c.method, c.path, io.MultiReader(strings.NewReader(c.json), pad))
+		r.ContentLength = maxBodyBytes + 1
+		rr := httptest.NewRecorder()
+		e.Handler().ServeHTTP(rr, r)
+		var er errorResponse
+		if rr.Code != http.StatusRequestEntityTooLarge || json.Unmarshal(rr.Body.Bytes(), &er) != nil || er.Error == "" {
+			t.Fatalf("%s %s = %d %s, want 413 with a JSON error", c.method, c.path, rr.Code, rr.Body.Bytes())
+		}
 	}
 }

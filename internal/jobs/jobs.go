@@ -60,7 +60,8 @@ var (
 // to run on it. Unused knobs may be omitted; zero values defer to the
 // algorithm defaults. Seed is the determinism anchor — two jobs with the
 // same spec (seed included) produce byte-identical results regardless of
-// queue position, worker count, or what other tenants are doing.
+// queue position, worker count, or what other tenants are doing. The rows
+// of Points decoded from one request share one backing array.
 type Spec struct {
 	Algo         string      `json:"algo"`
 	Points       [][]float64 `json:"points"`
