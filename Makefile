@@ -68,13 +68,14 @@ examples:
 	$(GO) run ./examples/genes
 	$(GO) run ./examples/text
 
-# Short fuzz sessions over the parsing, metric, index, streaming and
-# request-decoding surfaces. -fuzz must match exactly one target per
-# package, hence the anchored names.
+# Short fuzz sessions over the parsing, metric, index, subspace-search,
+# streaming and request-decoding surfaces. -fuzz must match exactly one
+# target per package, hence the anchored names.
 fuzz:
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=30s ./internal/dataset/
 	$(GO) test -fuzz=FuzzComparisonMeasures -fuzztime=30s ./internal/metrics/
 	$(GO) test -fuzz='^FuzzGridEqualsLinear$$' -fuzztime=30s ./internal/dbscan/
+	$(GO) test -fuzz='^FuzzSubcluEqualsReference$$' -fuzztime=30s ./internal/subspace/
 	$(GO) test -fuzz='^FuzzChunkedReplay$$' -fuzztime=30s ./internal/stream/
 	$(GO) test -fuzz='^FuzzSubmitSpec$$' -fuzztime=30s ./internal/jobs/
 	$(GO) test -fuzz='^FuzzAppend$$' -fuzztime=30s ./internal/jobs/
@@ -84,6 +85,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=10s ./internal/dataset/
 	$(GO) test -run='^$$' -fuzz=FuzzComparisonMeasures -fuzztime=10s ./internal/metrics/
 	$(GO) test -run='^$$' -fuzz='^FuzzGridEqualsLinear$$' -fuzztime=10s ./internal/dbscan/
+	$(GO) test -run='^$$' -fuzz='^FuzzSubcluEqualsReference$$' -fuzztime=10s ./internal/subspace/
 	$(GO) test -run='^$$' -fuzz='^FuzzChunkedReplay$$' -fuzztime=10s ./internal/stream/
 	$(GO) test -run='^$$' -fuzz='^FuzzSubmitSpec$$' -fuzztime=10s ./internal/jobs/
 	$(GO) test -run='^$$' -fuzz='^FuzzAppend$$' -fuzztime=10s ./internal/jobs/

@@ -156,6 +156,12 @@ func BenchmarkCliqueDims(b *testing.B) {
 	}
 }
 
+// BenchmarkSubclu runs SUBCLU on a small 200×6 input up to 3-dimensional
+// subspaces. The input does reach level 3: 20 of the 41 subspaces it
+// examines are 3-dimensional, and they take their neighborhoods from their
+// parents' stored lists rather than from a grid. internal/subspace's
+// BenchmarkSubcluScale measures the same search on the end-to-end
+// workload's shape as n grows.
 func BenchmarkSubclu(b *testing.B) {
 	ds, _, err := multiclust.SubspaceData(1, 200, 6, []multiclust.SubspaceSpec{
 		{Dims: []int{0, 1}, Size: 60, Width: 0.06},
@@ -163,6 +169,7 @@ func BenchmarkSubclu(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := multiclust.Subclu(ds.Points, multiclust.SubcluConfig{Eps: 0.05, MinPts: 6, MaxDim: 3}); err != nil {
 			b.Fatal(err)

@@ -55,14 +55,21 @@ func RunContext(ctx context.Context, points [][]float64, d dist.Func, cfg Config
 	if cfg.Eps <= 0 || cfg.MinPts <= 0 {
 		return nil, errors.New("dbscan: Eps and MinPts must be positive")
 	}
-	rec := obs.From(ctx)
-	var nf NeighborFunc
-	if d == nil {
-		nf = precomputeGridNeighbors(rec, points, cfg.Eps, cfg.Workers)
-	} else {
-		nf = precomputeNeighbors(rec, points, d, cfg.Eps, cfg.Workers)
-	}
+	nf := contextNeighbors(ctx, points, d, cfg)
 	return RunGenericContext(ctx, len(points), nf, cfg.MinPts)
+}
+
+// contextNeighbors runs RunContext's neighbor precompute under its own
+// dbscan.neighbors span, so traces name the region-query layer apart from
+// the expansion loop's dbscan.run.
+func contextNeighbors(ctx context.Context, points [][]float64, d dist.Func, cfg Config) NeighborFunc {
+	rec := obs.From(ctx)
+	_, end := obs.SpanCtx(ctx, rec, "dbscan.neighbors")
+	defer end()
+	if d == nil {
+		return precomputeGridNeighbors(rec, points, cfg.Eps, cfg.Workers)
+	}
+	return precomputeNeighbors(rec, points, d, cfg.Eps, cfg.Workers)
 }
 
 // PrecomputeNeighbors materializes every object's ε-neighborhood with the
@@ -151,6 +158,22 @@ func RunGenericContext(ctx context.Context, n int, neighbors NeighborFunc, minPt
 	var coreObjects, lookups int64
 	var interrupted error
 	clusterID := 0
+	// The expansion queue holds each object once: an unvisited neighbor of
+	// a core object is claimed for the cluster when first seen, and a noise
+	// neighbor is adopted as a border object on the spot. Every other
+	// object is already settled, so it never enters the queue again.
+	var queue []int
+	claim := func(nb []int) {
+		for _, o := range nb {
+			switch labels[o] {
+			case unvisited:
+				labels[o] = clusterID
+				queue = append(queue, o)
+			case core.Noise:
+				labels[o] = clusterID // border object adopted by the cluster
+			}
+		}
+	}
 	for i := 0; i < n; i++ {
 		// Outer-boundary cancellation: a cluster expansion never stops
 		// halfway, so every discovered cluster is complete.
@@ -170,21 +193,14 @@ func RunGenericContext(ctx context.Context, n int, neighbors NeighborFunc, minPt
 		coreObjects++
 		// Start a new cluster and expand it breadth-first.
 		labels[i] = clusterID
-		queue := append([]int(nil), nb...)
+		queue = queue[:0]
+		claim(nb)
 		for qi := 0; qi < len(queue); qi++ {
-			o := queue[qi]
-			if labels[o] == core.Noise {
-				labels[o] = clusterID // border object adopted by the cluster
-			}
-			if labels[o] != unvisited {
-				continue
-			}
-			labels[o] = clusterID
-			onb := neighbors(o)
+			onb := neighbors(queue[qi])
 			lookups++
 			if len(onb) >= minPts {
 				coreObjects++
-				queue = append(queue, onb...)
+				claim(onb)
 			}
 		}
 		clusterID++

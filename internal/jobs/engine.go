@@ -264,23 +264,26 @@ func (e *Engine) SubmitTraced(spec Spec, traceID string) (*Job, bool, error) {
 			needToken = false
 		}
 	}
-	if needToken {
-		select {
-		case e.queue <- j:
-		default:
-			e.seq-- // nothing admitted; keep ids dense
-			e.mu.Unlock()
-			obs.Count(obs.Default(), "jobs.rejected_full", 1)
-			return nil, false, ErrQueueFull
-		}
+	// Every send on the queue happens under e.mu, and workers only take
+	// from it, so a free slot seen here is still free at the send below.
+	// That lets the refusal be decided first and the queued line be
+	// written before any worker can receive the job and log running.
+	if needToken && len(e.queue) == cap(e.queue) {
+		e.seq-- // nothing admitted; keep ids dense
+		e.mu.Unlock()
+		obs.Count(obs.Default(), "jobs.rejected_full", 1)
+		return nil, false, ErrQueueFull
 	}
 	e.jobs[j.ID] = j
 	if j.Key != "" {
 		e.byKey[j.Key] = j.ID
 	}
+	e.logState(j, StateQueued, 0, nil)
+	if needToken {
+		e.queue <- j
+	}
 	e.mu.Unlock()
 	obs.Count(obs.Default(), "jobs.submitted", 1)
-	e.logState(j, StateQueued, 0, nil)
 	return j, false, nil
 }
 

@@ -3,6 +3,7 @@ package jobs
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -231,5 +232,37 @@ func TestLogSchemaJobEvents(t *testing.T) {
 	}
 	if !strings.Contains(lines[2], `"attempts":1`) {
 		t.Fatalf("terminal line missing attempts:\n%s", lines[2])
+	}
+}
+
+// TestRefusedSubmitLogsNothing pins the other half of logging queued
+// before the job reaches the queue: a submit refused for a full queue or
+// for draining writes no job.state line at all.
+func TestRefusedSubmitLogsNothing(t *testing.T) {
+	var sb strings.Builder
+	log := obs.NewLogger(&sb, obs.LogDebug)
+	started := make(chan struct{}, 1)
+	e := newTestEngine(t, Config{Workers: 1, QueueSize: 1, Log: log, Runners: map[string]Runner{
+		"slow":    slowRunner(started),
+		"instant": instantRunner,
+	}})
+	if _, _, err := e.Submit(Spec{Algo: "slow", Points: testPoints(), TimeoutMS: 60000}); err != nil {
+		t.Fatalf("Submit blocker: %v", err)
+	}
+	<-started
+	if _, _, err := e.Submit(Spec{Algo: "instant", Points: testPoints()}); err != nil {
+		t.Fatalf("Submit fill: %v", err)
+	}
+	if _, _, err := e.Submit(Spec{Algo: "instant", Points: testPoints()}); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("want ErrQueueFull, got %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	e.Drain(ctx)
+	if _, _, err := e.Submit(Spec{Algo: "instant", Points: testPoints()}); !errors.Is(err, ErrDraining) {
+		t.Fatalf("want ErrDraining, got %v", err)
+	}
+	if got := strings.Count(sb.String(), `"state":"queued"`); got != 2 {
+		t.Fatalf("want 2 queued lines (the two admitted jobs), got %d:\n%s", got, sb.String())
 	}
 }
