@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json lint-sarif lint-fix test race cover bench bench-json bench-baseline experiments examples fuzz fuzz-smoke chaos chaos-serve stream-chaos logs-check e2ebench-check ci clean
+.PHONY: all build vet fmt-check lint lint-json lint-sarif lint-fix test race cover bench bench-json bench-baseline experiments examples fuzz fuzz-smoke chaos chaos-serve stream-chaos logs-check e2ebench-check ci clean
 
 all: build vet lint test
 
@@ -11,6 +11,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fails when any Go file, test fixtures included, is not gofmt-formatted.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 # Determinism & parallel-safety static analysis (see internal/lint and
 # DESIGN.md "Determinism invariants"). Exits non-zero on any finding.
@@ -130,7 +134,7 @@ e2ebench-check:
 	$(GO) -C e2ebench test ./...
 
 # Everything the GitHub Actions workflow runs, locally.
-ci: build vet test race lint fuzz-smoke chaos chaos-serve stream-chaos logs-check e2ebench-check cover bench-json
+ci: build vet fmt-check test race lint fuzz-smoke chaos chaos-serve stream-chaos logs-check e2ebench-check cover bench-json
 
 clean:
 	$(GO) clean -testcache

@@ -157,4 +157,3 @@ func (d *Dendrogram) Cut(k int) (*core.Clustering, error) {
 	}
 	return core.NewClustering(labels), nil
 }
-

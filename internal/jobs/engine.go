@@ -188,9 +188,9 @@ func (e *Engine) Submit(spec Spec) (*Job, bool, error) {
 }
 
 // SubmitTraced is Submit with the creating request's trace id attached:
-// the id sticks to the job for its whole async lifetime — the per-job
-// collector, the JSONL trace behind /v1/jobs/{id}/trace, the job.state
-// log lines and the Status all carry it. The HTTP handler threads the
+// the id sticks to the job for its whole async lifetime — /spans,
+// the Chrome trace behind /v1/jobs/{id}/trace, the job.state log lines
+// and the Status all carry it. The HTTP handler threads the
 // middleware's trace id through here; "" submits untraced (identical to
 // Submit). The trace id is pure telemetry and deliberately excluded from
 // idempotency comparison: a retried request with a fresh traceparent
@@ -231,22 +231,12 @@ func (e *Engine) SubmitTraced(spec Spec, traceID string) (*Job, bool, error) {
 		}
 	}
 	e.seq++
-	col := obs.NewCollector()
-	buf := &traceBuf{}
-	tw := obs.NewTraceWriter(buf)
-	if traceID != "" {
-		col.SetTraceID(traceID)
-		tw.SetTraceID(traceID)
-	}
 	j := &Job{
 		ID:         "j-" + strconv.FormatInt(e.seq, 10),
 		Key:        spec.IdempotencyKey,
 		Spec:       spec,
 		TraceID:    traceID,
-		col:        col,
-		traceLog:   buf,
-		trace:      tw,
-		rec:        obs.Tee(col, tw),
+		col:        obs.NewCollector(),
 		enqueuedAt: time.Now(),
 		done:       make(chan struct{}),
 		handle:     handle,
@@ -632,11 +622,11 @@ func (e *Engine) execute(j *Job) {
 	obs.Histogram(obs.Default(), "jobs.queue_wait_seconds", wait.Seconds())
 	tctx, tcancel := context.WithTimeout(ctx, timeout)
 	defer tcancel()
-	// The job's own recorder (collector + trace stream) is the context
-	// recorder: every counter and span the algorithm records lands in this
-	// job's telemetry and nowhere else. The trace id rides along so nested
-	// SpanCtx trees stay correlated with the creating request.
-	tctx = obs.NewContext(obs.WithTraceID(tctx, j.TraceID), j.rec)
+	// The job's own collector is the context recorder: every counter and
+	// span the algorithm records lands in this job's telemetry and nowhere
+	// else. The trace id rides along so nested SpanCtx trees stay
+	// correlated with the creating request.
+	tctx = obs.NewContext(obs.WithTraceID(tctx, j.TraceID), j.col)
 
 	runner := e.cfg.Runners[j.Spec.Algo]
 	backoff := e.cfg.Backoff
@@ -652,14 +642,14 @@ func (e *Engine) execute(j *Job) {
 			defer func() {
 				obs.Histogram(obs.Default(), "jobs.attempt_seconds", time.Since(attemptStart).Seconds())
 			}()
-			// One jobs.run span per attempt, on the job's own recorder, so
-			// the /v1/jobs/{id}/trace tree roots every algorithm phase
+			// One jobs.run span per attempt, on the job's own collector,
+			// so the /v1/jobs/{id}/trace tree roots every algorithm phase
 			// under its attempt. The deferred end closes the span before
-			// the terminal transition, keeping the trace stream complete by
-			// the time /trace becomes servable.
-			actx, end := obs.SpanCtx(tctx, j.rec, "jobs.run")
+			// the terminal transition, so every span of the job is in
+			// the collector by the time /trace becomes servable.
+			actx, end := obs.SpanCtx(tctx, j.col, "jobs.run")
 			defer end()
-			return runner(actx, j.Spec, seed, j.rec)
+			return runner(actx, j.Spec, seed, j.col)
 		})
 	obs.Histogram(obs.Default(), "jobs.exec_seconds", time.Since(execStart).Seconds())
 
@@ -746,14 +736,14 @@ func (e *Engine) runChunk(j *Job, chunk streamChunk) {
 	}
 	tctx, tcancel := context.WithTimeout(ctx, e.resolveTimeout(j.Spec.TimeoutMS))
 	defer tcancel()
-	tctx = obs.NewContext(obs.WithTraceID(tctx, j.TraceID), j.rec)
+	tctx = obs.NewContext(obs.WithTraceID(tctx, j.TraceID), j.col)
 
 	var perr error
 	if len(chunk.rows) > 0 {
 		pushStart := time.Now()
 		func() {
 			defer robust.RecoverTo(&perr)
-			pctx, end := obs.SpanCtx(tctx, j.rec, "jobs.chunk_push")
+			pctx, end := obs.SpanCtx(tctx, j.col, "jobs.chunk_push")
 			defer end()
 			perr = j.handle.PushChunk(pctx, chunk.rows)
 		}()
@@ -766,7 +756,7 @@ func (e *Engine) runChunk(j *Job, chunk streamChunk) {
 	var serr error
 	func() {
 		defer robust.RecoverTo(&serr)
-		out, serr = j.handle.Snapshot(obs.NewContext(context.Background(), j.rec))
+		out, serr = j.handle.Snapshot(obs.NewContext(context.Background(), j.col))
 	}()
 
 	j.mu.Lock()

@@ -1,7 +1,6 @@
 package jobs
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -196,10 +195,11 @@ func (e *Engine) handleSpans(w http.ResponseWriter, id string) {
 	_ = j.col.Snapshot().WriteSpanTree(w)
 }
 
-// handleTrace serves the job's JSONL trace stream converted to Chrome
-// trace-event JSON (loadable in chrome://tracing / Perfetto). It refuses
-// with 409 until the job is terminal: spans close before the terminal
-// transition, so a terminal job's stream is complete and immutable.
+// handleTrace serves the span instances the job's collector kept (the
+// newest 1024) as Chrome trace-event JSON, loadable in chrome://tracing
+// or Perfetto. It refuses with 409 until the job is terminal: spans close
+// before the terminal transition, so a terminal job's spans are complete
+// and immutable.
 func (e *Engine) handleTrace(w http.ResponseWriter, id string) {
 	j, err := e.Get(id)
 	if err != nil {
@@ -212,16 +212,10 @@ func (e *Engine) handleTrace(w http.ResponseWriter, id string) {
 		})
 		return
 	}
-	// Render into a buffer first so a conversion error can still become a
-	// clean 500 instead of a half-written body.
-	var out bytes.Buffer
-	if err := obs.WriteChromeTrace(bytes.NewReader(j.traceLog.Bytes()), &out); err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-		return
-	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(out.Bytes())
+	// Rendering can only fail on a write, which has no recovery surface.
+	_ = j.col.WriteChromeTrace(w, j.TraceID)
 }
 
 func (e *Engine) handleCancel(w http.ResponseWriter, id string) {

@@ -266,3 +266,71 @@ func TestRefusedSubmitLogsNothing(t *testing.T) {
 		t.Fatalf("want 2 queued lines (the two admitted jobs), got %d:\n%s", got, sb.String())
 	}
 }
+
+// TestStreamTraceBounded pins the bound on a job's trace: a k-means
+// stream of 10,000 three-row chunks records far more spans than the
+// collector keeps, and /trace serves the newest 1024 of them, counts the
+// rest in otherData.dropped_spans and stays under a fixed size.
+func TestStreamTraceBounded(t *testing.T) {
+	const chunks, kept, maxBody = 10000, 1024, 256 << 10
+	e, srv := newTracedServer(t, Config{Workers: 1, QueueSize: chunks})
+	j, _, err := e.Submit(Spec{Algo: "kmeans", Stream: true, K: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk := func(i int) [][]float64 {
+		return [][]float64{{0, 0}, {10, 10}, {float64(i % 7), 1}}
+	}
+	for i := 0; i < chunks-1; i++ {
+		if _, err := e.Append(j.ID, chunk(i), false); err != nil {
+			t.Fatalf("Append %d: %v", i, err)
+		}
+	}
+	// Every span of the earlier chunks has ended once their rows are
+	// seen, so only the last chunk's spans get ids above mark.
+	waitRowsSeen(t, j, 3*(chunks-1))
+	mark := obs.NewSpanID()
+	if _, err := e.Append(j.ID, chunk(chunks-1), true); err != nil {
+		t.Fatalf("final Append: %v", err)
+	}
+	waitTerminal(t, j)
+	if j.State() != StateDone {
+		t.Fatalf("state = %s, want done (err %v)", j.State(), j.Err())
+	}
+	var recorded int64
+	for _, s := range j.col.Snapshot().Spans {
+		recorded += s.Count
+	}
+
+	resp, body := do(t, srv, "GET", "/v1/jobs/"+j.ID+"/trace")
+	if resp.StatusCode != 200 {
+		t.Fatalf("/trace status = %d: %s", resp.StatusCode, body)
+	}
+	if len(body) >= maxBody {
+		t.Fatalf("/trace body is %d bytes, want under %d", len(body), maxBody)
+	}
+	var tr struct {
+		chromeTrace
+		OtherData struct {
+			DroppedSpans int64 `json:"dropped_spans"`
+		} `json:"otherData"`
+	}
+	if err := json.Unmarshal(body, &tr); err != nil {
+		t.Fatalf("/trace is not valid JSON: %v", err)
+	}
+	if len(tr.TraceEvents) != kept {
+		t.Fatalf("/trace has %d events, want %d", len(tr.TraceEvents), kept)
+	}
+	if tr.OtherData.DroppedSpans != recorded-kept {
+		t.Fatalf("dropped_spans = %d, want %d recorded - %d kept", tr.OtherData.DroppedSpans, recorded, kept)
+	}
+	lastPushes := 0
+	for _, ev := range tr.TraceEvents {
+		if id, _ := ev.Args["id"].(float64); ev.Name == "jobs.chunk_push" && obs.SpanID(id) > mark {
+			lastPushes++
+		}
+	}
+	if lastPushes != 1 {
+		t.Fatalf("/trace holds %d jobs.chunk_push spans of the last chunk, want 1", lastPushes)
+	}
+}

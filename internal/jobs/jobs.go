@@ -7,8 +7,10 @@
 // bounded worker pool through the facade's ...Context variants, so every
 // primitive the robust layer guarantees (validation gates, panic
 // containment, best-so-far on interrupt, degenerate-fit reseed) holds per
-// job. Each job records into its own obs.Collector; nothing leaks between
-// tenants.
+// job. Each job records into one obs.Collector of its own, so nothing
+// leaks between tenants: its aggregates serve Status.Metrics and /spans,
+// and /trace renders the newest 1024 span instances it keeps, so the
+// trace stays bounded however long a stream runs.
 //
 // Lifecycle (exactly one terminal state per admitted job):
 //
@@ -26,7 +28,6 @@
 package jobs
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -179,17 +180,15 @@ type Job struct {
 	Key  string // idempotency key, "" when none
 	Spec Spec
 	// TraceID is the trace id of the creating request, fixed at admission
-	// for the job's whole async lifetime ("" when untraced).
+	// for the job's whole async lifetime ("" when untraced). It is the
+	// id's one home: Status, /spans, /trace and the job.state lines
+	// all read it here.
 	TraceID string
 
-	col *obs.Collector // per-job recorder; no cross-tenant leakage
-	// traceLog buffers the job's JSONL trace stream (written via trace)
-	// so GET /v1/jobs/{id}/trace can replay it into Chrome trace-event
-	// JSON after the job completes.
-	traceLog *traceBuf
-	trace    *obs.TraceWriter
-	// rec tees col and trace; it is what runners and job spans record to.
-	rec obs.Recorder
+	// col is the job's one recorder, so nothing leaks between tenants:
+	// runners and job spans record to it, Status.Metrics and /spans read
+	// its aggregates, and /trace renders the span instances it keeps.
+	col *obs.Collector
 
 	mu          sync.Mutex
 	state       State
@@ -225,29 +224,6 @@ type Job struct {
 type streamChunk struct {
 	rows  [][]float64
 	final bool
-}
-
-// traceBuf is the mutex-guarded byte buffer behind a job's TraceWriter:
-// span lines are written by whichever worker runs the job while the HTTP
-// layer may concurrently snapshot the accumulated stream, so both sides
-// go through the lock. Bytes returns a copy.
-type traceBuf struct {
-	mu sync.Mutex
-	b  bytes.Buffer
-}
-
-func (t *traceBuf) Write(p []byte) (int, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.b.Write(p)
-}
-
-func (t *traceBuf) Bytes() []byte {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]byte, t.b.Len())
-	copy(out, t.b.Bytes())
-	return out
 }
 
 // Done returns a channel closed at the job's terminal transition.

@@ -36,12 +36,12 @@ func otherGOOS() string {
 func TestLoaderSkipsBuildConstrainedFiles(t *testing.T) {
 	foreign := otherGOOS()
 	dir := writeModule(t, map[string]string{
-		"go.mod": "module scratch\n\ngo 1.21\n",
+		"go.mod":  "module scratch\n\ngo 1.21\n",
 		"kept.go": "package scratch\n\nfunc Kept() int { return 1 }\n",
 		// Both excluded files reference undefined names: if the loader fed
 		// either to the type checker, Load would fail loudly.
-		"tagged.go": "//go:build " + foreign + "\n\npackage scratch\n\nfunc Tagged() missingType { return platformOnly() }\n",
-		"plusbuild.go": "// +build " + foreign + "\n\npackage scratch\n\nfunc Legacy() missingType { return platformOnly() }\n",
+		"tagged.go":                 "//go:build " + foreign + "\n\npackage scratch\n\nfunc Tagged() missingType { return platformOnly() }\n",
+		"plusbuild.go":              "// +build " + foreign + "\n\npackage scratch\n\nfunc Legacy() missingType { return platformOnly() }\n",
 		"suffix_" + foreign + ".go": "package scratch\n\nfunc Suffixed() missingType { return platformOnly() }\n",
 	})
 	l, err := NewLoader(dir)
@@ -70,7 +70,7 @@ func TestLoaderCurrentPlatformFilesLoad(t *testing.T) {
 	// The mirror-image check: constraints naming THIS platform keep the
 	// file, so the loader is filtering, not just dropping everything tagged.
 	dir := writeModule(t, map[string]string{
-		"go.mod": "module scratch\n\ngo 1.21\n",
+		"go.mod":    "module scratch\n\ngo 1.21\n",
 		"tagged.go": "//go:build " + runtime.GOOS + "\n\npackage scratch\n\nfunc Native() int { return 1 }\n",
 		"suffix_" + runtime.GOOS + "_" + runtime.GOARCH + ".go": "package scratch\n\nfunc NativeSuffix() int { return 2 }\n",
 	})
@@ -136,9 +136,9 @@ func TestLoaderIncludeTestsToggle(t *testing.T) {
 
 func TestLoaderResolvesVendoredImport(t *testing.T) {
 	dir := writeModule(t, map[string]string{
-		"go.mod": "module scratch\n\ngo 1.21\n",
+		"go.mod":                        "module scratch\n\ngo 1.21\n",
 		"vendor/example.com/dep/dep.go": "package dep\n\n// Answer is the vendored export.\nconst Answer = 42\n",
-		"use.go": "package scratch\n\nimport \"example.com/dep\"\n\nfunc Use() int { return dep.Answer }\n",
+		"use.go":                        "package scratch\n\nimport \"example.com/dep\"\n\nfunc Use() int { return dep.Answer }\n",
 	})
 	l, err := NewLoader(dir)
 	if err != nil {

@@ -15,7 +15,7 @@ func direct(rec obs.Recorder, n int) {
 	rec.Gauge("fixture.load", 0.5)       // want `direct Gauge call on an obs.Recorder`
 	rec.Histogram("fixture.wait", 0.001) // want `direct Histogram call on an obs.Recorder`
 	if rec != nil {
-		rec.Observe("fixture.err", 1, 0.25) // want `direct Observe call on an obs.Recorder`
+		rec.Observe("fixture.err", 1, 0.25)                     // want `direct Observe call on an obs.Recorder`
 		done := rec.StartSpan("fixture.op", obs.NewSpanID(), 0) // want `direct StartSpan call on an obs.Recorder`
 		defer done()
 	}

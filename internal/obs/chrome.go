@@ -6,7 +6,16 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"time"
 )
+
+// spanEvent is one ended span instance: the unit both WriteChromeTrace
+// entry points render. Start is the offset from the recorder's creation.
+type spanEvent struct {
+	Name       string
+	ID, Parent SpanID
+	Start, Dur time.Duration
+}
 
 // traceSpanLine is the subset of a TraceWriter JSONL line needed to
 // rebuild the span tree; non-span lines and extra fields are ignored.
@@ -17,20 +26,25 @@ type traceSpanLine struct {
 	Parent uint64 `json:"parent"`
 	TUs    int64  `json:"t_us"`
 	DurNs  int64  `json:"dur_ns"`
-	Trace  string `json:"trace"`
 }
 
 // chromeEvent is one Chrome trace-event object. Ph "X" is a complete
 // event: a begin timestamp (ts, microseconds) plus a duration (dur).
 type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Dur  float64        `json:"dur"`
-	Pid  int            `json:"pid"`
-	Tid  uint64         `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
+	Name string     `json:"name"`
+	Cat  string     `json:"cat"`
+	Ph   string     `json:"ph"`
+	Ts   float64    `json:"ts"`
+	Dur  float64    `json:"dur"`
+	Pid  int        `json:"pid"`
+	Tid  SpanID     `json:"tid"`
+	Args chromeArgs `json:"args"`
+}
+
+type chromeArgs struct {
+	ID      SpanID `json:"id"`
+	Parent  SpanID `json:"parent"`
+	TraceID string `json:"trace_id,omitempty"`
 }
 
 // WriteChromeTrace converts a JSONL trace (as written by TraceWriter)
@@ -43,7 +57,7 @@ type chromeEvent struct {
 func WriteChromeTrace(r io.Reader, w io.Writer) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	var spans []traceSpanLine
+	var spans []spanEvent
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -56,20 +70,30 @@ func WriteChromeTrace(r io.Reader, w io.Writer) error {
 			return fmt.Errorf("obs: chrome trace: line %d: %w", lineNo, err)
 		}
 		if ev.Type == "span" {
-			spans = append(spans, ev)
+			spans = append(spans, spanEvent{
+				Name: ev.Name, ID: SpanID(ev.ID), Parent: SpanID(ev.Parent),
+				Start: time.Duration(ev.TUs) * time.Microsecond, Dur: time.Duration(ev.DurNs),
+			})
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return fmt.Errorf("obs: chrome trace: %w", err)
 	}
-	parentOf := make(map[uint64]uint64, len(spans))
+	return writeChrome(w, spans, "", 0)
+}
+
+// writeChrome renders spans as one Chrome trace document, with args.trace_id
+// on every event when traceID is set and otherData.dropped_spans when
+// dropped is positive. It reorders spans.
+func writeChrome(w io.Writer, spans []spanEvent, traceID string, dropped int64) error {
+	parentOf := make(map[SpanID]SpanID, len(spans))
 	for _, s := range spans {
 		parentOf[s.ID] = s.Parent
 	}
 	// root walks to the top of a span's ancestry; a missing or zero
 	// parent ends the walk, and the hop bound guards against id cycles
 	// from a corrupted trace.
-	root := func(id uint64) uint64 {
+	root := func(id SpanID) SpanID {
 		cur := id
 		for hops := 0; hops <= len(spans); hops++ {
 			p, ok := parentOf[cur]
@@ -81,31 +105,30 @@ func WriteChromeTrace(r io.Reader, w io.Writer) error {
 		return id
 	}
 	sort.Slice(spans, func(i, j int) bool {
-		if spans[i].TUs != spans[j].TUs {
-			return spans[i].TUs < spans[j].TUs
+		if spans[i].Start != spans[j].Start {
+			return spans[i].Start < spans[j].Start
 		}
 		return spans[i].ID < spans[j].ID
 	})
-	events := make([]chromeEvent, 0, len(spans))
+	doc := struct {
+		DisplayTimeUnit string           `json:"displayTimeUnit"`
+		OtherData       map[string]int64 `json:"otherData,omitempty"`
+		TraceEvents     []chromeEvent    `json:"traceEvents"`
+	}{DisplayTimeUnit: "ms", TraceEvents: make([]chromeEvent, 0, len(spans))}
+	if dropped > 0 {
+		doc.OtherData = map[string]int64{"dropped_spans": dropped}
+	}
 	for _, s := range spans {
-		args := map[string]any{"id": s.ID, "parent": s.Parent}
-		if s.Trace != "" {
-			args["trace_id"] = s.Trace
-		}
-		events = append(events, chromeEvent{
+		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
 			Name: s.Name,
 			Cat:  "span",
 			Ph:   "X",
-			Ts:   float64(s.TUs),
-			Dur:  float64(s.DurNs) / 1e3,
+			Ts:   float64(s.Start.Microseconds()),
+			Dur:  float64(s.Dur.Nanoseconds()) / 1e3,
 			Pid:  1,
 			Tid:  root(s.ID),
-			Args: args,
+			Args: chromeArgs{ID: s.ID, Parent: s.Parent, TraceID: traceID},
 		})
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(map[string]any{
-		"traceEvents":     events,
-		"displayTimeUnit": "ms",
-	})
+	return json.NewEncoder(w).Encode(doc)
 }

@@ -24,11 +24,19 @@ type SpanStat struct {
 	Total time.Duration
 }
 
+// spanRingSize bounds the span instances a Collector keeps for
+// WriteChromeTrace. It is well above what a typical job records (a
+// meta-clustering job records 24 spans, a 40-chunk k-means stream 81);
+// a longer run keeps its newest instances.
+const spanRingSize = 1024
+
 // Collector is the in-memory Recorder. All methods are safe for
 // concurrent use from internal/parallel workers; the recorded state is
 // scheduling-independent because counters are additive, gauges are
 // last-write-wins on deterministic values, and series are sorted by
-// (iter, value) at snapshot time.
+// (iter, value) at snapshot time. Besides the aggregates, it keeps the
+// newest spanRingSize span instances, timed from its creation, for
+// WriteChromeTrace.
 type Collector struct {
 	mu       sync.Mutex
 	counters map[string]int64
@@ -38,7 +46,10 @@ type Collector struct {
 	spans    map[string]SpanStat
 	tree     map[string]SpanStat // keyed by slash-joined root→leaf name path
 	active   map[SpanID]string   // live span id → its full path
-	traceID  string              // request/job trace id, "" when untraced
+	created  time.Time
+	ring     []spanEvent // ended span instances; oldest at next once full
+	next     int
+	dropped  int64 // instances overwritten in ring
 }
 
 // NewCollector returns an empty Collector ready for use.
@@ -51,23 +62,8 @@ func NewCollector() *Collector {
 		spans:    map[string]SpanStat{},
 		tree:     map[string]SpanStat{},
 		active:   map[SpanID]string{},
+		created:  time.Now(),
 	}
-}
-
-// SetTraceID attaches a W3C trace id to everything this collector
-// records: snapshots carry it, so a per-job collector's span tree stays
-// correlated with the request that created the job.
-func (c *Collector) SetTraceID(id string) {
-	c.mu.Lock()
-	c.traceID = id
-	c.mu.Unlock()
-}
-
-// TraceID returns the trace id attached with SetTraceID ("" when none).
-func (c *Collector) TraceID() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.traceID
 }
 
 // Count implements Recorder.
@@ -151,12 +147,37 @@ func (c *Collector) StartSpan(name string, id, parent SpanID) func() {
 		ts.Count++
 		ts.Total += elapsed
 		c.tree[path] = ts
+		// A parent ends after its children, so overwriting the oldest
+		// instance keeps every root whose subtree overflowed the ring.
+		ev := spanEvent{Name: name, ID: id, Parent: parent, Start: start.Sub(c.created), Dur: elapsed}
+		if len(c.ring) < spanRingSize {
+			c.ring = append(c.ring, ev)
+		} else {
+			c.ring[c.next] = ev
+			c.next = (c.next + 1) % spanRingSize
+			c.dropped++
+		}
 		c.mu.Unlock()
 	}
 }
 
-// Reset discards everything recorded so far (the trace id, which is
-// identity rather than recorded state, survives).
+// WriteChromeTrace renders the span instances the Collector kept, the
+// newest spanRingSize of them, as Chrome trace-event JSON (see the
+// package-level WriteChromeTrace for the shape). A non-empty traceID is
+// stamped on every event as args.trace_id; spans that fell out of the
+// ring are counted in otherData.dropped_spans.
+func (c *Collector) WriteChromeTrace(w io.Writer, traceID string) error {
+	c.mu.Lock()
+	spans := make([]spanEvent, 0, len(c.ring))
+	spans = append(spans, c.ring[c.next:]...)
+	spans = append(spans, c.ring[:c.next]...)
+	dropped := c.dropped
+	c.mu.Unlock()
+	return writeChrome(w, spans, traceID, dropped)
+}
+
+// Reset discards everything recorded so far, kept span instances
+// included.
 func (c *Collector) Reset() {
 	c.mu.Lock()
 	c.counters = map[string]int64{}
@@ -166,6 +187,7 @@ func (c *Collector) Reset() {
 	c.spans = map[string]SpanStat{}
 	c.tree = map[string]SpanStat{}
 	c.active = map[SpanID]string{}
+	c.ring, c.next, c.dropped = nil, 0, 0
 	c.mu.Unlock()
 }
 
@@ -211,9 +233,6 @@ type Snapshot struct {
 	Hists    map[string]HistStat
 	Spans    map[string]SpanStat
 	Tree     map[string]SpanStat
-	// TraceID is the id attached with SetTraceID ("" when the collector
-	// is not request-scoped).
-	TraceID string
 }
 
 // Snapshot copies the recorded state. Series are sorted by (iter, value);
@@ -229,7 +248,6 @@ func (c *Collector) Snapshot() Snapshot {
 		Hists:    make(map[string]HistStat, len(c.hists)),
 		Spans:    make(map[string]SpanStat, len(c.spans)),
 		Tree:     make(map[string]SpanStat, len(c.tree)),
-		TraceID:  c.traceID,
 	}
 	for k, v := range c.counters {
 		snap.Counters[k] = v

@@ -187,3 +187,85 @@ func TestWriteChromeTrace(t *testing.T) {
 		t.Error("invalid trace line must error")
 	}
 }
+
+// chromeDoc is the part of a Chrome trace document the ring test reads.
+type chromeDoc struct {
+	TraceEvents []struct {
+		Name string     `json:"name"`
+		Tid  SpanID     `json:"tid"`
+		Args chromeArgs `json:"args"`
+	} `json:"traceEvents"`
+	OtherData map[string]int64 `json:"otherData"`
+}
+
+func renderCollector(t *testing.T, c *Collector, traceID string) chromeDoc {
+	t.Helper()
+	var out bytes.Buffer
+	if err := c.WriteChromeTrace(&out, traceID); err != nil {
+		t.Fatal(err)
+	}
+	var doc chromeDoc
+	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
+		t.Fatalf("chrome output is not valid JSON: %v", err)
+	}
+	return doc
+}
+
+// The Collector keeps the newest spanRingSize span instances: the oldest
+// ones drop, a root that ends after more children than the ring holds is
+// kept, and Reset empties the ring and its dropped count.
+func TestCollectorSpanRingKeepsNewest(t *testing.T) {
+	c := NewCollector()
+	const extra = 10
+	ids := make([]SpanID, 0, spanRingSize+extra)
+	for i := 0; i < spanRingSize+extra; i++ {
+		id := NewSpanID()
+		ids = append(ids, id)
+		c.StartSpan("flat.op", id, 0)()
+	}
+	doc := renderCollector(t, c, "0af7651916cd43dd8448eb211c80319c")
+	if len(doc.TraceEvents) != spanRingSize || doc.OtherData["dropped_spans"] != extra {
+		t.Fatalf("kept %d events, dropped_spans %d; want %d and %d",
+			len(doc.TraceEvents), doc.OtherData["dropped_spans"], spanRingSize, extra)
+	}
+	kept := map[SpanID]bool{}
+	for _, ev := range doc.TraceEvents {
+		kept[ev.Args.ID] = true
+		if ev.Args.TraceID != "0af7651916cd43dd8448eb211c80319c" {
+			t.Fatalf("event %d trace_id = %q", ev.Args.ID, ev.Args.TraceID)
+		}
+	}
+	for i, id := range ids {
+		if kept[id] != (i >= extra) {
+			t.Fatalf("span %d (id %d) kept = %v; want only the newest %d", i, id, kept[id], spanRingSize)
+		}
+	}
+
+	c.Reset()
+	if doc := renderCollector(t, c, ""); len(doc.TraceEvents) != 0 || doc.OtherData != nil {
+		t.Fatalf("after Reset: %d events, otherData %v; want none", len(doc.TraceEvents), doc.OtherData)
+	}
+
+	rctx, endRoot := SpanCtx(context.Background(), c, "root.run")
+	for i := 0; i < spanRingSize+extra; i++ {
+		_, end := SpanCtx(rctx, c, "child.step")
+		end()
+	}
+	endRoot()
+	doc = renderCollector(t, c, "")
+	if len(doc.TraceEvents) != spanRingSize || doc.OtherData["dropped_spans"] != extra+1 {
+		t.Fatalf("kept %d events, dropped_spans %d; want %d and %d",
+			len(doc.TraceEvents), doc.OtherData["dropped_spans"], spanRingSize, extra+1)
+	}
+	rootID := SpanFromContext(rctx)
+	var sawRoot bool
+	for _, ev := range doc.TraceEvents {
+		sawRoot = sawRoot || ev.Name == "root.run"
+		if ev.Tid != rootID || ev.Args.TraceID != "" {
+			t.Fatalf("event %q: tid %d trace_id %q; want tid %d and no trace_id", ev.Name, ev.Tid, ev.Args.TraceID, rootID)
+		}
+	}
+	if !sawRoot {
+		t.Fatal("the root that ended after its children fell out of the ring")
+	}
+}

@@ -163,17 +163,3 @@ func TestHistogramTeeAndTrace(t *testing.T) {
 		t.Fatalf("trace line = %q", got)
 	}
 }
-
-// A snapshot's trace id survives copying and Reset keeps it (identity,
-// not recorded state).
-func TestCollectorTraceID(t *testing.T) {
-	c := obs.NewCollector()
-	c.SetTraceID("0af7651916cd43dd8448eb211c80319c")
-	if got := c.Snapshot().TraceID; got != "0af7651916cd43dd8448eb211c80319c" {
-		t.Fatalf("snapshot trace id = %q", got)
-	}
-	c.Reset()
-	if got := c.TraceID(); got != "0af7651916cd43dd8448eb211c80319c" {
-		t.Fatalf("trace id after Reset = %q, want preserved", got)
-	}
-}

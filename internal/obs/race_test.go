@@ -74,6 +74,7 @@ func TestCollectorConcurrentSnapshot(t *testing.T) {
 			_ = c.Snapshot()
 			var sb strings.Builder
 			_ = c.WriteProm(&sb)
+			_ = c.WriteChromeTrace(&sb, "")
 		}
 		c.StartSpan(fmt.Sprintf("span.%d", i%3), obs.NewSpanID(), 0)()
 	})

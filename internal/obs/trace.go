@@ -18,26 +18,15 @@ import (
 // with WriteChromeTrace. The first write error is retained (and all
 // later events dropped) — check Err() after the run.
 type TraceWriter struct {
-	mu      sync.Mutex
-	w       io.Writer
-	err     error
-	start   time.Time
-	traceID string
+	mu    sync.Mutex
+	w     io.Writer
+	err   error
+	start time.Time
 }
 
 // NewTraceWriter wraps w. The caller owns buffering and closing of w.
 func NewTraceWriter(w io.Writer) *TraceWriter {
 	return &TraceWriter{w: w, start: time.Now()}
-}
-
-// SetTraceID stamps every subsequently emitted line with a
-// `"trace":"<id>"` field, correlating the JSONL stream (and any Chrome
-// trace converted from it) with the request that produced it. Pass ""
-// to stop stamping.
-func (t *TraceWriter) SetTraceID(id string) {
-	t.mu.Lock()
-	t.traceID = id
-	t.mu.Unlock()
 }
 
 // Count implements Recorder.
@@ -84,21 +73,15 @@ func (t *TraceWriter) Err() error {
 	return t.err
 }
 
-// emit appends the trace-id field (when set) and the closing brace to the
-// partial JSON object and writes the finished line. Callers pass the line
-// up to — but excluding — the final `}`.
+// emit closes the partial JSON object and writes the finished line.
+// Callers pass the line up to — but excluding — the final `}`.
 func (t *TraceWriter) emit(partial string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.err != nil {
 		return
 	}
-	line := partial
-	if t.traceID != "" {
-		line += `,"trace":` + strconv.Quote(t.traceID)
-	}
-	line += "}\n"
-	if _, err := io.WriteString(t.w, line); err != nil {
+	if _, err := io.WriteString(t.w, partial+"}\n"); err != nil {
 		t.err = fmt.Errorf("obs: trace write: %w", err)
 	}
 }

@@ -120,8 +120,6 @@ func routeKey(path string) string {
 				return "v1_jobs_id_spans"
 			case "trace":
 				return "v1_jobs_id_trace"
-			case "stream":
-				return "v1_jobs_id_stream"
 			}
 			return "v1_jobs_id_other"
 		}

@@ -134,6 +134,7 @@ func TestRouteKeyVocabulary(t *testing.T) {
 		"/v1/jobs/j-12/spans":   "v1_jobs_id_spans",
 		"/v1/jobs/j-12/trace":   "v1_jobs_id_trace",
 		"/v1/jobs/j-12/unknown": "v1_jobs_id_other",
+		"/v1/jobs/j-12/stream":  "v1_jobs_id_other",
 		"/metrics":              "metrics",
 		"/spans":                "spans",
 		"/healthz":              "healthz",

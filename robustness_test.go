@@ -50,17 +50,20 @@ func TestRobustnessTypedRejections(t *testing.T) {
 		given := NewClustering(make([]int, len(pts)))
 		t.Run(dsName, func(t *testing.T) {
 			calls := map[string]func() error{
-				"kmeans":     func() error { _, err := KMeans(pts, KMeansConfig{K: 2, Seed: 1}); return err },
-				"dbscan":     func() error { _, err := DBSCAN(pts, DBSCANConfig{Eps: 0.5, MinPts: 2}); return err },
-				"em":         func() error { _, err := EM(pts, EMConfig{K: 2, Seed: 1}); return err },
-				"spectral":   func() error { _, err := Spectral(pts, SpectralConfig{K: 2, Seed: 1}); return err },
-				"hier":       func() error { _, err := Hierarchical(pts, AverageLink); return err },
-				"metaclust":  func() error { _, err := MetaClustering(pts, MetaClusteringConfig{K: 2, Seed: 1}); return err },
-				"coala":      func() error { _, err := Coala(pts, given, CoalaConfig{K: 2}); return err },
-				"proclus":    func() error { _, err := Proclus(pts, ProclusConfig{K: 2, L: 2, Seed: 1}); return err },
-				"clique":     func() error { _, err := Clique(pts, CliqueConfig{Xi: 4, Tau: 0.2}); return err },
-				"coem":       func() error { _, err := CoEM(pts, pts, CoEMConfig{K: 2, Seed: 1}); return err },
-				"rpensemble": func() error { _, err := RandomProjectionEnsemble(pts, RandomProjectionEnsembleConfig{K: 2, Runs: 2, Seed: 1}); return err },
+				"kmeans":    func() error { _, err := KMeans(pts, KMeansConfig{K: 2, Seed: 1}); return err },
+				"dbscan":    func() error { _, err := DBSCAN(pts, DBSCANConfig{Eps: 0.5, MinPts: 2}); return err },
+				"em":        func() error { _, err := EM(pts, EMConfig{K: 2, Seed: 1}); return err },
+				"spectral":  func() error { _, err := Spectral(pts, SpectralConfig{K: 2, Seed: 1}); return err },
+				"hier":      func() error { _, err := Hierarchical(pts, AverageLink); return err },
+				"metaclust": func() error { _, err := MetaClustering(pts, MetaClusteringConfig{K: 2, Seed: 1}); return err },
+				"coala":     func() error { _, err := Coala(pts, given, CoalaConfig{K: 2}); return err },
+				"proclus":   func() error { _, err := Proclus(pts, ProclusConfig{K: 2, L: 2, Seed: 1}); return err },
+				"clique":    func() error { _, err := Clique(pts, CliqueConfig{Xi: 4, Tau: 0.2}); return err },
+				"coem":      func() error { _, err := CoEM(pts, pts, CoEMConfig{K: 2, Seed: 1}); return err },
+				"rpensemble": func() error {
+					_, err := RandomProjectionEnsemble(pts, RandomProjectionEnsembleConfig{K: 2, Runs: 2, Seed: 1})
+					return err
+				},
 			}
 			for name, call := range calls {
 				err := call()
