@@ -73,8 +73,8 @@ examples:
 	$(GO) run ./examples/text
 
 # Short fuzz sessions over the parsing, metric, index, subspace-search,
-# streaming and request-decoding surfaces. -fuzz must match exactly one
-# target per package, hence the anchored names.
+# streaming, request-decoding and number-conversion surfaces. -fuzz must
+# match exactly one target per package, hence the anchored names.
 fuzz:
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=30s ./internal/dataset/
 	$(GO) test -fuzz=FuzzComparisonMeasures -fuzztime=30s ./internal/metrics/
@@ -83,6 +83,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzChunkedReplay$$' -fuzztime=30s ./internal/stream/
 	$(GO) test -fuzz='^FuzzSubmitSpec$$' -fuzztime=30s ./internal/jobs/
 	$(GO) test -fuzz='^FuzzAppend$$' -fuzztime=30s ./internal/jobs/
+	$(GO) test -fuzz='^FuzzParseNumber$$' -fuzztime=30s ./internal/jobs/
 
 # 10-second smoke fuzz, the same step CI runs on every push.
 fuzz-smoke:
@@ -93,6 +94,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzChunkedReplay$$' -fuzztime=10s ./internal/stream/
 	$(GO) test -run='^$$' -fuzz='^FuzzSubmitSpec$$' -fuzztime=10s ./internal/jobs/
 	$(GO) test -run='^$$' -fuzz='^FuzzAppend$$' -fuzztime=10s ./internal/jobs/
+	$(GO) test -run='^$$' -fuzz='^FuzzParseNumber$$' -fuzztime=10s ./internal/jobs/
 
 # Fault-injection property suite under the race detector: seeded corrupters
 # (internal/robust/chaos) against every facade algorithm, plus the

@@ -72,11 +72,12 @@ var workerCounts = []int{1, 4}
 
 // Report is the top-level JSON document.
 type Report struct {
-	Schema    string     `json:"schema"`
-	Stamp     string     `json:"stamp"`
-	Go        string     `json:"go"`
-	Quick     bool       `json:"quick"`
-	Workloads []Workload `json:"workloads"`
+	Schema     string     `json:"schema"`
+	Stamp      string     `json:"stamp"`
+	Go         string     `json:"go"`
+	GOMAXPROCS int        `json:"gomaxprocs"` // caps every defaulted worker count
+	Quick      bool       `json:"quick"`
+	Workloads  []Workload `json:"workloads"`
 }
 
 // Workload is one (paradigm, workers) measurement.
@@ -447,7 +448,7 @@ func runSuite(filter string, quick bool, stamp string, progress func(string)) (R
 	if err != nil {
 		return Report{}, err
 	}
-	rep := Report{Schema: Schema, Stamp: stamp, Go: runtime.Version(), Quick: quick}
+	rep := Report{Schema: Schema, Stamp: stamp, Go: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0), Quick: quick}
 	// Worker counts innermost: a workload's w1 and w4 runs execute
 	// back-to-back, so relational gates like -assert-le compare numbers
 	// measured seconds — not minutes — apart, before the machine's load or
@@ -549,7 +550,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "multiclust-bench:", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "multiclust-bench: wrote %s (%d workloads)\n", *out, len(rep.Workloads))
+	fmt.Fprintf(os.Stderr, "multiclust-bench: wrote %s (%d workloads, GOMAXPROCS=%d)\n", *out, len(rep.Workloads), rep.GOMAXPROCS)
 
 	if *baseline != "" {
 		base, err := loadReport(*baseline)

@@ -196,7 +196,7 @@ func TestRunSuiteRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Schema != Schema || loaded.Stamp != "test" || !loaded.Quick {
+	if loaded.Schema != Schema || loaded.Stamp != "test" || !loaded.Quick || loaded.GOMAXPROCS != runtime.GOMAXPROCS(0) {
 		t.Errorf("round-trip lost fields: %+v", loaded)
 	}
 	if regs, _ := compare(loaded, rep, 10, 10); len(regs) != 0 {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 )
 
@@ -38,7 +37,7 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, what string, v any, p
 	if errors.As(err, &tooLarge) {
 		status = http.StatusRequestEntityTooLarge
 	}
-	writeJSON(w, status, errorResponse{Error: "decode " + what + ": " + err.Error()})
+	writeError(w, status, "decode "+what+": "+err.Error())
 	return false
 }
 
@@ -181,11 +180,12 @@ func isPointsKey(quoted []byte) bool {
 // parsePoints parses the points value at b[start], null or an array whose
 // rows are null or arrays of JSON numbers and nulls, and returns its rows
 // and the index past it. A first pass checks the grammar and counts; the
-// second converts every number with strconv.ParseFloat, the call
-// encoding/json makes, into one backing array allocated at the counted size,
-// and cuts the rows from it as flat[lo:hi:hi]. So a value that breaks the
-// grammar allocates nothing, and a null element is 0, as it is in the fresh
-// slices encoding/json decodes into.
+// second converts every number with parseNumber, bit-identical to the
+// strconv.ParseFloat call encoding/json makes, into one backing array
+// allocated at the counted size, and cuts the rows from it as
+// flat[lo:hi:hi]. So a value that breaks the grammar allocates nothing, and
+// a null element is 0, as it is in the fresh slices encoding/json decodes
+// into.
 func parsePoints(b []byte, start int) ([][]float64, int, error) {
 	if isNull(b, start) {
 		return nil, start + len("null"), nil
@@ -277,7 +277,12 @@ func (p *pointsParser) row(i int) (int, error) {
 	return i, nil
 }
 
-// element parses one number or null of a row.
+// maxQuotedNumber bounds how much of a number that does not fit a float64
+// its error quotes: the number can be as long as the body.
+const maxQuotedNumber = 32
+
+// element parses one number or null of a row. The counting pass checks the
+// number's grammar; the fill pass converts it.
 func (p *pointsParser) element(i int) (int, error) {
 	b := p.b
 	p.nvals++
@@ -287,16 +292,20 @@ func (p *pointsParser) element(i int) (int, error) {
 		}
 		return i + len("null"), nil
 	}
-	end := numberEnd(b, i)
-	if end < 0 {
-		return 0, pointsError(b, i)
-	}
 	if p.counting {
+		end := numberEnd(b, i)
+		if end < 0 {
+			return 0, pointsError(b, i)
+		}
 		return end, nil
 	}
-	f, err := strconv.ParseFloat(string(b[i:end]), 64)
-	if err != nil {
-		return 0, fmt.Errorf("points: number %s at offset %d does not fit a float64", b[i:end], i)
+	f, end, ok := parseNumber(b, i)
+	if !ok {
+		num := b[i:end]
+		if len(num) > maxQuotedNumber {
+			return 0, fmt.Errorf("points: %d-byte number %s... at offset %d does not fit a float64", len(num), num[:maxQuotedNumber], i)
+		}
+		return 0, fmt.Errorf("points: number %s at offset %d does not fit a float64", num, i)
 	}
 	p.flat = append(p.flat, f)
 	return end, nil

@@ -55,7 +55,8 @@ func sameBits(a, b [][]float64) bool {
 
 // FuzzSubmitSpec checks the POST body decoder against encoding/json on
 // arbitrary bodies; the seed corpus in testdata/fuzz covers key folding,
-// duplicate points members, the JSON number grammar and trailing bytes.
+// duplicate points members, the JSON number grammar, the numbers
+// parseNumber hands to strconv, and trailing bytes.
 func FuzzSubmitSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkDecode(t, body, func(s *Spec) *[][]float64 { return &s.Points })

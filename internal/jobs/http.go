@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"unicode/utf8"
 
 	"multiclust/internal/obs"
 )
@@ -67,7 +68,7 @@ func (e *Engine) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rest, ok := strings.CutPrefix(r.URL.Path, "/v1/jobs")
 		if !ok {
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: "not found"})
+			writeError(w, http.StatusNotFound, "not found")
 			return
 		}
 		rest = strings.Trim(rest, "/")
@@ -78,7 +79,7 @@ func (e *Engine) Handler() http.Handler {
 			writeJSON(w, http.StatusOK, e.List())
 		case rest == "":
 			w.Header().Set("Allow", "GET, POST")
-			writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "method not allowed"})
+			writeError(w, http.StatusMethodNotAllowed, "method not allowed")
 		case strings.Contains(rest, "/"):
 			id, sub, _ := strings.Cut(rest, "/")
 			switch {
@@ -88,9 +89,9 @@ func (e *Engine) Handler() http.Handler {
 				e.handleTrace(w, id)
 			case sub == "spans" || sub == "trace":
 				w.Header().Set("Allow", "GET")
-				writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "method not allowed"})
+				writeError(w, http.StatusMethodNotAllowed, "method not allowed")
 			default:
-				writeJSON(w, http.StatusNotFound, errorResponse{Error: "not found"})
+				writeError(w, http.StatusNotFound, "not found")
 			}
 		case r.Method == http.MethodGet:
 			e.handleGet(w, rest)
@@ -100,7 +101,7 @@ func (e *Engine) Handler() http.Handler {
 			e.handleCancel(w, rest)
 		default:
 			w.Header().Set("Allow", "GET, PATCH, DELETE")
-			writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "method not allowed"})
+			writeError(w, http.StatusMethodNotAllowed, "method not allowed")
 		}
 	})
 }
@@ -123,13 +124,13 @@ func (e *Engine) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// A saturated queue drains at worker speed; one second is a
 		// deliberately conservative static hint (no clock consulted).
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: err.Error()})
+		writeError(w, http.StatusTooManyRequests, err.Error())
 	case errors.Is(err, ErrDraining):
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
+		writeError(w, http.StatusServiceUnavailable, err.Error())
 	case errors.Is(err, ErrConflict):
-		writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error()})
+		writeError(w, http.StatusConflict, err.Error())
 	case err != nil:
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		writeError(w, http.StatusBadRequest, err.Error())
 	case duplicate:
 		// A deduplicated submission reports the original job's trace id —
 		// that is the one its telemetry carries.
@@ -146,7 +147,7 @@ func (e *Engine) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (e *Engine) handleGet(w http.ResponseWriter, id string) {
 	j, err := e.Get(id)
 	if err != nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: err.Error()})
+		writeError(w, http.StatusNotFound, err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, j.Status())
@@ -160,16 +161,16 @@ func (e *Engine) handleAppend(w http.ResponseWriter, r *http.Request, id string)
 	j, err := e.Append(id, req.Points, req.Final)
 	switch {
 	case errors.Is(err, ErrNotFound):
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: err.Error()})
+		writeError(w, http.StatusNotFound, err.Error())
 	case errors.Is(err, ErrConflict):
-		writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error()})
+		writeError(w, http.StatusConflict, err.Error())
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: err.Error()})
+		writeError(w, http.StatusTooManyRequests, err.Error())
 	case errors.Is(err, ErrDraining):
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
+		writeError(w, http.StatusServiceUnavailable, err.Error())
 	case err != nil:
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		writeError(w, http.StatusBadRequest, err.Error())
 	default:
 		st := j.Status()
 		writeJSON(w, http.StatusAccepted, appendResponse{
@@ -185,7 +186,7 @@ func (e *Engine) handleAppend(w http.ResponseWriter, r *http.Request, id string)
 func (e *Engine) handleSpans(w http.ResponseWriter, id string) {
 	j, err := e.Get(id)
 	if err != nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: err.Error()})
+		writeError(w, http.StatusNotFound, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -203,13 +204,12 @@ func (e *Engine) handleSpans(w http.ResponseWriter, id string) {
 func (e *Engine) handleTrace(w http.ResponseWriter, id string) {
 	j, err := e.Get(id)
 	if err != nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: err.Error()})
+		writeError(w, http.StatusNotFound, err.Error())
 		return
 	}
 	if !j.State().Terminal() {
-		writeJSON(w, http.StatusConflict, errorResponse{
-			Error: fmt.Sprintf("jobs: job %s is %s; the trace is served once the job is terminal", id, j.State()),
-		})
+		writeError(w, http.StatusConflict,
+			fmt.Sprintf("jobs: job %s is %s; the trace is served once the job is terminal", id, j.State()))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
@@ -221,10 +221,28 @@ func (e *Engine) handleTrace(w http.ResponseWriter, id string) {
 func (e *Engine) handleCancel(w http.ResponseWriter, id string) {
 	state, err := e.Cancel(id)
 	if err != nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: err.Error()})
+		writeError(w, http.StatusNotFound, err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, submitResponse{ID: id, State: state.String()})
+}
+
+// maxErrorBytes bounds the message of an error response: a message can
+// quote request text, such as an unknown field or algorithm name, that is
+// as long as the body.
+const maxErrorBytes = 256
+
+// writeError writes msg as the error response with the given status,
+// clipped at a rune boundary to maxErrorBytes.
+func writeError(w http.ResponseWriter, status int, msg string) {
+	if len(msg) > maxErrorBytes {
+		n := maxErrorBytes
+		for !utf8.RuneStart(msg[n]) {
+			n--
+		}
+		msg = msg[:n] + "..."
+	}
+	writeJSON(w, status, errorResponse{Error: msg})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

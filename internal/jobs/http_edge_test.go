@@ -48,6 +48,26 @@ func TestHTTPMalformedBodies(t *testing.T) {
 	}
 }
 
+// TestHTTPErrorResponseBounded sends 4 MB bodies whose error names request
+// text as long as the body: a number that overflows a float64, an unknown
+// field name and an unknown algo name. Each must still be a 400, answered
+// in under 1 kB.
+func TestHTTPErrorResponseBounded(t *testing.T) {
+	const size = 4 << 20
+	h := newTestEngine(t, Config{Workers: 1, Runners: map[string]Runner{"instant": instantRunner}}).Handler()
+	for _, c := range []struct{ name, body string }{
+		{"overflowing-number", `{"algo":"instant","points":[[1` + strings.Repeat("0", size) + `]]}`},
+		{"unknown-field", `{"` + strings.Repeat("x", size) + `":1}`},
+		{"unknown-algo", `{"algo":"` + strings.Repeat("x", size) + `","points":[[0]]}`},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(c.body)))
+		if rec.Code != http.StatusBadRequest || rec.Body.Len() >= 1<<10 {
+			t.Errorf("%s: status %d with a %d-byte response, want 400 under 1 kB: %.200s", c.name, rec.Code, rec.Body.Len(), rec.Body.Bytes())
+		}
+	}
+}
+
 func TestHTTPUnknownAlgorithm(t *testing.T) {
 	_, srv := newTestServer(t, Config{Workers: 1})
 	resp, body := postJSON(t, srv, "/v1/jobs", Spec{Algo: "nope", Points: testPoints()}, nil)
