@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check lint lint-json lint-sarif lint-fix test race cover bench bench-json bench-baseline experiments examples fuzz fuzz-smoke chaos chaos-serve stream-chaos logs-check e2ebench-check ci clean
+.PHONY: all build vet fmt-check lint lint-bench lint-json lint-sarif lint-fix test race cover bench bench-json bench-baseline experiments examples fuzz fuzz-smoke chaos chaos-serve stream-chaos logs-check e2ebench-check ci clean
 
 all: build vet lint test
 
@@ -20,6 +20,11 @@ fmt-check:
 # DESIGN.md "Determinism invariants"). Exits non-zero on any finding.
 lint:
 	$(GO) run ./cmd/multiclust-lint ./...
+
+# The whole-repo lint benchmark at two iterations: the second one lints a
+# tree the first already loaded, so the benchmark stays runnable at b.N > 1.
+lint-bench:
+	$(GO) test -run='^$$' -bench=LintRepo -benchtime=2x ./cmd/multiclust-lint
 
 # Machine-readable findings artifact (findings + suggested edits). The
 # leading dash keeps the artifact even when findings make the run exit 1.
@@ -136,7 +141,7 @@ e2ebench-check:
 	$(GO) -C e2ebench test ./...
 
 # Everything the GitHub Actions workflow runs, locally.
-ci: build vet fmt-check test race lint fuzz-smoke chaos chaos-serve stream-chaos logs-check e2ebench-check cover bench-json
+ci: build vet fmt-check test race lint lint-bench fuzz-smoke chaos chaos-serve stream-chaos logs-check e2ebench-check cover bench-json
 
 clean:
 	$(GO) clean -testcache

@@ -10,14 +10,14 @@ import (
 	"strings"
 )
 
-// This file is the control-flow half of the dataflow engine (see flowpass.go
-// for the use-def half). BuildCFG lowers one function body into basic blocks
+// This file is the control-flow half of the dataflow engine (see taint.go
+// for the taint half). BuildCFG lowers one function body into basic blocks
 // connected by the edges Go's statements induce: if/else joins, loop
 // back-edges, switch/select fan-out with fallthrough, labeled break/continue,
 // goto, and the return/panic edges into a single synthetic exit block.
 // Deferred statements are collected separately: they run at every exit, so
-// path-sensitive rules (goleak, spanend-style analyses) treat them as
-// present on each exit edge rather than at their lexical position.
+// the path-sensitive rules (goleak, spanend) treat them as present on each
+// exit edge rather than at their lexical position.
 
 // Block is one basic block: a maximal run of statements with a single entry
 // and a single exit decision. Nodes holds the statements (and, for branch
@@ -478,8 +478,10 @@ func isPanicCall(e ast.Expr) bool {
 // EveryPathHits reports whether every path from `from` to the exit block
 // passes through at least one block for which hit returns true. hit is
 // evaluated per block (typically "contains a join node"). from itself is
-// consulted too.
-func (c *CFG) EveryPathHits(from *Block, hit func(*Block) bool) bool {
+// consulted too. When some path avoids every hit block, leak is the
+// lowest-indexed block from which such a path steps into the exit — the
+// return, panic, or fall-off that escapes.
+func (c *CFG) EveryPathHits(from *Block, hit func(*Block) bool) (ok bool, leak *Block) {
 	// A path avoiding all hit-blocks exists iff exit is reachable from
 	// `from` through non-hit blocks only.
 	seen := make([]bool, len(c.Blocks))
@@ -494,12 +496,14 @@ func (c *CFG) EveryPathHits(from *Block, hit func(*Block) bool) bool {
 		if hit(blk) {
 			continue // path is intercepted here
 		}
-		if blk == c.Exit {
-			return false
+		for _, succ := range blk.Succs {
+			if succ == c.Exit && (leak == nil || blk.Index < leak.Index) {
+				leak = blk
+			}
 		}
 		stack = append(stack, blk.Succs...)
 	}
-	return true
+	return leak == nil, leak
 }
 
 // BlockOf returns the block holding n: the block whose Nodes contain n
@@ -584,8 +588,7 @@ func nodeSnippet(fset *token.FileSet, n ast.Node) string {
 		n = &ast.RangeStmt{Key: rs.Key, Value: rs.Value, Tok: rs.Tok, X: rs.X,
 			Body: &ast.BlockStmt{}, For: rs.For, TokPos: rs.TokPos, Range: rs.Range}
 	}
-	if sel, ok := n.(*ast.SelectStmt); ok {
-		_ = sel
+	if _, ok := n.(*ast.SelectStmt); ok {
 		return "select"
 	}
 	if err := cfg.Fprint(&buf, fset, n); err != nil {

@@ -222,7 +222,8 @@ func f(n int) int {
 }
 
 // EveryPathHits: a join present on the straight path but skippable via an
-// early return must report false; a join dominating the exit reports true.
+// early return must report false and name the return's block as the leak; a
+// join dominating the exit reports true.
 func TestCFGEveryPathHits(t *testing.T) {
 	fset := token.NewFileSet()
 	src := `package p
@@ -265,11 +266,16 @@ func spawn() {}`
 	if spawnBlk == nil {
 		t.Fatal("spawn block not found")
 	}
-	if cfg.EveryPathHits(spawnBlk, func(b *Block) bool { return isCall(b, "join") }) {
+	ok, leak := cfg.EveryPathHits(spawnBlk, func(b *Block) bool { return isCall(b, "join") })
+	if ok {
 		t.Error("early-return path skips join() but EveryPathHits said true")
 	}
-	if !cfg.EveryPathHits(spawnBlk, func(b *Block) bool { return isCall(b, "join") || isReturnBlock(b) }) {
-		t.Error("join-or-return covers every path but EveryPathHits said false")
+	if leak == nil || !isReturnBlock(leak) {
+		t.Errorf("leak should be the early-return block, got %+v", leak)
+	}
+	ok, leak = cfg.EveryPathHits(spawnBlk, func(b *Block) bool { return isCall(b, "join") || isReturnBlock(b) })
+	if !ok || leak != nil {
+		t.Errorf("join-or-return covers every path but EveryPathHits said %v (leak %+v)", ok, leak)
 	}
 }
 

@@ -6,43 +6,108 @@ import (
 	"strings"
 )
 
-// DetSource flags wall-clock or global-entropy values flowing into a
-// clustering Result. globalrand catches the call sites (rand.Intn, a
-// time-seeded rand.New); this rule generalizes it from call sites to
-// dataflow: time.Now()/time.Since laundered through locals and arithmetic
-// still taints whatever it reaches, and a tainted value stored into a field
-// of a *Result struct (any module type named Result/…Result) makes two
-// same-seed runs produce different artifacts — the reproducibility contract
-// the paper's cross-view comparisons rest on (see DESIGN.md).
+// DetSource flags values that differ between two runs with the same seed.
+// Replayability requires every random decision to flow from a config Seed
+// through an explicitly threaded *rand.Rand, so the rule reports:
 //
-// Timing that flows into obs recorders, spans, or logs is fine — the sink
-// is specifically the clustering result surface.
+//   - rand.Intn(…), rand.Float64(), rand.Shuffle(…), rand.Perm(…), … — the
+//     package-level generator, whose state is shared process-wide and cannot
+//     be replayed per algorithm run;
+//   - rand.New(rand.NewSource(time.Now().UnixNano())) — a generator seeded
+//     from the clock produces a different stream every invocation;
+//   - a time.Now()/Since/Until or global-rand value stored into a field of a
+//     *Result struct (any module type named Result/…Result), even when it is
+//     laundered through locals and arithmetic first: two same-seed runs then
+//     produce different artifacts — the reproducibility contract the paper's
+//     cross-view comparisons rest on (see DESIGN.md).
+//
+// Constructing generators with rand.New / rand.NewSource / rand.NewZipf from
+// a config Seed is the approved pattern, and timing that flows into obs
+// recorders, spans, or logs is fine — the sink is specifically the
+// clustering result surface.
 func DetSource() *Analyzer {
 	return &Analyzer{
 		Name: "detsource",
-		Doc:  "time.Now/global entropy flowing (via dataflow) into a clustering Result",
+		Doc:  "global math/rand, clock-seeded generators, and time.Now/global entropy flowing into a clustering Result",
 		Run:  runDetSource,
 	}
 }
 
+// Constructors are fine: they build an explicit generator instead of using
+// the package-level one.
+var randConstructors = map[string]bool{
+	"New":       true,
+	"NewSource": true,
+	"NewZipf":   true,
+}
+
+const (
+	mathRandPath   = "math/rand"
+	mathRandV2Path = "math/rand/v2"
+)
+
 func runDetSource(p *Package) []Finding {
 	var out []Finding
 	for _, file := range p.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.SelectorExpr:
+				if name, ok := globalRandUse(p, x); ok {
+					out = append(out, p.finding("detsource", x.Pos(),
+						"global rand.%s uses process-wide RNG state; construct a *rand.Rand from a config Seed and thread it explicitly", name))
+				}
+			case *ast.CallExpr:
+				name, ok := selectorCallAnyPath(p, x, mathRandPath, mathRandV2Path)
+				if ok && randConstructors[name] && callsTimeNow(p, x) {
+					out = append(out, p.finding("detsource", x.Pos(),
+						"rand.%s seeded from time.Now: two identical runs diverge; seed from the algorithm config instead", name))
+				}
+			case *ast.FuncDecl:
+				if x.Body != nil {
+					out = append(out, detSourceInFunc(p, x.Body)...)
+				}
 			}
-			out = append(out, detSourceInFunc(p, fn)...)
-		}
+			return true
+		})
 	}
 	return out
 }
 
-func detSourceInFunc(p *Package, fn *ast.FuncDecl) []Finding {
-	// Quick syntactic gate before paying for a FlowPass: any entropy call?
+// globalRandUse matches rand.X where rand is math/rand (or v2) and X is
+// neither a constructor nor a type: referencing rand.Rand / rand.Source is
+// exactly how an explicitly threaded generator is declared.
+func globalRandUse(p *Package, sel *ast.SelectorExpr) (string, bool) {
+	base, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return "", false
+	}
+	if path := pkgName(p.Info, base); path != mathRandPath && path != mathRandV2Path {
+		return "", false
+	}
+	if _, isType := p.Info.Uses[sel.Sel].(*types.TypeName); isType || randConstructors[sel.Sel.Name] {
+		return "", false
+	}
+	return sel.Sel.Name, true
+}
+
+// callsTimeNow reports whether e contains a time.Now() call.
+func callsTimeNow(p *Package, e ast.Expr) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if name, ok := selectorCall(p.Info, call, "time"); ok && name == "Now" {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
+}
+
+func detSourceInFunc(p *Package, body *ast.BlockStmt) []Finding {
+	// Quick syntactic gate before running the taint fixpoint: any entropy call?
 	hasSeed := false
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
 		if e, ok := n.(ast.Expr); ok && isEntropySeed(p, e) {
 			hasSeed = true
 		}
@@ -52,12 +117,10 @@ func detSourceInFunc(p *Package, fn *ast.FuncDecl) []Finding {
 		return nil
 	}
 
-	fp := NewFlowPass(p, fn)
-	seed := func(e ast.Expr) bool { return isEntropySeed(p, e) }
-	taint := fp.TaintedBy(seed)
+	taint := TaintedBy(p, body, func(e ast.Expr) bool { return isEntropySeed(p, e) })
 
 	var out []Finding
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.AssignStmt:
 			for i, lhs := range x.Lhs {
@@ -65,7 +128,7 @@ func detSourceInFunc(p *Package, fn *ast.FuncDecl) []Finding {
 				if !ok {
 					continue
 				}
-				rt, fieldOK := resultBaseType(p, sel)
+				rt, fieldOK := resultTypeName(p.Info.TypeOf(sel.X))
 				if !fieldOK {
 					continue
 				}
@@ -76,31 +139,26 @@ func detSourceInFunc(p *Package, fn *ast.FuncDecl) []Finding {
 				case len(x.Rhs) == 1:
 					rhs = x.Rhs[0]
 				}
-				if rhs != nil && taint.Tainted(fp, seed, rhs) {
+				if taint.Tainted(rhs) {
 					out = append(out, p.finding("detsource", x.Pos(),
 						"wall-clock/global entropy flows into %s.%s: same-seed replays diverge; derive the value from the config Seed or record it via obs instead", rt, sel.Sel.Name))
 				}
 			}
 		case *ast.CompositeLit:
-			t := p.Info.TypeOf(x)
-			name, ok := resultTypeName(t)
+			name, ok := resultTypeName(p.Info.TypeOf(x))
 			if !ok {
 				return true
 			}
 			for _, elt := range x.Elts {
 				val := elt
-				field := ""
+				where := name
 				if kv, ok := elt.(*ast.KeyValueExpr); ok {
 					val = kv.Value
 					if id, ok := kv.Key.(*ast.Ident); ok {
-						field = id.Name
+						where = name + "." + id.Name
 					}
 				}
-				if taint.Tainted(fp, seed, val) {
-					where := name
-					if field != "" {
-						where = name + "." + field
-					}
+				if taint.Tainted(val) {
 					out = append(out, p.finding("detsource", val.Pos(),
 						"wall-clock/global entropy flows into %s: same-seed replays diverge; derive the value from the config Seed or record it via obs instead", where))
 				}
@@ -130,16 +188,9 @@ func isEntropySeed(p *Package, e ast.Expr) bool {
 	return false
 }
 
-// resultBaseType resolves sel's base expression to a Result-named struct
-// type, returning its display name.
-func resultBaseType(p *Package, sel *ast.SelectorExpr) (string, bool) {
-	t := p.Info.TypeOf(sel.X)
-	return resultTypeName(t)
-}
-
 // resultTypeName reports whether t (or its pointee) is a named struct whose
 // name is Result or ends in Result — the shape every clustering algorithm in
-// this module returns.
+// this module returns — and returns its display name.
 func resultTypeName(t types.Type) (string, bool) {
 	if t == nil {
 		return "", false

@@ -86,7 +86,7 @@ func goLeakInFunc(p *Package, fn *ast.FuncDecl, body *ast.BlockStmt) []Finding {
 		if blk == nil {
 			continue
 		}
-		joined := cfg.EveryPathHits(blk, func(b *Block) bool {
+		joined, _ := cfg.EveryPathHits(blk, func(b *Block) bool {
 			for _, n := range b.Nodes {
 				if b == blk && n.Pos() <= g.Pos() {
 					continue // joins before the spawn don't cover it

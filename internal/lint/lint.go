@@ -6,8 +6,9 @@
 // guarantee rests on (see DESIGN.md, "Determinism invariants"):
 //
 //   - maporder:   no order-sensitive operation inside for-range over a map
-//   - globalrand: no global math/rand state, no time-seeded RNGs
-//   - sharedrng:  no *rand.Rand shared across parallel worker closures
+//   - sharedrng:  no *rand.Rand shared by parallel worker closures, whether
+//     captured directly or crossing the boundary through a struct field,
+//     channel, or worker return value
 //   - nakedgo:    no go statements outside internal/parallel
 //   - floatkey:   no float map keys, no exact float ==/!= comparisons
 //   - ctxpoll:    no looping function that takes a context.Context yet
@@ -18,19 +19,17 @@
 //     function is neither deferred nor called on every return path
 //   - ctxflow:    no call that drops an in-scope ctx when the callee has a
 //     ...Context-capable sibling (interprocedural over the module)
-//   - rngescape:  no *rand.Rand crossing a parallel.For/Each/Map boundary
-//     through a struct field, channel, or worker return value
 //   - lockcopy:   no by-value copy of a type containing a sync primitive
 //     (Mutex, RWMutex, WaitGroup, Once, Cond — incl. obs.Collector)
 //   - goleak:     no goroutine spawn whose Wait/channel-receive join is
 //     skippable by an early return on some CFG path
-//   - detsource:  no time.Now/global-entropy value flowing (via dataflow)
-//     into a clustering Result
+//   - detsource:  no global math/rand state, no clock-seeded RNGs, and no
+//     time.Now/global-entropy value flowing (via taint) into a clustering
+//     Result
 //
-// The flow-sensitive rules (goleak, spanend) are built on the package's CFG
-// builder (cfg.go); the taint rules (detsource) on the use-def/reaching-
-// definitions engine (flowpass.go). Both are exported — see FlowPass — so
-// future rules can share them.
+// The path-sensitive rules (goleak, spanend) share one query over the
+// package's CFG builder (cfg.go); detsource's dataflow is the taint
+// fixpoint in taint.go.
 //
 // A finding can be suppressed with a directive comment on the offending
 // line or the line directly above it:
@@ -85,7 +84,6 @@ type Analyzer struct {
 func All() []*Analyzer {
 	return []*Analyzer{
 		MapOrder(),
-		GlobalRand(),
 		SharedRNG(),
 		NakedGo(),
 		FloatKey(),
@@ -93,7 +91,6 @@ func All() []*Analyzer {
 		ObsNil(),
 		SpanEnd(),
 		CtxFlow(),
-		RngEscape(),
 		LockCopy(),
 		GoLeak(),
 		DetSource(),
@@ -289,6 +286,16 @@ func selectorCall(info *types.Info, call *ast.CallExpr, pkgPath string) (string,
 		return "", false
 	}
 	return sel.Sel.Name, true
+}
+
+// selectorCallAnyPath is selectorCall for several candidate import paths.
+func selectorCallAnyPath(p *Package, call *ast.CallExpr, paths ...string) (string, bool) {
+	for _, path := range paths {
+		if name, ok := selectorCall(p.Info, call, path); ok {
+			return name, true
+		}
+	}
+	return "", false
 }
 
 // mentionsObject reports whether any identifier under n resolves to obj.

@@ -15,9 +15,10 @@ func tokenPosition(file string, line int) token.Position {
 
 // Fixtures live under testdata/<rule>/ and mark every expected finding with
 // a trailing comment: // want `regex`. The harness fails on a want with no
-// finding (missed true positive) AND on a finding with no want (false
-// positive on the fixture's clean code), so each fixture demonstrates both
-// directions of the rule.
+// finding (missed true positive), on a finding with no want (false positive
+// on the fixture's clean code), and on a line with more findings than wants
+// (a duplicate report), so each fixture demonstrates both directions of the
+// rule.
 
 var fixtureLoader *Loader
 
@@ -77,10 +78,14 @@ func checkFixture(t *testing.T, dir string, a *Analyzer) {
 	wants := parseWants(t, pkg)
 	findings := Run(pkg, []*Analyzer{a})
 
-	matched := map[string]int{}
+	matched, reported := map[string]int{}, map[string]int{}
 	for _, f := range findings {
 		key := fmt.Sprintf("%s:%d", f.Pos.Filename, f.Pos.Line)
 		res := wants[key]
+		reported[key]++
+		if len(res) > 0 && reported[key] > len(res) {
+			t.Errorf("duplicate finding (more than the %d wanted on this line): %s", len(res), f)
+		}
 		ok := false
 		for _, re := range res {
 			if re.MatchString(f.Message) {
@@ -108,19 +113,22 @@ func patterns(res []*regexp.Regexp) []string {
 	return out
 }
 
-func TestMapOrderFixture(t *testing.T)   { checkFixture(t, "maporder", MapOrder()) }
-func TestGlobalRandFixture(t *testing.T) { checkFixture(t, "globalrand", GlobalRand()) }
-func TestSharedRNGFixture(t *testing.T)  { checkFixture(t, "sharedrng", SharedRNG()) }
-func TestNakedGoFixture(t *testing.T)    { checkFixture(t, "nakedgo", NakedGo()) }
-func TestFloatKeyFixture(t *testing.T)   { checkFixture(t, "floatkey", FloatKey()) }
-func TestCtxPollFixture(t *testing.T)    { checkFixture(t, "ctxpoll", CtxPoll()) }
-func TestObsNilFixture(t *testing.T)     { checkFixture(t, "obsnil", ObsNil()) }
-func TestSpanEndFixture(t *testing.T)    { checkFixture(t, "spanend", SpanEnd()) }
-func TestCtxFlowFixture(t *testing.T)    { checkFixture(t, "ctxflow", CtxFlow()) }
-func TestRngEscapeFixture(t *testing.T)  { checkFixture(t, "rngescape", RngEscape()) }
-func TestLockCopyFixture(t *testing.T)   { checkFixture(t, "lockcopy", LockCopy()) }
-func TestGoLeakFixture(t *testing.T)     { checkFixture(t, "goleak", GoLeak()) }
-func TestDetSourceFixture(t *testing.T)  { checkFixture(t, "detsource", DetSource()) }
+func TestMapOrderFixture(t *testing.T)  { checkFixture(t, "maporder", MapOrder()) }
+func TestSharedRNGFixture(t *testing.T) { checkFixture(t, "sharedrng", SharedRNG()) }
+func TestNakedGoFixture(t *testing.T)   { checkFixture(t, "nakedgo", NakedGo()) }
+func TestFloatKeyFixture(t *testing.T)  { checkFixture(t, "floatkey", FloatKey()) }
+func TestCtxPollFixture(t *testing.T)   { checkFixture(t, "ctxpoll", CtxPoll()) }
+func TestObsNilFixture(t *testing.T)    { checkFixture(t, "obsnil", ObsNil()) }
+func TestSpanEndFixture(t *testing.T)   { checkFixture(t, "spanend", SpanEnd()) }
+func TestCtxFlowFixture(t *testing.T)   { checkFixture(t, "ctxflow", CtxFlow()) }
+func TestLockCopyFixture(t *testing.T)  { checkFixture(t, "lockcopy", LockCopy()) }
+func TestGoLeakFixture(t *testing.T)    { checkFixture(t, "goleak", GoLeak()) }
+func TestDetSourceFixture(t *testing.T) { checkFixture(t, "detsource", DetSource()) }
+
+// The fixtures of the two rules merged into detsource and sharedrng keep
+// their own packages: the merged rule must report exactly their wants.
+func TestGlobalRandFixture(t *testing.T) { checkFixture(t, "globalrand", DetSource()) }
+func TestRngEscapeFixture(t *testing.T)  { checkFixture(t, "rngescape", SharedRNG()) }
 
 // internal/obs is the one package allowed to call Recorder methods
 // directly: its helpers and sinks ARE the guard. The real package must

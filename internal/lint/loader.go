@@ -1,31 +1,31 @@
 package lint
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 )
 
 // Loader parses and type-checks packages of one module without any tooling
 // beyond the standard library. Imports inside the module are resolved against
-// the module directory — through vendor/ first when one exists — and
-// everything else (the standard library) goes through go/importer's source
-// importer, so no compiled export data is required.
+// the module directory, and everything else (the standard library) goes
+// through go/importer's source importer, so no compiled export data is
+// required.
 //
-// Files excluded by a //go:build constraint or a _GOOS/_GOARCH filename
-// suffix for the current platform are skipped before parsing, exactly as the
-// go tool would skip them; loading them anyway would type-check code that
-// never builds here (and typically fails on missing platform symbols).
+// go/build picks each package's files for the current platform with cgo
+// off, exactly as the go tool would: files excluded by a //go:build
+// constraint or a _GOOS/_GOARCH filename suffix are never parsed; loading
+// them anyway would type-check code that never builds here (and typically
+// fails on missing platform symbols).
 //
 // By default only non-test files are loaded: the determinism invariants the
 // analyzers enforce bind library code, while tests legitimately compare
@@ -126,32 +126,23 @@ func (l *Loader) importPathFor(dir string) string {
 }
 
 // Import implements types.Importer: module-local paths are loaded from
-// source under the module root, third-party paths with a vendor/ copy are
-// loaded from that copy, and everything else is delegated to the standard
-// library's source importer. Imported packages never include test files —
-// the go tool does not compile a dependency's tests into an import either.
+// source under the module root, and everything else is delegated to the
+// standard library's source importer. Imported packages never include test
+// files — the go tool does not compile a dependency's tests into an import
+// either.
 func (l *Loader) Import(path string) (*types.Package, error) {
 	if p, ok := l.cache[path]; ok {
 		return p, nil
 	}
-	if path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/") {
-		dir := filepath.Join(l.ModuleDir, strings.TrimPrefix(strings.TrimPrefix(path, l.ModulePath), "/"))
-		return l.checkDir(path, dir)
+	if path != l.ModulePath && !strings.HasPrefix(path, l.ModulePath+"/") {
+		pkg, err := l.std.Import(path)
+		if err != nil {
+			return nil, err
+		}
+		l.cache[path] = pkg
+		return pkg, nil
 	}
-	if dir := filepath.Join(l.ModuleDir, "vendor", filepath.FromSlash(path)); hasGoFiles(dir) {
-		return l.checkDir(path, dir)
-	}
-	pkg, err := l.std.Import(path)
-	if err != nil {
-		return nil, err
-	}
-	l.cache[path] = pkg
-	return pkg, nil
-}
-
-// checkDir parses and type-checks dir as the package at import path and
-// caches the result.
-func (l *Loader) checkDir(path, dir string) (*types.Package, error) {
+	dir := filepath.Join(l.ModuleDir, strings.TrimPrefix(strings.TrimPrefix(path, l.ModulePath), "/"))
 	files, err := l.parseDir(dir, false)
 	if err != nil {
 		return nil, err
@@ -165,176 +156,32 @@ func (l *Loader) checkDir(path, dir string) (*types.Package, error) {
 	return pkg, nil
 }
 
-// hasGoFiles reports whether dir exists and holds at least one non-test
-// .go file — the precondition for treating it as a vendored package.
-func hasGoFiles(dir string) bool {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range entries {
-		n := e.Name()
-		if !e.IsDir() && strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") {
-			return true
-		}
-	}
-	return false
-}
-
-// parseDir parses the .go files of dir in name order (so positions and
-// findings are stable across runs). Files are excluded the way the go tool
-// excludes them: _test.go files unless includeTests is set, files whose
-// _GOOS/_GOARCH filename suffix does not match the current platform, and
-// files whose //go:build (or legacy // +build) constraint evaluates false
-// here. When tests are included, external test-package files (package
-// foo_test) are still dropped — they cannot type-check into the package.
+// parseDir parses the files go/build selects in dir for this platform, in
+// name order (so positions and findings are stable across runs): GoFiles,
+// plus the in-package TestGoFiles when includeTests is set. A directory with
+// no buildable Go files yields no files.
 func (l *Loader) parseDir(dir string, includeTests bool) ([]*ast.File, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
+	ctx := build.Default
+	ctx.CgoEnabled = false
+	bp, err := ctx.ImportDir(dir, 0)
+	var noGo *build.NoGoError
+	if err != nil && !errors.As(err, &noGo) {
 		return nil, err
 	}
-	var names []string
-	for _, e := range entries {
-		n := e.Name()
-		if e.IsDir() || !strings.HasSuffix(n, ".go") {
-			continue
-		}
-		if strings.HasSuffix(n, "_test.go") && !includeTests {
-			continue
-		}
-		if !filenameMatchesPlatform(n) {
-			continue
-		}
-		names = append(names, n)
+	names := bp.GoFiles
+	if includeTests {
+		names = append(names, bp.TestGoFiles...)
+		sort.Strings(names)
 	}
-	sort.Strings(names)
-	type parsed struct {
-		name string
-		file *ast.File
-	}
-	files := make([]parsed, 0, len(names))
-	pkgName := ""
+	files := make([]*ast.File, 0, len(names))
 	for _, n := range names {
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, n), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
-		if !constraintsSatisfied(f) {
-			continue
-		}
-		if pkgName == "" && !strings.HasSuffix(n, "_test.go") {
-			pkgName = f.Name.Name
-		}
-		files = append(files, parsed{n, f})
+		files = append(files, f)
 	}
-	out := make([]*ast.File, 0, len(files))
-	for _, pf := range files {
-		if pkgName != "" && pf.file.Name.Name != pkgName {
-			continue // external test package (foo_test) riding along in dir
-		}
-		out = append(out, pf.file)
-	}
-	return out, nil
-}
-
-// constraintsSatisfied evaluates the build constraints in the comments above
-// f's package clause for the current platform. Several legacy // +build
-// lines AND together, matching the go tool.
-func constraintsSatisfied(f *ast.File) bool {
-	for _, cg := range f.Comments {
-		if cg.Pos() > f.Package {
-			break
-		}
-		for _, c := range cg.List {
-			if !constraint.IsGoBuild(c.Text) && !constraint.IsPlusBuild(c.Text) {
-				continue
-			}
-			expr, err := constraint.Parse(c.Text)
-			if err != nil {
-				continue
-			}
-			if !expr.Eval(buildTagSatisfied) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// buildTagSatisfied decides a single build tag for the platform the linter
-// runs on: the current GOOS/GOARCH, "unix" for unix-like GOOS values, and
-// go1.N release tags up to the running toolchain. cgo and custom tags are
-// treated as unset — the linter never builds with cgo and has no -tags flag.
-func buildTagSatisfied(tag string) bool {
-	switch tag {
-	case runtime.GOOS, runtime.GOARCH:
-		return true
-	case "unix":
-		return unixGOOS[runtime.GOOS]
-	}
-	if rest, ok := strings.CutPrefix(tag, "go1."); ok {
-		want, err := strconv.Atoi(rest)
-		if err != nil {
-			return false
-		}
-		cur, ok := strings.CutPrefix(runtime.Version(), "go1.")
-		if !ok {
-			return true // devel toolchain: assume newest
-		}
-		if i := strings.IndexByte(cur, '.'); i >= 0 {
-			cur = cur[:i]
-		}
-		have, err := strconv.Atoi(cur)
-		return err == nil && have >= want
-	}
-	return false
-}
-
-var unixGOOS = map[string]bool{
-	"aix": true, "android": true, "darwin": true, "dragonfly": true,
-	"freebsd": true, "illumos": true, "ios": true, "linux": true,
-	"netbsd": true, "openbsd": true, "solaris": true,
-}
-
-var knownGOOS = map[string]bool{
-	"aix": true, "android": true, "darwin": true, "dragonfly": true,
-	"freebsd": true, "illumos": true, "ios": true, "js": true,
-	"linux": true, "netbsd": true, "openbsd": true, "plan9": true,
-	"solaris": true, "wasip1": true, "windows": true,
-}
-
-var knownGOARCH = map[string]bool{
-	"386": true, "amd64": true, "arm": true, "arm64": true,
-	"loong64": true, "mips": true, "mips64": true, "mips64le": true,
-	"mipsle": true, "ppc64": true, "ppc64le": true, "riscv64": true,
-	"s390x": true, "wasm": true,
-}
-
-// filenameMatchesPlatform applies the go tool's implicit filename
-// constraints: name_GOOS.go, name_GOARCH.go, and name_GOOS_GOARCH.go only
-// build on the named platform. A file whose whole base name is an OS or
-// arch (linux.go) carries no constraint, matching go/build.
-func filenameMatchesPlatform(name string) bool {
-	base := strings.TrimSuffix(name, ".go")
-	base = strings.TrimSuffix(base, "_test")
-	parts := strings.Split(base, "_")
-	n := len(parts)
-	if n < 2 {
-		return true
-	}
-	if knownGOARCH[parts[n-1]] {
-		if parts[n-1] != runtime.GOARCH {
-			return false
-		}
-		if n >= 3 && knownGOOS[parts[n-2]] {
-			return parts[n-2] == runtime.GOOS
-		}
-		return true
-	}
-	if knownGOOS[parts[n-1]] {
-		return parts[n-1] == runtime.GOOS
-	}
-	return true
+	return files, nil
 }
 
 // PackageDirs walks root and returns every directory containing at least one

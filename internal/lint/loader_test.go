@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -38,11 +39,13 @@ func TestLoaderSkipsBuildConstrainedFiles(t *testing.T) {
 	dir := writeModule(t, map[string]string{
 		"go.mod":  "module scratch\n\ngo 1.21\n",
 		"kept.go": "package scratch\n\nfunc Kept() int { return 1 }\n",
-		// Both excluded files reference undefined names: if the loader fed
-		// either to the type checker, Load would fail loudly.
+		// Every excluded file references undefined names: if the loader fed
+		// one to the type checker, Load would fail loudly.
 		"tagged.go":                 "//go:build " + foreign + "\n\npackage scratch\n\nfunc Tagged() missingType { return platformOnly() }\n",
 		"plusbuild.go":              "// +build " + foreign + "\n\npackage scratch\n\nfunc Legacy() missingType { return platformOnly() }\n",
 		"suffix_" + foreign + ".go": "package scratch\n\nfunc Suffixed() missingType { return platformOnly() }\n",
+		// An ignored generator in another package does not split the package.
+		"gen.go": "//go:build ignore\n\npackage main\n\nfunc main() { platformOnly() }\n",
 	})
 	l, err := NewLoader(dir)
 	if err != nil {
@@ -84,6 +87,83 @@ func TestLoaderCurrentPlatformFilesLoad(t *testing.T) {
 	}
 	if len(pkg.Files) != 2 {
 		t.Fatalf("got %d files, want 2 (current-platform constraints must pass)", len(pkg.Files))
+	}
+}
+
+// loadedFuncs writes one file per name, each declaring func F<i>, loads the
+// module with tests included, and reports which files the loader kept.
+func loadedFuncs(t *testing.T, names []string, header func(i int) string) []bool {
+	t.Helper()
+	files := map[string]string{"go.mod": "module scratch\n\ngo 1.21\n"}
+	for i, name := range names {
+		files[name] = fmt.Sprintf("%spackage scratch\n\nfunc F%d() int { return %d }\n", header(i), i, i)
+	}
+	dir := writeModule(t, files)
+	l, err := NewLoader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.IncludeTests = true
+	pkg, err := l.Load(dir)
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	kept := make([]bool, len(names))
+	for i := range names {
+		kept[i] = pkg.Types.Scope().Lookup(fmt.Sprintf("F%d", i)) != nil
+	}
+	return kept
+}
+
+func TestBuildTagSatisfied(t *testing.T) {
+	cases := []struct {
+		tag  string
+		want bool
+	}{
+		{runtime.GOOS, true},
+		{runtime.GOARCH, true},
+		{otherGOOS(), false},
+		{"go1.1", true},     // ancient release: always satisfied
+		{"go1.9999", false}, // future release: never satisfied
+		{"sometag", false},  // custom tags are unset
+		{"cgo", false},
+	}
+	names := make([]string, len(cases))
+	for i := range cases {
+		names[i] = fmt.Sprintf("tag%d.go", i)
+	}
+	kept := loadedFuncs(t, names, func(i int) string { return "//go:build " + cases[i].tag + "\n\n" })
+	for i, c := range cases {
+		if kept[i] != c.want {
+			t.Errorf("file under //go:build %s loaded = %v, want %v", c.tag, kept[i], c.want)
+		}
+	}
+}
+
+func TestFilenameMatchesPlatform(t *testing.T) {
+	foreign := otherGOOS()
+	cases := []struct {
+		name string
+		want bool
+	}{
+		{"plain.go", true},
+		{"x_" + runtime.GOOS + ".go", true},
+		{"x_" + foreign + ".go", false},
+		{"x_" + runtime.GOOS + "_" + runtime.GOARCH + ".go", true},
+		{"x_" + foreign + "_" + runtime.GOARCH + ".go", false},
+		{"x_" + foreign + "_test.go", false},
+		{foreign + ".go", true}, // bare OS name carries no constraint
+		{"many_words_here.go", true},
+	}
+	names := make([]string, len(cases))
+	for i, c := range cases {
+		names[i] = c.name
+	}
+	kept := loadedFuncs(t, names, func(int) string { return "" })
+	for i, c := range cases {
+		if kept[i] != c.want {
+			t.Errorf("file %s loaded = %v, want %v", c.name, kept[i], c.want)
+		}
 	}
 }
 
@@ -131,81 +211,5 @@ func TestLoaderIncludeTestsToggle(t *testing.T) {
 	}
 	if scope.Lookup("externalHelper") != nil {
 		t.Error("external test package file leaked into the package")
-	}
-}
-
-func TestLoaderResolvesVendoredImport(t *testing.T) {
-	dir := writeModule(t, map[string]string{
-		"go.mod":                        "module scratch\n\ngo 1.21\n",
-		"vendor/example.com/dep/dep.go": "package dep\n\n// Answer is the vendored export.\nconst Answer = 42\n",
-		"use.go":                        "package scratch\n\nimport \"example.com/dep\"\n\nfunc Use() int { return dep.Answer }\n",
-	})
-	l, err := NewLoader(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := l.Load(dir)
-	if err != nil {
-		t.Fatalf("Load with vendored import: %v", err)
-	}
-	imports := pkg.Types.Imports()
-	found := false
-	for _, imp := range imports {
-		if imp.Path() == "example.com/dep" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("example.com/dep not among imports %v", imports)
-	}
-	// The vendored package's declarations must have really type-checked.
-	dep, err := l.Import("example.com/dep")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dep.Scope().Lookup("Answer") == nil {
-		t.Error("Answer missing from vendored package scope")
-	}
-}
-
-func TestBuildTagSatisfied(t *testing.T) {
-	cases := []struct {
-		tag  string
-		want bool
-	}{
-		{runtime.GOOS, true},
-		{runtime.GOARCH, true},
-		{otherGOOS(), false},
-		{"go1.1", true},     // ancient release: always satisfied
-		{"go1.9999", false}, // future release: never satisfied
-		{"sometag", false},  // custom tags are unset
-		{"cgo", false},
-	}
-	for _, c := range cases {
-		if got := buildTagSatisfied(c.tag); got != c.want {
-			t.Errorf("buildTagSatisfied(%q) = %v, want %v", c.tag, got, c.want)
-		}
-	}
-}
-
-func TestFilenameMatchesPlatform(t *testing.T) {
-	foreign := otherGOOS()
-	cases := []struct {
-		name string
-		want bool
-	}{
-		{"plain.go", true},
-		{"x_" + runtime.GOOS + ".go", true},
-		{"x_" + foreign + ".go", false},
-		{"x_" + runtime.GOOS + "_" + runtime.GOARCH + ".go", true},
-		{"x_" + foreign + "_" + runtime.GOARCH + ".go", false},
-		{"x_" + foreign + "_test.go", false},
-		{foreign + ".go", true}, // bare OS name carries no constraint
-		{"many_words_here.go", true},
-	}
-	for _, c := range cases {
-		if got := filenameMatchesPlatform(c.name); got != c.want {
-			t.Errorf("filenameMatchesPlatform(%q) = %v, want %v", c.name, got, c.want)
-		}
 	}
 }

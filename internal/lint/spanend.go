@@ -21,7 +21,8 @@ import (
 // A finding is reported when the end function is discarded (statement
 // call, blank assignment, `defer obs.Span(...)` without invoking the
 // result) or when it is bound to a variable that is neither deferred nor
-// plainly called on every return path of the enclosing function. An end
+// plainly called on every path of the function's CFG from the open to the
+// exit — a return, a panic, or falling off the end of the body. An end
 // value that escapes — returned, passed as an argument, captured by a
 // closure, stored through a non-identifier — is assumed managed by the
 // receiver and not flagged.
@@ -127,11 +128,9 @@ func classifySpanOpen(p *Package, body *ast.BlockStmt, call *ast.CallExpr, opene
 	}
 	switch parent := stack[len(stack)-1].(type) {
 	case *ast.CallExpr:
-		// obs.Span(...)() — invoked on the spot (usually under defer).
-		if parent.Fun == call {
-			return Finding{}, false
-		}
-		return Finding{}, false // span call as an argument: escapes
+		// obs.Span(...)() — invoked on the spot (usually under defer) — or
+		// the span call passed as an argument, which escapes.
+		return Finding{}, false
 	case *ast.DeferStmt:
 		if parent.Call == call {
 			// defer obs.Span(...) defers the OPEN, so the end function
@@ -167,107 +166,88 @@ func classifySpanOpen(p *Package, body *ast.BlockStmt, call *ast.CallExpr, opene
 
 // spanEndUsage checks how a tracked end variable is used inside body and
 // reports the call leaky unless it is deferred, escapes, or is plainly
-// called on every return path after the open.
+// called on every CFG path from the open to the function's exit.
 func spanEndUsage(p *Package, body *ast.BlockStmt, call *ast.CallExpr, opener string, def *ast.Ident, obj types.Object) (Finding, bool) {
-	type site struct {
-		pos    token.Pos
-		blocks []*ast.BlockStmt // enclosing blocks, outermost first
-	}
-	var (
-		deferred bool
-		escapes  bool
-		calls    []site
-		returns  []site
-	)
-	blocksOf := func(stack []ast.Node) []*ast.BlockStmt {
-		blocks := []*ast.BlockStmt{body}
-		for _, a := range stack {
-			if b, ok := a.(*ast.BlockStmt); ok {
-				blocks = append(blocks, b)
-			}
+	var deferred, escapes, called bool
+	inspectStack(body, func(n ast.Node, stack []ast.Node) bool {
+		x, ok := n.(*ast.Ident)
+		if !ok || x == def || objectOf(p.Info, x) != obj {
+			return true
 		}
-		return blocks
-	}
-	inNestedFunc := func(stack []ast.Node) bool {
 		for _, a := range stack {
 			if _, ok := a.(*ast.FuncLit); ok {
-				return true
-			}
-		}
-		return false
-	}
-	inspectStack(body, func(n ast.Node, stack []ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.ReturnStmt:
-			if !inNestedFunc(stack) && x.Pos() > call.Pos() {
-				returns = append(returns, site{x.Pos(), blocksOf(stack)})
-			}
-		case *ast.Ident:
-			if x == def || objectOf(p.Info, x) != obj {
-				return true
-			}
-			if inNestedFunc(stack) {
 				escapes = true // captured by a closure
 				return true
 			}
-			parent := stack[len(stack)-1]
-			if c, ok := parent.(*ast.CallExpr); ok && c.Fun == x {
-				switch stack[len(stack)-2].(type) {
-				case *ast.ExprStmt:
-					calls = append(calls, site{c.Pos(), blocksOf(stack)})
-				case *ast.DeferStmt:
-					deferred = true
-				default:
-					escapes = true // go end(), or a larger expression
-				}
-				return true
-			}
-			if a, ok := parent.(*ast.AssignStmt); ok && a.Tok == token.ASSIGN && len(a.Lhs) == 1 {
-				if blank, ok := a.Lhs[0].(*ast.Ident); ok && blank.Name == "_" {
-					return true // _ = end silences "unused", not this rule
-				}
-			}
-			escapes = true // argument, return value, re-assignment, ...
 		}
+		parent := stack[len(stack)-1]
+		if c, ok := parent.(*ast.CallExpr); ok && c.Fun == x {
+			switch stack[len(stack)-2].(type) {
+			case *ast.ExprStmt:
+				called = true
+			case *ast.DeferStmt:
+				deferred = true
+			default:
+				escapes = true // go end(), or a larger expression
+			}
+			return true
+		}
+		if a, ok := parent.(*ast.AssignStmt); ok && a.Tok == token.ASSIGN && len(a.Lhs) == 1 {
+			if blank, ok := a.Lhs[0].(*ast.Ident); ok && blank.Name == "_" {
+				return true // _ = end silences "unused", not this rule
+			}
+		}
+		escapes = true // argument, return value, re-assignment, ...
 		return true
 	})
 	if deferred || escapes {
 		return Finding{}, false
 	}
-	if len(calls) == 0 {
+	if !called {
 		return p.finding("spanend", call.Pos(),
 			"end function %q of %s is never deferred or called; the span never closes", def.Name, opener), true
 	}
-	// The function can also fall off the end of its body.
-	if n := len(body.List); n == 0 || !isReturn(body.List[n-1]) {
-		returns = append(returns, site{body.End(), []*ast.BlockStmt{body}})
+	cfg := BuildCFG(body)
+	from := cfg.BlockOf(call)
+	if from == nil {
+		return Finding{}, false
 	}
-	covered := func(ret site) bool {
-		for _, c := range calls {
-			if c.pos >= ret.pos {
-				continue
-			}
-			// The call covers the return when its innermost block
-			// also encloses the return.
-			inner := c.blocks[len(c.blocks)-1]
-			for _, b := range ret.blocks {
-				if b == inner {
-					return true
-				}
+	closes := func(n ast.Node) bool {
+		stmt, ok := n.(*ast.ExprStmt)
+		if !ok {
+			return false
+		}
+		c, ok := stmt.X.(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		id, ok := c.Fun.(*ast.Ident)
+		return ok && objectOf(p.Info, id) == obj
+	}
+	ok, leak := cfg.EveryPathHits(from, func(b *Block) bool {
+		for _, n := range b.Nodes {
+			if (b != from || n.Pos() > call.Pos()) && closes(n) {
+				return true
 			}
 		}
 		return false
+	})
+	if ok {
+		return Finding{}, false
 	}
-	for _, ret := range returns {
-		if !covered(ret) {
-			return p.finding("spanend", call.Pos(),
-				"end function %q of %s is not called on every return path (the path through line %d leaks the span); defer it at the open site", def.Name, opener, p.position(ret.pos).Line), true
+	// The leaking path leaves through the block's return or panic, or else
+	// falls off the end of the body.
+	exit := body.Rbrace
+	if n := len(leak.Nodes); n > 0 {
+		switch last := leak.Nodes[n-1].(type) {
+		case *ast.ReturnStmt:
+			exit = last.Pos()
+		case *ast.ExprStmt:
+			if isPanicCall(last.X) {
+				exit = last.Pos()
+			}
 		}
 	}
-	return Finding{}, false
-}
-
-func isReturn(s ast.Stmt) bool {
-	_, ok := s.(*ast.ReturnStmt)
-	return ok
+	return p.finding("spanend", call.Pos(),
+		"end function %q of %s is not called on every return path (the path through line %d leaks the span); defer it at the open site", def.Name, opener, p.position(exit).Line), true
 }

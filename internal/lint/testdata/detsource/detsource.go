@@ -32,7 +32,7 @@ func directClock(labels []int) *Result {
 }
 
 // Laundered flow: the clock value passes through two locals and arithmetic
-// before reaching the Result — the blind spot globalrand cannot see.
+// before reaching the Result — the blind spot a call-site check cannot see.
 func launderedClock(labels []int) *Result {
 	t0 := time.Now()
 	stamp := t0.UnixNano()
@@ -53,7 +53,7 @@ func literalClock(labels []int) Result {
 
 // Global rand draw reaching a suffixed Result type.
 func globalDraw() FitResult {
-	x := rand.Float64()
+	x := rand.Float64() // want `global rand.Float64`
 	y := x * 2
 	return FitResult{
 		Score: y, // want `wall-clock/global entropy flows into fixture.FitResult.Score`

@@ -40,7 +40,7 @@ func driftedSSE(labels []int, sse float64) *SnapshotResult {
 
 // Global draw used to break SSE ties between snapshots.
 func tieBrokenSnapshot(labels []int) SnapshotResult {
-	tie := rand.Float64()
+	tie := rand.Float64() // want `global rand.Float64`
 	return SnapshotResult{
 		Labels: labels,
 		SSE:    tie, // want `wall-clock/global entropy flows into fixture.SnapshotResult.SSE`

@@ -1,5 +1,6 @@
-// Fixture for the globalrand analyzer: global math/rand state and
-// time-seeded sources.
+// Fixture for detsource's call-site checks, once the globalrand rule:
+// global math/rand state and time-seeded sources, flagged wherever they
+// appear.
 package fixture
 
 import (

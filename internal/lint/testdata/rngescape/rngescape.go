@@ -1,4 +1,4 @@
-// Fixture for the rngescape analyzer: *rand.Rand values crossing a
+// Fixture for sharedrng's escape checks: *rand.Rand values crossing a
 // parallel.For/Each/Map boundary through struct fields, channels, and worker
 // return values (true positives), next to per-task generators and serial rng
 // plumbing that never meets a worker (true negatives).
@@ -21,7 +21,7 @@ func fieldEscape(seed int64, xs []float64) float64 {
 	st.rng = rand.New(rand.NewSource(seed)) // want `\*rand\.Rand stored into field st.rng of a struct the parallel.For workers touch`
 	parallel.For(len(xs), 2, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			st.sum += st.rng.Float64()
+			st.sum += st.rng.Float64() // want `\*rand.Rand field "st.rng" is shared across parallel.For workers`
 		}
 	})
 	return st.sum
@@ -95,4 +95,22 @@ func drawnValuesOnly(seed int64, n int) []float64 {
 		out[i] = rng.Float64()
 	})
 	return out
+}
+
+// TP: the worker reaches the generator only through a helper it hands the
+// struct to — no *rand.Rand is captured or selected inside the closure, so
+// only the field store outside the worker shows the sharing.
+func fieldEscapeViaHelper(seed int64, xs []float64) float64 {
+	st := &workerState{}
+	st.rng = rand.New(rand.NewSource(seed)) // want `\*rand\.Rand stored into field st.rng of a struct the parallel.For workers touch`
+	parallel.For(len(xs), 2, func(lo, hi int) {
+		accumulate(st, xs, lo, hi)
+	})
+	return st.sum
+}
+
+func accumulate(st *workerState, xs []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		st.sum += xs[i] * st.rng.Float64()
+	}
 }

@@ -80,7 +80,7 @@ func neverCalled(rec obs.Recorder) {
 }
 
 func missingReturnPath(rec obs.Recorder, fail bool) error {
-	end := obs.Span(rec, "fixture.op") // want `not called on every return path`
+	end := obs.Span(rec, "fixture.op") // want `not called on every return path \(the path through line 85 leaks the span\)`
 	if fail {
 		return errors.New("fixture") // leaks the span
 	}
@@ -89,7 +89,7 @@ func missingReturnPath(rec obs.Recorder, fail bool) error {
 }
 
 func conditionalFallOff(rec obs.Recorder, fail bool) {
-	end := obs.Span(rec, "fixture.op") // want `not called on every return path`
+	end := obs.Span(rec, "fixture.op") // want `not called on every return path \(the path through line 96 leaks the span\)`
 	if !fail {
 		end()
 	} // falling off the end with fail=true leaks the span
@@ -97,4 +97,42 @@ func conditionalFallOff(rec obs.Recorder, fail bool) {
 
 func methodDiscard(rec obs.Recorder) {
 	rec.StartSpan("fixture.op", obs.NewSpanID(), 0) // want `result of Recorder.StartSpan is discarded`
+}
+
+// ---- shapes decided on the CFG's paths ----
+
+// Both arms of an if/else close the span: every path is covered.
+func calledInBothBranches(rec obs.Recorder, fail bool) (n int) {
+	end := obs.Span(rec, "fixture.op")
+	if fail {
+		n = 1
+		end()
+	} else {
+		end()
+	}
+	return n
+}
+
+// Every case of a switch with a default closes the span.
+func calledInEveryCase(rec obs.Recorder, mode int) int {
+	end := obs.Span(rec, "fixture.op")
+	switch mode {
+	case 0:
+		end()
+		return 0
+	case 1:
+		end()
+	default:
+		end()
+	}
+	return mode
+}
+
+// A panic between the open and the close leaves without closing the span.
+func panicPath(rec obs.Recorder, bad bool) {
+	end := obs.Span(rec, "fixture.op") // want `not called on every return path \(the path through line 135 leaks the span\)`
+	if bad {
+		panic("fixture")
+	}
+	end()
 }

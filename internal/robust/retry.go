@@ -20,9 +20,9 @@ import (
 // Determinism contract: Delay is a pure function of (Backoff, retry index).
 // The jitter is drawn from a rand.Rand seeded with Seed+retry, never from
 // wall-clock or global entropy, so two runs with the same schedule sleep the
-// same durations in the same order (pinned by the detsource/globalrand lint
-// rules). Only the *waiting* itself touches real time, and that is
-// injectable via Sleep so tests run instantly.
+// same durations in the same order (pinned by the detsource lint rule).
+// Only the *waiting* itself touches real time, and that is injectable via
+// Sleep so tests run instantly.
 type Backoff struct {
 	// Base is the delay before the first retry (attempt 1). Zero or
 	// negative disables waiting entirely.

@@ -9,7 +9,7 @@ import (
 
 // Same-seed replay: two runs with an identical config must produce
 // byte-identical results — the invariant the internal/lint suite
-// (maporder/globalrand/sharedrng) enforces statically. reflect.DeepEqual
+// (maporder/detsource/sharedrng) enforces statically. reflect.DeepEqual
 // compares every label, member list, dimension set and float exactly: any
 // map-order or global-RNG leak shows up as a diff here.
 
