@@ -1,8 +1,10 @@
 package dbscan
 
 import (
-	"encoding/binary"
-	"sort"
+	"math"
+	"math/bits"
+	"slices"
+	"sync"
 
 	"multiclust/internal/dist"
 	"multiclust/internal/obs"
@@ -31,13 +33,19 @@ const maxCellSpan = 1e15
 // The cell width carries a small relative margin above eps so boundary
 // rounding in the float64 binning can never push an in-range pair two cells
 // apart.
+//
+// The point indices are sorted once by (cell coordinate, index), so each
+// occupied cell is a run of that order and the cells are in lexicographic
+// coordinate order. Three flat arrays describe them: each
+// cell's start in the order, each cell's coordinate, and each point's cell.
 type GridIndex struct {
-	points   [][]float64
-	eps      float64
-	dims     int
-	coords   []int64          // n*dims flattened cell coordinates, one row per point
-	cells    map[string][]int // encoded cell coordinate → member indices, ascending
-	cellKeys []string         // occupied cells, in first-occupant order (deterministic)
+	points [][]float64
+	sq     float64 // dist.SqBound(eps): the ε-test on squared distances
+	dims   int
+	order  []int   // point indices sorted by (cell coordinate, index)
+	start  []int   // cell c holds order[start[c]:start[c+1]]; one entry per cell plus one
+	coord  []int64 // cell c's coordinate is coord[c*dims : (c+1)*dims]
+	cellOf []int   // the cell of each point
 }
 
 // NewGridIndex builds the index, or returns nil when the grid would not pay
@@ -52,8 +60,10 @@ func NewGridIndex(points [][]float64, eps float64) *GridIndex {
 	if dims == 0 || dims > maxGridDims {
 		return nil
 	}
-	mins := append([]float64(nil), points[0]...)
-	maxs := append([]float64(nil), points[0]...)
+	var minBuf, maxBuf [maxGridDims]float64
+	mins, maxs := minBuf[:dims], maxBuf[:dims]
+	copy(mins, points[0])
+	copy(maxs, points[0])
 	for _, p := range points[1:] {
 		for j, v := range p {
 			if v < mins[j] {
@@ -70,72 +80,123 @@ func NewGridIndex(points [][]float64, eps float64) *GridIndex {
 			return nil
 		}
 	}
+	pc := make([]int64, n*dims) // each point's cell coordinate
+	order := make([]int, n)
+	for i, p := range points {
+		for j, v := range p {
+			pc[i*dims+j] = int64((v - mins[j]) / cw)
+		}
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := slices.Compare(pc[a*dims:(a+1)*dims], pc[b*dims:(b+1)*dims]); c != 0 {
+			return c
+		}
+		return a - b
+	})
+	// A new cell starts wherever the coordinate changes along the order.
+	row := func(k int) []int64 { return pc[order[k]*dims : (order[k]+1)*dims] }
+	cells := 1
+	for k := 1; k < n; k++ {
+		if !slices.Equal(row(k), row(k-1)) {
+			cells++
+		}
+	}
 	g := &GridIndex{
 		points: points,
-		eps:    eps,
+		sq:     dist.SqBound(eps),
 		dims:   dims,
-		coords: make([]int64, n*dims),
-		cells:  make(map[string][]int, n),
+		order:  order,
+		start:  make([]int, 0, cells+1),
+		coord:  make([]int64, 0, cells*dims),
+		cellOf: make([]int, n),
 	}
-	key := make([]byte, 8*dims)
-	for i, p := range points {
-		row := g.coords[i*dims : (i+1)*dims]
-		for j, v := range p {
-			row[j] = int64((v - mins[j]) / cw)
+	for k, i := range order {
+		if k == 0 || !slices.Equal(row(k), row(k-1)) {
+			g.start = append(g.start, k)
+			g.coord = append(g.coord, row(k)...)
 		}
-		encodeCell(key, row)
-		members, seen := g.cells[string(key)]
-		if !seen {
-			g.cellKeys = append(g.cellKeys, string(key))
-		}
-		g.cells[string(key)] = append(members, i)
+		g.cellOf[i] = len(g.start) - 1
 	}
+	g.start = append(g.start, n)
 	return g
 }
 
-// encodeCell writes the cell coordinate into key (8 bytes per dimension).
-func encodeCell(key []byte, coord []int64) {
-	for j, c := range coord {
-		binary.LittleEndian.PutUint64(key[8*j:], uint64(c))
-	}
-}
+// cells returns the number of occupied cells.
+func (g *GridIndex) cells() int { return len(g.start) - 1 }
 
-// candidates gathers the members of the 3^dims cells adjacent to the cell
-// with coordinate base into buf, sorted ascending. Every point within eps
-// of any point in the base cell is among them (cell width > eps bounds
-// the coordinate delta by one per dimension), so a distance filter over
-// the returned slice — which visits candidates in ascending index order —
-// yields the linear scan's neighbor list without any per-point sort.
-func (g *GridIndex) candidates(base []int64, buf []int) []int {
-	// Odometer over the 3^dims adjacent-cell offsets, each dimension
-	// stepping through -1, 0, +1.
-	off := make([]int64, g.dims)
-	for j := range off {
-		off[j] = -1
+// candidates gathers into buf the members of the 3^dims cells adjacent to
+// cell c, sorted ascending. Every point within eps of any point in cell c
+// is among them (cell width > eps bounds the coordinate delta by one per
+// dimension), so a distance filter over the returned slice — which visits
+// candidates in ascending index order — yields the linear scan's neighbor
+// list without any per-point sort.
+//
+// The cells that differ from a given cell only in the last coordinate
+// follow it directly in the cell order, so for each of the 3^(dims-1)
+// offsets of the other coordinates one binary search finds the first cell
+// at or after (base+offset, last-1), and the up-to-three cells of that
+// offset hold one contiguous run of the order. An offset that would leave
+// the int64 range is skipped. Finite values bin into [0, maxCellSpan], so
+// only a NaN lands at either end: a NaN point, which is no point's
+// neighbor, or every point at once, when a NaN first point made that
+// dimension's minimum NaN, and then offset zero holds them all.
+func (g *GridIndex) candidates(c int, buf []int) []int {
+	d := g.dims
+	var lo, hi [maxGridDims]int64
+	for j, v := range g.coord[c*d : (c+1)*d] {
+		lo[j], hi[j] = v, v
+		if v > math.MinInt64 {
+			lo[j] = v - 1
+		}
+		if v < math.MaxInt64 {
+			hi[j] = v + 1
+		}
 	}
-	key := make([]byte, 8*g.dims)
-	cell := make([]int64, g.dims)
+	// Odometer over the leading coordinates, the last of them fastest, so
+	// the probed keys ascend and each search starts where the last ended.
+	key := lo
 	buf = buf[:0]
+	from := 0
 	for {
-		for j := range cell {
-			cell[j] = base[j] + off[j]
+		from = g.search(from, key[:d])
+		to := from
+		for to < g.cells() && g.hasPrefix(to, key[:d-1]) && g.coord[to*d+d-1] <= hi[d-1] {
+			to++
 		}
-		encodeCell(key, cell)
-		buf = append(buf, g.cells[string(key)]...)
-		j := 0
-		for ; j < g.dims; j++ {
-			off[j]++
-			if off[j] <= 1 {
-				break
-			}
-			off[j] = -1
+		buf = append(buf, g.order[g.start[from]:g.start[to]]...)
+		from = to
+		j := d - 2
+		for ; j >= 0 && key[j] == hi[j]; j-- {
+			key[j] = lo[j]
 		}
-		if j == g.dims {
+		if j < 0 {
 			break
 		}
+		key[j]++
 	}
-	sort.Ints(buf)
+	slices.Sort(buf)
 	return buf
+}
+
+// search returns the first cell at or after from whose coordinate is not
+// below key in lexicographic order.
+func (g *GridIndex) search(from int, key []int64) int {
+	lo, hi := from, g.cells()
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if slices.Compare(g.coord[mid*g.dims:(mid+1)*g.dims], key) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// hasPrefix reports whether cell c's leading coordinates equal prefix.
+func (g *GridIndex) hasPrefix(c int, prefix []int64) bool {
+	return slices.Equal(g.coord[c*g.dims:c*g.dims+len(prefix)], prefix)
 }
 
 // Neighbors returns the ascending indices of all points within eps of point
@@ -143,10 +204,9 @@ func (g *GridIndex) candidates(base []int64, buf []int) []int {
 // enforced by the differential tests in grid_test.go.
 func (g *GridIndex) Neighbors(o int) []int {
 	p := g.points[o]
-	base := g.coords[o*g.dims : (o+1)*g.dims]
 	var out []int
-	for _, i := range g.candidates(base, nil) {
-		if dist.Euclidean(p, g.points[i]) <= g.eps {
+	for _, i := range g.candidates(g.cellOf[o], nil) {
+		if dist.SqEuclidean(p, g.points[i]) <= g.sq {
 			out = append(out, i)
 		}
 	}
@@ -174,32 +234,72 @@ func precomputeGridNeighbors(rec obs.Recorder, points [][]float64, eps float64, 
 	if g == nil {
 		return precomputeNeighbors(rec, points, dist.Euclidean, eps, workers)
 	}
-	n := len(points)
-	nbs := make([][]int, n)
-	// Batch the queries per occupied cell: every point of a cell shares the
-	// same 3^d candidate set, so the odometer walk, the map lookups, and
-	// the candidate sort run once per CELL rather than once per point. The
-	// per-point distance filter then visits candidates in ascending index
-	// order, so each neighbor list comes out sorted for free.
-	parallel.Each(len(g.cellKeys), workers, func(ci int) {
-		members := g.cells[g.cellKeys[ci]]
-		base := g.coords[members[0]*g.dims : members[0]*g.dims+g.dims]
-		cand := g.candidates(base, nil)
-		for _, o := range members {
-			p := points[o]
-			out := make([]int, 0, len(cand))
-			for _, i := range cand {
-				if dist.Euclidean(p, points[i]) <= g.eps {
-					out = append(out, i)
-				}
-			}
-			nbs[o] = out
-		}
+	nbs := make([][]int, len(points))
+	parallel.Each(g.cells(), workers, func(c int) {
+		s := scratchPool.Get().(*cellScratch)
+		g.cellNeighbors(c, s, nbs)
+		scratchPool.Put(s)
 	})
 	// One region query ran per object, exactly as in the linear precompute —
 	// the counter tracks queries issued, not their internal cost, so the
 	// linear and grid paths stay comparable in the bench reports.
-	obs.Count(rec, "dbscan.region_queries", int64(n))
+	obs.Count(rec, "dbscan.region_queries", int64(len(points)))
 	obs.Count(rec, "dbscan.grid_indexes", 1)
 	return func(o int) []int { return nbs[o] }
+}
+
+// cellScratch is a worker's reusable buffers for cellNeighbors: the cell's
+// candidates and one hit bit per (member, candidate) pair.
+type cellScratch struct {
+	cand []int
+	hits []uint64
+}
+
+// scratchPool hands each precompute worker its scratch, so buffers are
+// reused from cell to cell and from one grid to the next.
+var scratchPool = sync.Pool{New: func() any { return new(cellScratch) }}
+
+// cellNeighbors writes the neighbor list of every member of cell c into
+// nbs. The queries are batched per occupied cell: every point of a cell
+// shares the same 3^d candidate set, so the probe and the candidate sort
+// run once per CELL rather than once per point, and the distance filter
+// visits candidates in ascending index order, so each list comes out
+// sorted. The filter marks hits in s.hits and counts them; the cell's lists
+// are then written into one exactly sized slab and cut with full slice
+// expressions, so no caller's append can reach the next list.
+func (g *GridIndex) cellNeighbors(c int, s *cellScratch, nbs [][]int) {
+	s.cand = g.candidates(c, s.cand)
+	cand := s.cand
+	members := g.order[g.start[c]:g.start[c+1]]
+	words := (len(cand) + 63) / 64
+	if cap(s.hits) < len(members)*words {
+		s.hits = make([]uint64, len(members)*words)
+	}
+	hits := s.hits[:len(members)*words]
+	total := 0
+	for m, o := range members {
+		p := g.points[o]
+		for w := range words {
+			var word uint64
+			for b, i := range cand[w*64 : min(w*64+64, len(cand))] {
+				if dist.SqEuclidean(p, g.points[i]) <= g.sq {
+					word |= 1 << b
+				}
+			}
+			hits[m*words+w] = word
+			total += bits.OnesCount64(word)
+		}
+	}
+	slab := make([]int, total)
+	at := 0
+	for m, o := range members {
+		from := at
+		for w, word := range hits[m*words : (m+1)*words] {
+			for ; word != 0; word &= word - 1 {
+				slab[at] = cand[w<<6|bits.TrailingZeros64(word)]
+				at++
+			}
+		}
+		nbs[o] = slab[from:at:at]
+	}
 }

@@ -3,10 +3,13 @@ package dbscan
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"multiclust/internal/dataset"
 	"multiclust/internal/dist"
 	"multiclust/internal/obs"
 )
@@ -36,10 +39,25 @@ func linearNeighbors(points [][]float64, o int, eps float64) []int {
 	return out
 }
 
+// precomputeEqualsLinear fails unless every list PrecomputeGridNeighbors
+// serves, with one worker and with three, equals the linear scan's: the
+// per-cell precompute DBSCAN and SUBCLU run.
+func precomputeEqualsLinear(t *testing.T, pts [][]float64, eps float64) {
+	t.Helper()
+	for _, w := range []int{1, 3} {
+		nf := PrecomputeGridNeighbors(pts, eps, w)
+		for o := range pts {
+			if got, want := nf(o), linearNeighbors(pts, o, eps); !slices.Equal(got, want) {
+				t.Fatalf("workers=%d object %d: precomputed %v != linear %v (eps=%g)", w, o, got, want, eps)
+			}
+		}
+	}
+}
+
 // TestGridEqualsLinear is the deterministic differential sweep: for a range
 // of sizes, dimensionalities and radii, every object's grid neighbor list
 // must be identical (same members, same ascending order) to the linear
-// scan's.
+// scan's, whether queried one at a time or precomputed.
 func TestGridEqualsLinear(t *testing.T) {
 	cases := []struct {
 		seed   int64
@@ -71,26 +89,82 @@ func TestGridEqualsLinear(t *testing.T) {
 					t.Fatalf("object %d: grid %v != linear %v", o, got, want)
 				}
 			}
+			precomputeEqualsLinear(t, pts, tc.eps)
 		})
 	}
 }
 
 // TestGridBoundaryDistances pins the exact-eps edge: pairs at distance
 // exactly eps must appear in each other's lists, even when they land in
-// adjacent cells.
+// adjacent cells. The rings put points at distance eps from a center
+// along random directions, so their squared distances straddle eps*eps by
+// a few ulps: the grid's squared test must draw the line exactly where
+// the Euclidean one does.
 func TestGridBoundaryDistances(t *testing.T) {
-	eps := 0.5
-	pts := [][]float64{{0, 0}, {eps, 0}, {0, eps}, {2 * eps, 0}, {eps + 1e-12, eps}}
-	g := NewGridIndex(pts, eps)
-	if g == nil {
-		t.Fatal("grid declined")
+	type input struct {
+		pts [][]float64
+		eps float64
 	}
-	for o := range pts {
-		got := g.Neighbors(o)
-		want := linearNeighbors(pts, o, eps)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("object %d: grid %v != linear %v", o, got, want)
+	inputs := []input{{[][]float64{{0, 0}, {0.5, 0}, {0, 0.5}, {1, 0}, {0.5 + 1e-12, 0.5}}, 0.5}}
+	rng := rand.New(rand.NewSource(12))
+	for _, eps := range []float64{0.1, 0.3, 0.7, 1.3} {
+		for dims := 2; dims <= 3; dims++ {
+			pts := [][]float64{make([]float64, dims)}
+			for i := 0; i < 60; i++ {
+				dir := make([]float64, dims)
+				var norm float64
+				for j := range dir {
+					dir[j] = rng.NormFloat64()
+					norm += dir[j] * dir[j]
+				}
+				for j := range dir {
+					dir[j] *= eps / math.Sqrt(norm)
+				}
+				pts = append(pts, dir)
+			}
+			inputs = append(inputs, input{pts, eps})
 		}
+	}
+	for i, in := range inputs {
+		g := NewGridIndex(in.pts, in.eps)
+		if g == nil {
+			t.Fatal("grid declined")
+		}
+		for o := range in.pts {
+			got := g.Neighbors(o)
+			want := linearNeighbors(in.pts, o, in.eps)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("input %d object %d: grid %v != linear %v", i, o, got, want)
+			}
+		}
+		precomputeEqualsLinear(t, in.pts, in.eps)
+	}
+}
+
+// TestGridNaNCoordinates pins the grid to the linear scan on NaN
+// coordinates. A NaN in the first point makes every point's cell
+// coordinate in that dimension int64(NaN), which is math.MinInt64 on
+// amd64, so the probe of the cells around it must not wrap past the int64
+// range and miss the cell itself. A NaN point has no neighbors, not even
+// itself.
+func TestGridNaNCoordinates(t *testing.T) {
+	nan := math.NaN()
+	for i, pts := range [][][]float64{
+		{{0, nan}, {0.1, 0.2}, {0.15, 0.25}, {0.9, 0.9}, {0.12, 0.21}},
+		{{nan, 0.5}, {0.1, 0.2}, {0.15, 0.25}, {0.9, 0.9}},
+		{{nan}, {0.3}, {0.31}, {5}},
+		{{0.1, 0.2}, {nan, 0.2}, {0.15, 0.25}, {0.9, nan}},
+	} {
+		g := NewGridIndex(pts, 0.2)
+		if g == nil {
+			t.Fatalf("case %d: grid declined", i)
+		}
+		for o := range pts {
+			if got, want := g.Neighbors(o), linearNeighbors(pts, o, 0.2); !reflect.DeepEqual(got, want) {
+				t.Fatalf("case %d object %d: grid %v != linear %v", i, o, got, want)
+			}
+		}
+		precomputeEqualsLinear(t, pts, 0.2)
 	}
 }
 
@@ -169,7 +243,8 @@ func TestEpsNeighborsRecThreading(t *testing.T) {
 
 // FuzzGridEqualsLinear fuzzes the differential property over the point
 // geometry: whatever (n, dims, eps, spread, seed) the fuzzer finds, the
-// grid index and the linear scan must agree on every neighbor list.
+// grid index, queried or precomputed, and the linear scan must agree on
+// every neighbor list.
 func FuzzGridEqualsLinear(f *testing.F) {
 	f.Add(int64(1), uint8(40), uint8(2), 0.2, 1.0)
 	f.Add(int64(7), uint8(15), uint8(1), 0.01, 3.0)
@@ -192,5 +267,49 @@ func FuzzGridEqualsLinear(f *testing.F) {
 				t.Fatalf("object %d: grid %v != linear %v (n=%d dims=%d eps=%g)", o, got, want, nn, dd, eps)
 			}
 		}
+		precomputeEqualsLinear(t, pts, eps)
 	})
+}
+
+// BenchmarkPrecomputeGrid times the grid precompute behind DBSCAN's nil
+// distance and SUBCLU's first two levels: the 1-D and 2-D projections of
+// the lib-paradigms subspace set (8 dims, a fifth of the objects in each of
+// three planted clusters, ε = 0.05) at n = 500 and 2000, and a 4-D set of
+// three Gaussian blobs.
+func BenchmarkPrecomputeGrid(b *testing.B) {
+	type input struct {
+		name string
+		pts  [][]float64
+		eps  float64
+	}
+	var inputs []input
+	for _, n := range []int{500, 2000} {
+		ds, _, err := dataset.SubspaceData(12, n, 8, []dataset.SubspaceSpec{
+			{Dims: []int{0, 1}, Size: n / 5, Width: 0.08},
+			{Dims: []int{3, 4}, Size: n / 5, Width: 0.08},
+			{Dims: []int{5, 6, 7}, Size: n / 5, Width: 0.1},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, dims := range [][]int{{0}, {0, 1}} {
+			proj := make([][]float64, n)
+			for i, p := range ds.Points {
+				for _, j := range dims {
+					proj[i] = append(proj[i], p[j])
+				}
+			}
+			inputs = append(inputs, input{fmt.Sprintf("lib/n=%d/d=%d", n, len(dims)), proj, 0.05})
+		}
+	}
+	blobs, _ := dataset.GaussianBlobs(4, 2000, [][]float64{{0, 0, 0, 0}, {6, 6, 6, 6}, {0, 6, 0, 6}}, 1)
+	inputs = append(inputs, input{"blobs/n=2000/d=4", blobs.Points, 1})
+	for _, in := range inputs {
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				PrecomputeGridNeighbors(in.pts, in.eps, 0)
+			}
+		})
+	}
 }

@@ -28,6 +28,30 @@ func SqEuclidean(a, b []float64) float64 {
 	return s
 }
 
+// SqBound returns the largest float64 t with math.Sqrt(t) <= eps, so that
+// SqEuclidean(a, b) <= t holds exactly when Euclidean(a, b) <= eps: an
+// ε-test on squared distances with no square root per pair. It is exact
+// because math.Sqrt is correctly rounded and therefore monotone, so the
+// squared values that pass form the interval [0, t]; a NaN fails both
+// tests. For a negative or NaN eps no value passes, and SqBound returns NaN.
+func SqBound(eps float64) float64 {
+	if !(eps >= 0) {
+		return math.NaN()
+	}
+	t := eps * eps
+	for math.Sqrt(t) > eps {
+		t = math.Nextafter(t, math.Inf(-1))
+	}
+	for !math.IsInf(t, 1) {
+		next := math.Nextafter(t, math.Inf(1))
+		if math.Sqrt(next) > eps {
+			break
+		}
+		t = next
+	}
+	return t
+}
+
 // Manhattan returns the L1 distance.
 func Manhattan(a, b []float64) float64 {
 	var s float64

@@ -160,3 +160,64 @@ func TestPairwiseMatrixWorkersDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestSqBoundIsLargest pins SqBound's definition: t is the largest float64
+// whose square root is at most eps, across the whole exponent range.
+func TestSqBoundIsLargest(t *testing.T) {
+	eps := []float64{0, 0.05, 1, 1e-300, 4.9e-324, 1e154, 1e200, math.MaxFloat64, math.Inf(1)}
+	for k := 1; k <= 1074; k++ {
+		eps = append(eps, math.Ldexp(1, k%1024), math.Ldexp(1, -k))
+	}
+	for _, e := range eps {
+		b := SqBound(e)
+		if !(math.Sqrt(b) <= e) {
+			t.Fatalf("eps=%g: Sqrt(SqBound)=%g exceeds eps", e, math.Sqrt(b))
+		}
+		if !math.IsInf(b, 1) && !(math.Sqrt(math.Nextafter(b, math.Inf(1))) > e) {
+			t.Fatalf("eps=%g: SqBound=%g is not the largest passing value", e, b)
+		}
+	}
+	for _, e := range []float64{-1, math.Inf(-1), math.NaN()} {
+		if b := SqBound(e); !math.IsNaN(b) {
+			t.Errorf("SqBound(%g) = %g, want NaN", e, b)
+		}
+	}
+}
+
+// TestSqBoundMatchesEuclidean is the seeded sweep behind the grid's and
+// SUBCLU's squared ε-test: over 10^6 pairs, half of them placed at distance
+// eps along a random direction, SqEuclidean <= SqBound(eps) must agree with
+// Euclidean <= eps.
+func TestSqBoundMatchesEuclidean(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	boundary := 0
+	for i := 0; i < 1_000_000; i++ {
+		d := 1 + rng.Intn(6)
+		eps := rng.Float64() * math.Pow(10, float64(rng.Intn(13)-6))
+		a, b := make([]float64, d), make([]float64, d)
+		var norm float64
+		for j := range a {
+			a[j] = (rng.Float64() - 0.5) * 4 * eps
+			b[j] = rng.NormFloat64()
+			norm += b[j] * b[j]
+		}
+		for j := range b {
+			if i%2 == 0 {
+				b[j] = a[j] + eps*b[j]/math.Sqrt(norm)
+			} else {
+				b[j] = a[j] + (rng.Float64()-0.5)*3*eps
+			}
+		}
+		want := Euclidean(a, b) <= eps
+		if got := SqEuclidean(a, b) <= SqBound(eps); got != want {
+			t.Fatalf("pair %d (eps=%g a=%v b=%v): squared test %v, Euclidean test %v", i, eps, a, b, got, want)
+		}
+		if Euclidean(a, b) == eps {
+			boundary++
+		}
+	}
+	if boundary == 0 {
+		t.Fatal("no pair landed exactly at distance eps")
+	}
+	t.Logf("%d pairs exactly at distance eps", boundary)
+}

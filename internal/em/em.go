@@ -135,18 +135,15 @@ func FitFromContext(ctx context.Context, points [][]float64, m *Model, cfg Confi
 }
 
 // EStep fills post with responsibilities and returns the log-likelihood.
+// The log weights and variance terms are computed once per call
+// (stats.DiagMixture).
 func EStep(points [][]float64, m *Model, post [][]float64, minVar float64) float64 {
 	k := len(m.Pi)
+	mix := stats.NewDiagMixture(m.Pi, m.Means, m.Vars, minVar)
 	var ll float64
 	logp := make([]float64, k)
 	for i, x := range points {
-		for c := 0; c < k; c++ {
-			lw := math.Inf(-1)
-			if m.Pi[c] > 0 {
-				lw = math.Log(m.Pi[c])
-			}
-			logp[c] = lw + stats.DiagGaussianLogPDF(x, m.Means[c], m.Vars[c], minVar)
-		}
+		mix.LogJoint(x, logp)
 		lse := stats.LogSumExp(logp)
 		ll += lse
 		for c := 0; c < k; c++ {
@@ -227,17 +224,11 @@ func LogLikelihood(points [][]float64, m *Model, minVar float64) float64 {
 	if minVar <= 0 {
 		minVar = 1e-6
 	}
-	k := len(m.Pi)
-	logp := make([]float64, k)
+	mix := stats.NewDiagMixture(m.Pi, m.Means, m.Vars, minVar)
+	logp := make([]float64, len(m.Pi))
 	var ll float64
 	for _, x := range points {
-		for c := 0; c < k; c++ {
-			lw := math.Inf(-1)
-			if m.Pi[c] > 0 {
-				lw = math.Log(m.Pi[c])
-			}
-			logp[c] = lw + stats.DiagGaussianLogPDF(x, m.Means[c], m.Vars[c], minVar)
-		}
+		mix.LogJoint(x, logp)
 		ll += stats.LogSumExp(logp)
 	}
 	return ll

@@ -146,3 +146,20 @@ func TestDeadComponentSurvives(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkEStep times one E-step on the shape of a co-EM view in the
+// lib-paradigms workload: 2000 rows of 4 dimensions and k = 3, with the
+// model of a 10-iteration fit.
+func BenchmarkEStep(b *testing.B) {
+	va, _, _ := dataset.TwoSourceViews(12, 2000, 3, 4, 4, 0.8, 0.1)
+	fit, err := Fit(va.Points, Config{K: 3, Seed: 12, MaxIter: 10})
+	if err != nil {
+		b.Fatal(err)
+	}
+	post := fit.Posterior
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		EStep(va.Points, fit.Model, post, 1e-6)
+	}
+}

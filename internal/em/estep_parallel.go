@@ -17,18 +17,12 @@ import (
 func EStepParallel(points [][]float64, m *Model, post [][]float64, minVar float64, workers int) float64 {
 	k := len(m.Pi)
 	n := len(points)
+	mix := stats.NewDiagMixture(m.Pi, m.Means, m.Vars, minVar)
 	rowLL := make([]float64, n)
 	parallel.For(n, workers, func(lo, hi int) {
 		logp := make([]float64, k)
 		for i := lo; i < hi; i++ {
-			x := points[i]
-			for c := 0; c < k; c++ {
-				lw := math.Inf(-1)
-				if m.Pi[c] > 0 {
-					lw = math.Log(m.Pi[c])
-				}
-				logp[c] = lw + stats.DiagGaussianLogPDF(x, m.Means[c], m.Vars[c], minVar)
-			}
+			mix.LogJoint(points[i], logp)
 			lse := stats.LogSumExp(logp)
 			rowLL[i] = lse
 			for c := 0; c < k; c++ {

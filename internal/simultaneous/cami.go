@@ -208,16 +208,11 @@ func penalizedEStep(points [][]float64, m *em.Model, post, other [][]float64, mu
 		}
 	}
 
+	mix := stats.NewDiagMixture(m.Pi, m.Means, m.Vars, minVar)
 	var ll float64
 	logp := make([]float64, k)
 	for i, x := range points {
-		for c := 0; c < k; c++ {
-			lw := math.Inf(-1)
-			if m.Pi[c] > 0 {
-				lw = math.Log(m.Pi[c])
-			}
-			logp[c] = lw + stats.DiagGaussianLogPDF(x, m.Means[c], m.Vars[c], minVar)
-		}
+		mix.LogJoint(x, logp)
 		ll += stats.LogSumExp(logp)
 		for c := 0; c < k; c++ {
 			var pen float64

@@ -9,8 +9,9 @@ package subspace
 import (
 	"context"
 	"errors"
-	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 
 	"multiclust/internal/core"
 	"multiclust/internal/obs"
@@ -79,6 +80,11 @@ func denseUnits(points [][]float64, cfg gridConfig) ([]Unit, GridStats, error) {
 	ctx, endSpan := obs.SpanCtx(context.Background(), rec, "subspace.grid.search")
 	defer endSpan()
 
+	// Unit keys are rendered into one reused buffer; a key string is
+	// allocated only when a dense unit is stored, and the map lookups of
+	// string(key) do not allocate.
+	var key []byte
+
 	// Level 1: one pass over the data per dimension.
 	var all []Unit
 	level := make(map[string]*Unit)
@@ -95,12 +101,13 @@ func denseUnits(points [][]float64, cfg gridConfig) ([]Unit, GridStats, error) {
 				stats.CandidatesGenerated++
 				if len(objs) >= minCount(1) {
 					u := &Unit{Dims: []int{j}, Intervals: []int{b}, Objects: objs}
-					level[unitKey(u.Dims, u.Intervals)] = u
+					key = appendUnitKey(key[:0], u.Dims, u.Intervals, -1)
+					level[string(key)] = u
 				}
 			}
 		}
 	}()
-	appendLevel(&all, level, &stats)
+	keys := appendLevel(&all, level, &stats)
 	observeLevel(rec, 1, stats, GridStats{})
 	prev := level
 
@@ -110,39 +117,40 @@ func denseUnits(points [][]float64, cfg gridConfig) ([]Unit, GridStats, error) {
 		func() {
 			_, end := obs.SpanCtx(ctx, rec, "subspace.grid.level")
 			defer end()
-			units := make([]*Unit, 0, len(prev))
-			for _, u := range prev {
-				units = append(units, u)
+			// The join runs over prev in key order: the keys appendLevel
+			// sorted when it emitted the level.
+			units := make([]*Unit, len(keys))
+			for i, k := range keys {
+				units[i] = prev[k]
 			}
-			sort.Slice(units, func(i, j int) bool {
-				return unitKey(units[i].Dims, units[i].Intervals) < unitKey(units[j].Dims, units[j].Intervals)
-			})
 			mc := minCount(s)
+			var dims, ivals []int // the joined candidate, reused
+			var sub []byte        // sub-unit keys, reused
 			for i := 0; i < len(units); i++ {
 				for j := i + 1; j < len(units); j++ {
 					a, b := units[i], units[j]
 					if !joinable(a, b) {
 						continue
 					}
-					dims, ivals := joinUnit(a, b)
-					key := unitKey(dims, ivals)
-					if _, seen := cur[key]; seen {
+					dims, ivals = joinUnit(dims, ivals, a, b)
+					key = appendUnitKey(key[:0], dims, ivals, -1)
+					if _, seen := cur[string(key)]; seen {
 						continue
 					}
 					// Apriori prune: every (s-1)-subunit must be dense.
-					if !allSubunitsDense(dims, ivals, prev) {
+					if !allSubunitsDense(dims, ivals, prev, &sub) {
 						stats.CandidatesPruned++
 						continue
 					}
 					stats.CandidatesGenerated++
 					objs := intersectSorted(a.Objects, b.Objects)
 					if len(objs) >= mc {
-						cur[key] = &Unit{Dims: dims, Intervals: ivals, Objects: objs}
+						cur[string(key)] = &Unit{Dims: slices.Clone(dims), Intervals: slices.Clone(ivals), Objects: objs}
 					}
 				}
 			}
 		}()
-		appendLevel(&all, cur, &stats)
+		keys = appendLevel(&all, cur, &stats)
 		observeLevel(rec, s, stats, before)
 		prev = cur
 	}
@@ -170,7 +178,9 @@ func observeLevel(rec obs.Recorder, level int, after, before GridStats) {
 	obs.Observe(rec, "subspace.grid.level_dense", level, float64(after.UnitsPerDim[level]))
 }
 
-func appendLevel(all *[]Unit, level map[string]*Unit, stats *GridStats) {
+// appendLevel appends a level's dense units to all in key order and
+// returns the sorted keys, the order in which the next level joins them.
+func appendLevel(all *[]Unit, level map[string]*Unit, stats *GridStats) []string {
 	keys := make([]string, 0, len(level))
 	for k := range level {
 		keys = append(keys, k)
@@ -182,6 +192,7 @@ func appendLevel(all *[]Unit, level map[string]*Unit, stats *GridStats) {
 		stats.DenseUnits++
 		stats.UnitsPerDim[len(u.Dims)]++
 	}
+	return keys
 }
 
 // interval maps a normalized coordinate to its grid interval.
@@ -196,12 +207,22 @@ func interval(v float64, xi int) int {
 	return b
 }
 
-func unitKey(dims, ivals []int) string {
-	key := make([]byte, 0, 8*len(dims))
+// appendUnitKey renders a unit without its dimension skip (skip < 0 keeps
+// them all) as "d:i;" per dimension — the text fmt's "%d:%d;" gives, so the
+// string order of the keys, and with it the order of every result, is the
+// one the search has always had. Past ten dimensions that order is not
+// the numeric one: "10:" sorts before "2:".
+func appendUnitKey(buf []byte, dims, ivals []int, skip int) []byte {
 	for i := range dims {
-		key = append(key, []byte(fmt.Sprintf("%d:%d;", dims[i], ivals[i]))...)
+		if i == skip {
+			continue
+		}
+		buf = strconv.AppendInt(buf, int64(dims[i]), 10)
+		buf = append(buf, ':')
+		buf = strconv.AppendInt(buf, int64(ivals[i]), 10)
+		buf = append(buf, ';')
 	}
-	return string(key)
+	return buf
 }
 
 // joinable reports whether two s-1 units share their first s-2 (dim,
@@ -216,12 +237,14 @@ func joinable(a, b *Unit) bool {
 	return a.Dims[s-1] != b.Dims[s-1]
 }
 
-func joinUnit(a, b *Unit) (dims, ivals []int) {
+// joinUnit writes the join of a and b into dims and ivals, reusing their
+// storage.
+func joinUnit(dims, ivals []int, a, b *Unit) ([]int, []int) {
 	s := len(a.Dims)
-	dims = append(append([]int(nil), a.Dims...), b.Dims[s-1])
-	ivals = append(append([]int(nil), a.Intervals...), b.Intervals[s-1])
+	dims = append(append(dims[:0], a.Dims...), b.Dims[s-1])
+	ivals = append(append(ivals[:0], a.Intervals...), b.Intervals[s-1])
 	// Keep dims ascending (the last two may be out of order).
-	if s >= 1 && dims[s] < dims[s-1] {
+	if dims[s] < dims[s-1] {
 		dims[s], dims[s-1] = dims[s-1], dims[s]
 		ivals[s], ivals[s-1] = ivals[s-1], ivals[s]
 	}
@@ -229,22 +252,14 @@ func joinUnit(a, b *Unit) (dims, ivals []int) {
 }
 
 // allSubunitsDense checks the monotonicity condition: all (s-1)-dimensional
-// projections of the candidate must themselves be dense.
-func allSubunitsDense(dims, ivals []int, prev map[string]*Unit) bool {
-	s := len(dims)
-	subDims := make([]int, 0, s-1)
-	subIvals := make([]int, 0, s-1)
-	for drop := 0; drop < s; drop++ {
-		subDims = subDims[:0]
-		subIvals = subIvals[:0]
-		for i := 0; i < s; i++ {
-			if i == drop {
-				continue
-			}
-			subDims = append(subDims, dims[i])
-			subIvals = append(subIvals, ivals[i])
-		}
-		if _, ok := prev[unitKey(subDims, subIvals)]; !ok {
+// projections of the candidate must themselves be dense. Dropping either of
+// the last two dimensions gives back one of the two joined units, which are
+// dense, so only the other drops are looked up. Their keys are rendered
+// into *buf.
+func allSubunitsDense(dims, ivals []int, prev map[string]*Unit, buf *[]byte) bool {
+	for drop := 0; drop < len(dims)-2; drop++ {
+		*buf = appendUnitKey((*buf)[:0], dims, ivals, drop)
+		if _, ok := prev[string(*buf)]; !ok {
 			return false
 		}
 	}
@@ -281,11 +296,13 @@ type GridCluster struct {
 // unitsToClusters merges adjacent dense units per subspace into clusters
 // (CLIQUE's cluster definition: connected dense units).
 func unitsToClusters(units []Unit, xi int) []GridCluster {
-	// Group units by subspace.
+	// Group units by subspace, keyed by the dims as fmt.Sprint renders them.
 	bySub := map[string][]int{}
 	subDims := map[string][]int{}
+	var key []byte
 	for i, u := range units {
-		k := fmt.Sprint(u.Dims)
+		key = appendDimsKey(key[:0], u.Dims, -1)
+		k := string(key)
 		bySub[k] = append(bySub[k], i)
 		subDims[k] = u.Dims
 	}

@@ -279,3 +279,15 @@ func TestAdjacentUnits(t *testing.T) {
 		t.Error("identical units are not adjacent")
 	}
 }
+
+// BenchmarkCliqueLib runs CLIQUE with the lib-paradigms workload's
+// configuration on its subspace set (n = 500, d = 8).
+func BenchmarkCliqueLib(b *testing.B) {
+	pts := libPoints(b, 12, 500)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Clique(pts, CliqueConfig{Xi: 10, Tau: 0.03, MaxDim: 3}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

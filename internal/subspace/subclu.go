@@ -43,8 +43,8 @@ type SubcluResult struct {
 // ε-neighborhood in S lies inside the parent's. Levels 1 and 2 build
 // their neighborhoods with dbscan's uniform grid; from level 3 on each
 // candidate's lists are its smallest parent's stored lists re-tested with
-// the grid's exact distance expression, so the result is identical to
-// building a grid for every candidate subspace.
+// the grid's exact ε-test, so the result is identical to building a grid
+// for every candidate subspace.
 func Subclu(points [][]float64, cfg SubcluConfig) (*SubcluResult, error) {
 	n := len(points)
 	if n == 0 {
@@ -241,18 +241,20 @@ func (w *subcluWalk) gridNeighbors(ctx context.Context, rows [][]float64) dbscan
 // derive builds the neighborhoods of a subspace whose candidates are the
 // clustered objects of its parent, from the parent's stored lists over
 // those same objects. Adding the new dimension's non-negative term to the
-// rounded running sum can never lower it, so every pair within ε here is
-// on the parent's list. Re-testing each listed pair with dist.Euclidean on
-// the projected rows — the grid's own test — therefore yields exactly the
-// grid's lists, in the same ascending order. Each derived neighborhood
-// counts as one region query, as a grid query does.
+// rounded running sum of squares can never lower it, so every pair within
+// ε here is on the parent's list. Re-testing each listed pair with the
+// grid's own test, the squared distance on the projected rows against
+// dist.SqBound(ε), therefore yields exactly the grid's lists, in the same
+// ascending order. Each derived neighborhood counts as one region query,
+// as a grid query does.
 func (w *subcluWalk) derive(ctx context.Context, rows [][]float64, parent *neighborhoods) dbscan.NeighborFunc {
 	_, end := obs.SpanCtx(ctx, w.rec, "subspace.subclu.derive")
 	defer end()
+	sq := dist.SqBound(w.cfg.Eps)
 	idx, off := w.idx[:0], append(w.off[:0], 0)
 	for k, row := range rows {
 		for _, q := range parent.list(k) {
-			if dist.Euclidean(row, rows[q]) <= w.cfg.Eps {
+			if dist.SqEuclidean(row, rows[q]) <= sq {
 				idx = append(idx, int(q))
 			}
 		}

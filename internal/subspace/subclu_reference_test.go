@@ -8,16 +8,18 @@ import (
 
 	"multiclust/internal/core"
 	"multiclust/internal/dbscan"
+	"multiclust/internal/dist"
 	"multiclust/internal/obs"
 )
 
 // subcluReference is the SUBCLU search as it stood before neighborhoods
 // were derived from parent subspaces: every candidate subspace copies its
-// candidates' coordinates and runs a fresh grid-indexed DBSCAN, subspaces
-// are keyed by fmt.Sprint of their dims, and parent unions go through a
-// map[int]bool. It is kept verbatim as the behavioural oracle for Subclu:
-// the differential tests and FuzzSubcluEqualsReference pin byte-identical
-// results and identical work counters.
+// candidates' coordinates and runs a fresh DBSCAN, subspaces are keyed by
+// fmt.Sprint of their dims, and parent unions go through a map[int]bool.
+// Its DBSCAN runs scan linearly under dist.Euclidean, where the original
+// used the grid. It is the behavioural oracle for Subclu: the differential
+// tests and FuzzSubcluEqualsReference pin byte-identical results and
+// identical work counters.
 func subcluReference(points [][]float64, cfg SubcluConfig) (*SubcluResult, error) {
 	n := len(points)
 	if n == 0 {
@@ -64,11 +66,10 @@ func subcluReference(points [][]float64, cfg SubcluConfig) (*SubcluResult, error
 			}
 			sub[i] = row
 		}
-		// A nil distance selects the grid-indexed Euclidean neighborhoods:
-		// candidate subspaces are low-dimensional by construction, exactly
-		// where the uniform grid turns the O(n) region scans into
-		// adjacent-cell probes. Labels are identical to the linear scan.
-		c, err := dbscan.RunContext(ctx, sub, nil, dbscan.Config{Eps: cfg.Eps, MinPts: minPtsAt(len(dims))})
+		// The linear Euclidean scan, not the grid-indexed nil distance:
+		// the oracle shares no code with the grid that Subclu's first two
+		// levels run. Both count one region query per object.
+		c, err := dbscan.RunContext(ctx, sub, dist.Euclidean, dbscan.Config{Eps: cfg.Eps, MinPts: minPtsAt(len(dims))})
 		if err != nil {
 			return nil
 		}
