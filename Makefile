@@ -77,13 +77,15 @@ examples:
 	$(GO) run ./examples/genes
 	$(GO) run ./examples/text
 
-# Short fuzz sessions over the parsing, metric, index, subspace-search,
-# streaming, request-decoding and number-conversion surfaces. -fuzz must
-# match exactly one target per package, hence the anchored names.
+# Short fuzz sessions over the parsing, metric, index, k-means pruning,
+# subspace-search, streaming, request-decoding and number-conversion
+# surfaces. -fuzz must match exactly one target per package, hence the
+# anchored names.
 fuzz:
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=30s ./internal/dataset/
 	$(GO) test -fuzz=FuzzComparisonMeasures -fuzztime=30s ./internal/metrics/
 	$(GO) test -fuzz='^FuzzGridEqualsLinear$$' -fuzztime=30s ./internal/dbscan/
+	$(GO) test -fuzz='^FuzzHamerlyEqualsLloyd$$' -fuzztime=30s ./internal/kmeans/
 	$(GO) test -fuzz='^FuzzSubcluEqualsReference$$' -fuzztime=30s ./internal/subspace/
 	$(GO) test -fuzz='^FuzzCliqueEqualsReference$$' -fuzztime=30s ./internal/subspace/
 	$(GO) test -fuzz='^FuzzChunkedReplay$$' -fuzztime=30s ./internal/stream/
@@ -96,6 +98,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=10s ./internal/dataset/
 	$(GO) test -run='^$$' -fuzz=FuzzComparisonMeasures -fuzztime=10s ./internal/metrics/
 	$(GO) test -run='^$$' -fuzz='^FuzzGridEqualsLinear$$' -fuzztime=10s ./internal/dbscan/
+	$(GO) test -run='^$$' -fuzz='^FuzzHamerlyEqualsLloyd$$' -fuzztime=10s ./internal/kmeans/
 	$(GO) test -run='^$$' -fuzz='^FuzzSubcluEqualsReference$$' -fuzztime=10s ./internal/subspace/
 	$(GO) test -run='^$$' -fuzz='^FuzzCliqueEqualsReference$$' -fuzztime=10s ./internal/subspace/
 	$(GO) test -run='^$$' -fuzz='^FuzzChunkedReplay$$' -fuzztime=10s ./internal/stream/

@@ -7,7 +7,6 @@ package alternative
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"multiclust/internal/core"
@@ -551,7 +550,3 @@ func CoalaContext(ctx context.Context, points [][]float64, given *core.Clusterin
 	}
 	return res, nil
 }
-
-// ErrNoAlternative is returned by algorithms that cannot produce a valid
-// alternative under the requested constraints.
-var ErrNoAlternative = errors.New("alternative: no valid alternative clustering exists under the given constraints")

@@ -67,15 +67,6 @@ func (d *Dataset) Matrix() *linalg.Matrix {
 	return m
 }
 
-// FromMatrix builds a dataset from an n×d matrix (copies).
-func FromMatrix(m *linalg.Matrix) *Dataset {
-	pts := make([][]float64, m.Rows)
-	for i := range pts {
-		pts[i] = append([]float64(nil), m.Row(i)...)
-	}
-	return New(pts)
-}
-
 // Subspace returns a copy restricted to the given dimensions.
 func (d *Dataset) Subspace(dims []int) *Dataset {
 	pts := make([][]float64, d.N())

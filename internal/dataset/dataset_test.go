@@ -35,10 +35,9 @@ func TestDatasetBasics(t *testing.T) {
 func TestMatrixRoundTrip(t *testing.T) {
 	ds := New([][]float64{{1, 2}, {3, 4}})
 	m := ds.Matrix()
-	back := FromMatrix(m)
 	for i := range ds.Points {
 		for j := range ds.Points[i] {
-			if back.Points[i][j] != ds.Points[i][j] {
+			if m.At(i, j) != ds.Points[i][j] {
 				t.Fatal("matrix round trip mismatch")
 			}
 		}

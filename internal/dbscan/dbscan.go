@@ -72,14 +72,6 @@ func contextNeighbors(ctx context.Context, points [][]float64, d dist.Func, cfg 
 	return precomputeNeighbors(rec, points, d, cfg.Eps, cfg.Workers)
 }
 
-// PrecomputeNeighbors materializes every object's ε-neighborhood with the
-// given worker count and returns a lookup into the precomputed lists.
-// Counters land on the process-default recorder; RunContext threads its
-// per-run recorder through the internal variant instead.
-func PrecomputeNeighbors(points [][]float64, d dist.Func, eps float64, workers int) NeighborFunc {
-	return precomputeNeighbors(obs.Default(), points, d, eps, workers)
-}
-
 func precomputeNeighbors(rec obs.Recorder, points [][]float64, d dist.Func, eps float64, workers int) NeighborFunc {
 	n := len(points)
 	nbs := make([][]int, n)
@@ -99,28 +91,12 @@ func precomputeNeighbors(rec obs.Recorder, points [][]float64, d dist.Func, eps 
 }
 
 // EpsNeighbors builds the standard epsilon-ball neighbourhood function.
-// Unlike PrecomputeNeighbors it scans on every call, so each invocation
-// counts as one region query against the process-default recorder; use
-// EpsNeighborsRec to direct the counts at a per-run recorder.
+// Unlike the precomputed lists of RunContext it scans on every call, so
+// each invocation counts as one region query against the process-default
+// recorder.
 func EpsNeighbors(points [][]float64, d dist.Func, eps float64) NeighborFunc {
 	return func(o int) []int {
 		obs.Count(obs.Default(), "dbscan.region_queries", 1)
-		var out []int
-		for i, p := range points {
-			if d(points[o], p) <= eps {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-}
-
-// EpsNeighborsRec is EpsNeighbors recording each region query on rec
-// instead of the process default, so callers that hold a per-run recorder
-// (a context Collector) do not lose the counts to the global path.
-func EpsNeighborsRec(rec obs.Recorder, points [][]float64, d dist.Func, eps float64) NeighborFunc {
-	return func(o int) []int {
-		obs.Count(rec, "dbscan.region_queries", 1)
 		var out []int
 		for i, p := range points {
 			if d(points[o], p) <= eps {

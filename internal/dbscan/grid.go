@@ -213,13 +213,6 @@ func (g *GridIndex) Neighbors(o int) []int {
 	return out
 }
 
-// NeighborFunc adapts the index to the DBSCAN neighborhood abstraction.
-// Each call runs one grid region query; use PrecomputeGridNeighbors to
-// materialize all lists up front with a worker pool.
-func (g *GridIndex) NeighborFunc() NeighborFunc {
-	return func(o int) []int { return g.Neighbors(o) }
-}
-
 // PrecomputeGridNeighbors materializes every object's ε-neighborhood
 // through a uniform-grid index (Euclidean metric), falling back to the
 // linear scan when the grid declines the geometry. Counters land on the

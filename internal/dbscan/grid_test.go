@@ -229,18 +229,6 @@ func TestRegionQueriesReachContextRecorder(t *testing.T) {
 	}
 }
 
-// TestEpsNeighborsRecThreading checks the per-call variant of the same fix.
-func TestEpsNeighborsRecThreading(t *testing.T) {
-	pts := randomPoints(11, 20, 2, 1)
-	col := obs.NewCollector()
-	nf := EpsNeighborsRec(col, pts, dist.Euclidean, 0.3)
-	nf(0)
-	nf(5)
-	if got := col.Counter("dbscan.region_queries"); got != 2 {
-		t.Errorf("EpsNeighborsRec recorded %d queries on the supplied recorder, want 2", got)
-	}
-}
-
 // FuzzGridEqualsLinear fuzzes the differential property over the point
 // geometry: whatever (n, dims, eps, spread, seed) the fuzzer finds, the
 // grid index, queried or precomputed, and the linear scan must agree on

@@ -52,51 +52,8 @@ func SqBound(eps float64) float64 {
 	return t
 }
 
-// Manhattan returns the L1 distance.
-func Manhattan(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		s += math.Abs(a[i] - b[i])
-	}
-	return s
-}
-
-// Chebyshev returns the L∞ distance.
-func Chebyshev(a, b []float64) float64 {
-	var m float64
-	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
-// Cosine returns 1 - cosine similarity; zero vectors are at distance 1 from
-// everything (including each other), keeping the function total.
-func Cosine(a, b []float64) float64 {
-	na, nb := linalg.Norm(a), linalg.Norm(b)
-	if na == 0 || nb == 0 {
-		return 1
-	}
-	return 1 - linalg.Dot(a, b)/(na*nb)
-}
-
-// Subspace restricts base to the given dimensions.
-func Subspace(dims []int, base Func) Func {
-	return func(a, b []float64) float64 {
-		pa := make([]float64, len(dims))
-		pb := make([]float64, len(dims))
-		for i, d := range dims {
-			pa[i] = a[d]
-			pb[i] = b[d]
-		}
-		return base(pa, pb)
-	}
-}
-
-// SqEuclideanSubspace is the common special case of Subspace(dims,
-// SqEuclidean) without the projection copies.
+// SqEuclideanSubspace is the squared Euclidean distance restricted to the
+// given dimensions.
 func SqEuclideanSubspace(a, b []float64, dims []int) float64 {
 	var s float64
 	for _, d := range dims {
@@ -104,49 +61,6 @@ func SqEuclideanSubspace(a, b []float64, dims []int) float64 {
 		s += diff * diff
 	}
 	return s
-}
-
-// EuclideanSubspace is sqrt of SqEuclideanSubspace.
-func EuclideanSubspace(a, b []float64, dims []int) float64 {
-	return math.Sqrt(SqEuclideanSubspace(a, b, dims))
-}
-
-// Weighted returns the weighted Euclidean distance with per-dimension
-// weights w: sqrt(sum_i w_i (a_i - b_i)^2). It is a metric for non-negative
-// weights; square the result to recover the weighted squared form.
-func Weighted(w []float64) Func {
-	return func(a, b []float64) float64 {
-		var s float64
-		for i := range a {
-			d := a[i] - b[i]
-			s += w[i] * d * d
-		}
-		return math.Sqrt(s)
-	}
-}
-
-// Mahalanobis returns x ↦ sqrt((a-b)^T B (a-b)) for a positive semi-definite
-// matrix B = M^T M; this is the ||·||_B norm of Qi & Davidson (2009,
-// tutorial slide 54). Negative quadratic forms from numerical noise are
-// clamped to zero.
-func Mahalanobis(b *linalg.Matrix) Func {
-	return func(x, y []float64) float64 {
-		diff := linalg.SubVec(x, y)
-		q := linalg.Dot(diff, b.MulVec(diff))
-		if q < 0 {
-			q = 0
-		}
-		return math.Sqrt(q)
-	}
-}
-
-// Transformed returns the base distance measured after applying the linear
-// map m to both arguments — distance in the transformed space of the
-// orthogonal-transformation paradigm (tutorial section 3).
-func Transformed(m *linalg.Matrix, base Func) Func {
-	return func(a, b []float64) float64 {
-		return base(m.MulVec(a), m.MulVec(b))
-	}
 }
 
 // PairwiseMatrix materializes the n×n distance matrix of points under d,

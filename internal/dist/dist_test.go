@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"multiclust/internal/linalg"
 )
 
 func approxEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -20,61 +18,16 @@ func TestBasicDistances(t *testing.T) {
 	if SqEuclidean(a, b) != 25 {
 		t.Errorf("SqEuclidean = %v", SqEuclidean(a, b))
 	}
-	if Manhattan(a, b) != 7 {
-		t.Errorf("Manhattan = %v", Manhattan(a, b))
-	}
-	if Chebyshev(a, b) != 4 {
-		t.Errorf("Chebyshev = %v", Chebyshev(a, b))
-	}
-}
-
-func TestCosine(t *testing.T) {
-	if got := Cosine([]float64{1, 0}, []float64{2, 0}); !approxEq(got, 0, 1e-12) {
-		t.Errorf("parallel cosine distance = %v", got)
-	}
-	if got := Cosine([]float64{1, 0}, []float64{0, 3}); !approxEq(got, 1, 1e-12) {
-		t.Errorf("orthogonal cosine distance = %v", got)
-	}
-	if got := Cosine([]float64{0, 0}, []float64{1, 1}); got != 1 {
-		t.Errorf("zero-vector cosine distance = %v, want 1", got)
-	}
 }
 
 func TestSubspace(t *testing.T) {
 	a := []float64{0, 100, 0}
 	b := []float64{3, -100, 4}
-	d := Subspace([]int{0, 2}, Euclidean)
-	if got := d(a, b); !approxEq(got, 5, 1e-12) {
-		t.Errorf("subspace distance = %v, want 5", got)
-	}
-	if got := EuclideanSubspace(a, b, []int{0, 2}); !approxEq(got, 5, 1e-12) {
-		t.Errorf("EuclideanSubspace = %v", got)
+	if got := SqEuclideanSubspace(a, b, []int{0, 2}); got != 25 {
+		t.Errorf("SqEuclideanSubspace over {0,2} = %v, want 25", got)
 	}
 	if got := SqEuclideanSubspace(a, b, []int{1}); got != 200*200 {
 		t.Errorf("SqEuclideanSubspace = %v", got)
-	}
-}
-
-func TestWeighted(t *testing.T) {
-	d := Weighted([]float64{1, 0})
-	if got := d([]float64{0, 5}, []float64{3, 100}); !approxEq(got, 3, 1e-12) {
-		t.Errorf("weighted = %v, want 3 (second dim zeroed)", got)
-	}
-}
-
-func TestMahalanobisIdentityIsEuclidean(t *testing.T) {
-	d := Mahalanobis(linalg.Identity(2))
-	if got := d([]float64{0, 0}, []float64{3, 4}); !approxEq(got, 5, 1e-12) {
-		t.Errorf("Mahalanobis(I) = %v, want 5", got)
-	}
-}
-
-func TestTransformed(t *testing.T) {
-	// Scaling x by 2 doubles distances along x.
-	m, _ := linalg.FromRows([][]float64{{2, 0}, {0, 1}})
-	d := Transformed(m, Euclidean)
-	if got := d([]float64{0, 0}, []float64{1, 0}); !approxEq(got, 2, 1e-12) {
-		t.Errorf("transformed = %v, want 2", got)
 	}
 }
 
@@ -89,56 +42,31 @@ func TestPairwiseMatrix(t *testing.T) {
 	}
 }
 
-// Property: metric axioms (symmetry, identity, triangle) for Euclidean and
-// Manhattan on random vectors.
+// Property: metric axioms (symmetry, identity, triangle) for Euclidean on
+// random vectors.
 func TestQuickMetricAxioms(t *testing.T) {
-	for name, d := range map[string]Func{"euclidean": Euclidean, "manhattan": Manhattan, "chebyshev": Chebyshev} {
-		f := func(seed int64) bool {
-			r := rand.New(rand.NewSource(seed))
-			n := 1 + r.Intn(6)
-			vecs := make([][]float64, 3)
-			for i := range vecs {
-				vecs[i] = make([]float64, n)
-				for j := range vecs[i] {
-					vecs[i][j] = r.NormFloat64()
-				}
+	d := Euclidean
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := 1 + r.Intn(6)
+		vecs := make([][]float64, 3)
+		for i := range vecs {
+			vecs[i] = make([]float64, n)
+			for j := range vecs[i] {
+				vecs[i][j] = r.NormFloat64()
 			}
-			a, b, c := vecs[0], vecs[1], vecs[2]
-			if !approxEq(d(a, b), d(b, a), 1e-12) {
-				return false
-			}
-			if d(a, a) != 0 {
-				return false
-			}
-			return d(a, c) <= d(a, b)+d(b, c)+1e-9
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-			t.Errorf("%s: %v", name, err)
+		a, b, c := vecs[0], vecs[1], vecs[2]
+		if !approxEq(d(a, b), d(b, a), 1e-12) {
+			return false
 		}
+		if d(a, a) != 0 {
+			return false
+		}
+		return d(a, c) <= d(a, b)+d(b, c)+1e-9
 	}
-}
-
-// Weighted is the ROOTED weighted Euclidean metric: its square must equal
-// the weighted sum of squared coordinate differences.
-func TestWeightedSquaredPinsDefinition(t *testing.T) {
-	w := []float64{2, 0.5, 3}
-	a := []float64{1, -2, 0.25}
-	b := []float64{-1, 4, 2}
-	d := Weighted(w)(a, b)
-	var want float64
-	for i := range a {
-		diff := a[i] - b[i]
-		want += w[i] * diff * diff
-	}
-	if got := d * d; !approxEq(got, want, 1e-12) {
-		t.Errorf("Weighted(w)(a,b)^2 = %v, want sum w_i (a_i-b_i)^2 = %v", got, want)
-	}
-	// And the rooted form obeys symmetry + identity like the other metrics.
-	if got := Weighted(w)(a, a); got != 0 {
-		t.Errorf("Weighted(a,a) = %v", got)
-	}
-	if !approxEq(Weighted(w)(a, b), Weighted(w)(b, a), 1e-12) {
-		t.Error("Weighted not symmetric")
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
 	}
 }
 

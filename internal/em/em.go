@@ -219,21 +219,6 @@ func Harden(post [][]float64) *core.Clustering {
 	return core.NewClustering(labels)
 }
 
-// LogLikelihood evaluates the model's total log-likelihood on points.
-func LogLikelihood(points [][]float64, m *Model, minVar float64) float64 {
-	if minVar <= 0 {
-		minVar = 1e-6
-	}
-	mix := stats.NewDiagMixture(m.Pi, m.Means, m.Vars, minVar)
-	logp := make([]float64, len(m.Pi))
-	var ll float64
-	for _, x := range points {
-		mix.LogJoint(x, logp)
-		ll += stats.LogSumExp(logp)
-	}
-	return ll
-}
-
 // BIC returns the Bayesian information criterion (lower is better):
 // -2 ln L + params * ln n, with params = k-1 + k*d (means) + k*d (vars).
 func BIC(points [][]float64, m *Model, ll float64) float64 {

@@ -78,7 +78,7 @@ func TestLogLikelihoodIncreasesDuringEM(t *testing.T) {
 func TestFitFromContinuesImproving(t *testing.T) {
 	ds, _ := dataset.GaussianBlobs(3, 100, [][]float64{{0, 0}, {6, 6}}, 0.5)
 	start := RandomModel(ds.Points, 2, 9)
-	startLL := LogLikelihood(ds.Points, start, 1e-6)
+	startLL := EStep(ds.Points, start, newPost(ds.N(), 2), 1e-6)
 	res, err := FitFrom(ds.Points, start, Config{K: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -101,15 +101,3 @@ func (s *SuffStats) ModelInto(m *Model, minVar float64) {
 		m.Pi[c] /= sum
 	}
 }
-
-// Clone deep-copies the statistics.
-func (s *SuffStats) Clone() *SuffStats {
-	out := NewSuffStats(len(s.W), len(s.X[0]))
-	out.N = s.N
-	copy(out.W, s.W)
-	for c := range s.X {
-		copy(out.X[c], s.X[c])
-		copy(out.XX[c], s.XX[c])
-	}
-	return out
-}

@@ -98,20 +98,6 @@ func Run(id string) (*Table, error) {
 	return r()
 }
 
-// RunAll executes every experiment in id order, writing each table to w.
-func RunAll(w io.Writer) error {
-	for _, id := range IDs() {
-		t, err := Run(id)
-		if err != nil {
-			return fmt.Errorf("experiments: %s: %w", id, err)
-		}
-		if err := t.Render(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
 func d0(v int) string     { return fmt.Sprintf("%d", v) }

@@ -92,7 +92,7 @@ func TestPropertyExactlyOneTerminalState(t *testing.T) {
 	log := newTerminalLog()
 	runners := chaos.TestRunners()
 	e := jobs.New(jobs.Config{
-		Workers: 4, QueueSize: 128, RetryBudget: 3,
+		Workers: 4, QueueSize: 128,
 		Runners: runners, OnTerminal: log.hook,
 	})
 
@@ -239,12 +239,12 @@ func TestPropertyDrainLosesNoJob(t *testing.T) {
 }
 
 // TestPropertyDegenerateRetryDeterministic: the Degenerate runner counts
-// attempts off the documented reseed schedule, so a budget larger than the
-// fault depth always heals at the same attempt, and a smaller one always
-// exhausts — no flakes in either direction.
+// attempts off the documented reseed schedule, so a fault depth below the
+// budget of 3 attempts always heals at the same attempt, and a depth of 3
+// always exhausts — no flakes in either direction.
 func TestPropertyDegenerateRetryDeterministic(t *testing.T) {
 	for trial := 0; trial < 3; trial++ {
-		heal := jobs.New(jobs.Config{Workers: 1, RetryBudget: 3,
+		heal := jobs.New(jobs.Config{Workers: 1,
 			Runners: map[string]jobs.Runner{"degen": chaos.Degenerate(2)}})
 		j, _, err := heal.Submit(jobs.Spec{Algo: "degen", Points: points(), Seed: int64(trial * 10)})
 		if err != nil {
@@ -252,25 +252,55 @@ func TestPropertyDegenerateRetryDeterministic(t *testing.T) {
 		}
 		<-j.Done()
 		if j.State() != jobs.StateDone {
-			t.Fatalf("trial %d: budget 3 vs depth 2: state %s, want done", trial, j.State())
+			t.Fatalf("trial %d: depth 2: state %s, want done", trial, j.State())
 		}
 		if st := j.Status(); st.Attempts != 3 {
 			t.Fatalf("trial %d: attempts = %d, want 3 (2 degenerate + 1 success)", trial, st.Attempts)
 		}
 		drainOrDie(t, heal, 5*time.Second)
 
-		exhaust := jobs.New(jobs.Config{Workers: 1, RetryBudget: 2,
-			Runners: map[string]jobs.Runner{"degen": chaos.Degenerate(2)}})
+		exhaust := jobs.New(jobs.Config{Workers: 1,
+			Runners: map[string]jobs.Runner{"degen": chaos.Degenerate(3)}})
 		j2, _, err := exhaust.Submit(jobs.Spec{Algo: "degen", Points: points(), Seed: int64(trial * 10)})
 		if err != nil {
 			t.Fatalf("Submit: %v", err)
 		}
 		<-j2.Done()
 		if j2.State() != jobs.StateFailed || !errors.Is(j2.Err(), core.ErrDegenerate) {
-			t.Fatalf("trial %d: budget 2 vs depth 2: state %s err %v, want failed/ErrDegenerate",
+			t.Fatalf("trial %d: depth 3: state %s err %v, want failed/ErrDegenerate",
 				trial, j2.State(), j2.Err())
 		}
 		drainOrDie(t, exhaust, 5*time.Second)
+	}
+}
+
+// TestDegenerateRetriesInJobMetrics: each degenerate attempt is one
+// engine attempt and one robust.degenerate_retries count in the job's own
+// metrics: depth 1 heals on attempt 2, depth 3 fails after the whole
+// budget.
+func TestDegenerateRetriesInJobMetrics(t *testing.T) {
+	for _, tc := range []struct {
+		depth, attempts int
+		state           jobs.State
+	}{
+		{1, 2, jobs.StateDone},
+		{3, 3, jobs.StateFailed},
+	} {
+		e := jobs.New(jobs.Config{Workers: 1,
+			Runners: map[string]jobs.Runner{"degen": chaos.Degenerate(tc.depth)}})
+		j, _, err := e.Submit(jobs.Spec{Algo: "degen", Points: points(), Seed: 4})
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		<-j.Done()
+		st := j.Status()
+		if j.State() != tc.state || st.Attempts != tc.attempts {
+			t.Fatalf("depth %d: state %s attempts %d, want %s after %d", tc.depth, j.State(), st.Attempts, tc.state, tc.attempts)
+		}
+		if got := st.Metrics["robust.degenerate_retries"]; got != int64(tc.depth) {
+			t.Fatalf("depth %d: robust.degenerate_retries = %d in the job's metrics, want %d", tc.depth, got, tc.depth)
+		}
+		drainOrDie(t, e, 5*time.Second)
 	}
 }
 
@@ -279,7 +309,7 @@ func TestPropertyDegenerateRetryDeterministic(t *testing.T) {
 // engines produces identical terminal states job for job.
 func TestPropertyFlakyVerdictReplayable(t *testing.T) {
 	run := func() map[int64]jobs.State {
-		e := jobs.New(jobs.Config{Workers: 2, QueueSize: 64, RetryBudget: 1,
+		e := jobs.New(jobs.Config{Workers: 2, QueueSize: 64,
 			Runners: map[string]jobs.Runner{"flaky": chaos.Flaky(0.5)}})
 		defer drainOrDie(t, e, 10*time.Second)
 		out := map[int64]jobs.State{}

@@ -36,14 +36,6 @@ type Config struct {
 	// MaxTimeout caps every requested timeout (default 5m), so no tenant
 	// can park a worker indefinitely.
 	MaxTimeout time.Duration
-	// RetryBudget is the number of deterministic reseed attempts for
-	// degenerate fits (default 3; see robust.RetryBackoff).
-	RetryBudget int
-	// Backoff schedules the waits between degenerate-fit retries. Seed is
-	// overridden per job with the job's spec seed, keeping the full retry
-	// timeline a pure function of the spec. The zero value retries
-	// immediately.
-	Backoff robust.Backoff
 	// MaxPoints bounds the dataset size admitted per job (default
 	// 200000 rows); larger submissions are refused with ErrBadSpec.
 	MaxPoints int
@@ -109,9 +101,6 @@ func New(cfg Config) *Engine {
 	}
 	if cfg.MaxTimeout <= 0 {
 		cfg.MaxTimeout = 5 * time.Minute
-	}
-	if cfg.RetryBudget <= 0 {
-		cfg.RetryBudget = 3
 	}
 	if cfg.MaxPoints <= 0 {
 		cfg.MaxPoints = 200000
@@ -602,7 +591,8 @@ func (e *Engine) tryStart(j *Job, cancel func()) bool {
 
 // execute runs one job to its terminal state. Panics cannot escape: every
 // attempt is wrapped in robust.RecoverTo, so a panicking runner fails the
-// job (ErrPanic) and the worker lives on.
+// job (ErrPanic) and the worker lives on. A degenerate attempt reruns on
+// the next seed of robust.Retry's three-attempt schedule.
 func (e *Engine) execute(j *Job) {
 	timeout := e.resolveTimeout(j.Spec.TimeoutMS)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -629,10 +619,8 @@ func (e *Engine) execute(j *Job) {
 	tctx = obs.NewContext(obs.WithTraceID(tctx, j.TraceID), j.col)
 
 	runner := e.cfg.Runners[j.Spec.Algo]
-	backoff := e.cfg.Backoff
-	backoff.Seed = j.Spec.Seed
 	execStart := time.Now()
-	out, err := robust.RetryValueBackoff(tctx, j.Spec.Seed, e.cfg.RetryBudget, backoff,
+	out, err := robust.Retry(tctx, j.Spec.Seed,
 		func(seed int64) (o *Outcome, rerr error) {
 			defer robust.RecoverTo(&rerr)
 			j.mu.Lock()

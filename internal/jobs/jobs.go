@@ -1,7 +1,8 @@
 // Package jobs is the resilience envelope that turns multiclust's one-shot
 // clustering substrate into a service: a multi-tenant async job engine with
-// a bounded queue, per-job deadlines, budgeted retry with deterministic
-// backoff, idempotency keys, cooperative cancellation, and graceful drain.
+// a bounded queue, per-job deadlines, a three-attempt reseed retry on the
+// job's seed schedule, idempotency keys, cooperative cancellation, and
+// graceful drain.
 //
 // A job is one clustering run — dataset plus algorithm spec — executed by a
 // bounded worker pool through the facade's ...Context variants, so every

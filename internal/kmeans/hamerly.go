@@ -21,8 +21,8 @@ import (
 // Lloyd. See DESIGN.md "Index & pruning invariants".
 const boundSlack = 1 + 1e-12
 
-// runOnceHamerly is runOnce with Hamerly's triangle-inequality pruning
-// (Hamerly 2010): per point it keeps an upper bound u on the distance to
+// runOnceHamerly is Lloyd's iteration with Hamerly's triangle-inequality
+// pruning (Hamerly 2010): per point it keeps an upper bound u on the distance to
 // the assigned center and a lower bound l on the distance to the
 // second-closest center. When u < max(s(a)/2, l) — with s(a) the distance
 // from the assigned center to its nearest other center — no other center
@@ -31,7 +31,8 @@ const boundSlack = 1 + 1e-12
 // fails, the point falls back to the exact Lloyd scan (same iteration
 // order, same strict <, same squared-distance comparisons), which also
 // refreshes both bounds. Labels, iteration count, reassignment counts, and
-// the recorded SSE trajectory are byte-identical to runOnce; only
+// the recorded SSE trajectory are byte-identical to the plain full-scan
+// iteration, kept as the test oracle runOnce (lloyd_test.go); only
 // kmeans.distance_computations differs — that counter is the point.
 func runOnceHamerly(ctx context.Context, points [][]float64, k, maxIter int, centers [][]float64, workers int, rec obs.Recorder) (*Result, error) {
 	n, d := len(points), len(points[0])
@@ -67,7 +68,7 @@ func runOnceHamerly(ctx context.Context, points [][]float64, k, maxIter int, cen
 		nChanged = 0
 		nDist = int64(k) * int64(k-1) / 2
 		trackSSE := rec != nil
-		// Assignment, sharded over points exactly like runOnce: every write
+		// Assignment, sharded over points exactly like Lloyd's: every write
 		// is to the shard's own labels/bounds/nearest slots, so the result
 		// is byte-identical for any worker count.
 		parallel.For(n, workers, func(lo, hi int) {
@@ -97,7 +98,7 @@ func runOnceHamerly(ctx context.Context, points [][]float64, k, maxIter int, cen
 						continue
 					}
 				}
-				// Full scan — the exact comparisons of runOnce, so the argmin
+				// Full scan — the exact comparisons of Lloyd's, so the argmin
 				// (including index-order tie-breaks) matches Lloyd.
 				bestC := 0
 				bestSq, secondSq := math.Inf(1), math.Inf(1)
@@ -166,15 +167,18 @@ func runOnceHamerly(ctx context.Context, points [][]float64, k, maxIter int, cen
 			lower[i] -= mm
 		}
 		centers = next
-		// Iteration-boundary cancellation, mirroring runOnce.
+		// Iteration-boundary cancellation: labels are fully assigned here,
+		// so the partial model is structurally valid.
 		if err := ctx.Err(); err != nil {
 			interrupted = err
 			iter++
 			break
 		}
 	}
-	// Final SSE against the returned (Clustering, Centers) pair — the exact
-	// pass runOnce performs, so the reported model cost is identical.
+	// Report the SSE of the returned (Clustering, Centers) pair: when the
+	// loop exhausts MaxIter the centers were recomputed after the last
+	// assignment, so the in-loop sum (measured against the previous
+	// centers) would overstate the cost of the model actually returned.
 	var sse float64
 	for i, p := range points {
 		sse += dist.SqEuclidean(p, centers[labels[i]])

@@ -1,5 +1,6 @@
-// Package kmeans implements Lloyd's k-means with k-means++ seeding, random
-// restarts, and a k-medoid variant. K-means is the tutorial's running example
+// Package kmeans implements k-means with k-means++ seeding and random
+// restarts; the Lloyd iteration prunes its assignment step with Hamerly's
+// bounds (hamerly.go). K-means is the tutorial's running example
 // of a traditional single-solution algorithm (slide 3) and the base learner
 // inside several multiple-clustering methods (decorrelated k-means, meta
 // clustering, orthogonal projections).
@@ -7,11 +8,9 @@ package kmeans
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"sync/atomic"
 
 	"multiclust/internal/core"
 	"multiclust/internal/dist"
@@ -26,28 +25,7 @@ type Config struct {
 	Restarts int   // default 1; best-SSE run wins
 	Seed     int64 // RNG seed for seeding; restart r derives seed Seed+r
 	Workers  int   // parallelism; <=0 resolves via internal/parallel
-	// Pruning selects the assignment strategy. The default (zero value)
-	// resolves to Hamerly's triangle-inequality bounds, which skip exact
-	// distance evaluations that provably cannot change a point's label;
-	// assignments, iteration counts, and the recorded SSE trajectory are
-	// byte-identical to the plain Lloyd scans (pinned by the determinism
-	// suite at workers 1/2/4/8), only kmeans.distance_computations drops.
-	Pruning Pruning
 }
-
-// Pruning selects how the assignment step evaluates distances.
-type Pruning int
-
-const (
-	// PruneDefault resolves to PruneHamerly.
-	PruneDefault Pruning = iota
-	// PruneOff runs plain Lloyd full scans (n*k exact distances per
-	// iteration) — the reference the pruned path is pinned against.
-	PruneOff
-	// PruneHamerly maintains Hamerly's upper/lower bounds to skip provably
-	// unchanged points.
-	PruneHamerly
-)
 
 // Result is a fitted k-means model.
 type Result struct {
@@ -57,7 +35,10 @@ type Result struct {
 	Iterations int
 }
 
-// Run clusters points with Lloyd's algorithm.
+// Run clusters points with Lloyd's algorithm, its assignment step pruned by
+// Hamerly's bounds: labels, centers, SSE, iteration count and the recorded
+// trajectory equal those of plain full scans, only
+// kmeans.distance_computations drops.
 func Run(points [][]float64, cfg Config) (*Result, error) {
 	return RunContext(context.Background(), points, cfg)
 }
@@ -68,6 +49,15 @@ func Run(points [][]float64, cfg Config) (*Result, error) {
 // across restarts is still returned, wrapped in core.ErrInterrupted. With a
 // background context the output is byte-identical to Run.
 func RunContext(ctx context.Context, points [][]float64, cfg Config) (*Result, error) {
+	return run(ctx, points, cfg, runOnceHamerly)
+}
+
+// run is RunContext with the per-restart iteration passed in, so the tests
+// drive Lloyd's full-scan oracle through the same validation, seeding and
+// restart selection.
+func run(ctx context.Context, points [][]float64, cfg Config,
+	once func(ctx context.Context, points [][]float64, k, maxIter int, centers [][]float64, workers int, rec obs.Recorder) (*Result, error),
+) (*Result, error) {
 	n := len(points)
 	if n == 0 {
 		return nil, core.ErrEmptyDataset
@@ -101,17 +91,10 @@ func RunContext(ctx context.Context, points [][]float64, cfg Config) (*Result, e
 		res *Result
 		err error
 	}
-	pruned := cfg.Pruning != PruneOff
 	outs := parallel.Map(cfg.Restarts, w, func(r int) restartOut {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(r)))
 		centers := PlusPlusSeeds(points, cfg.K, rng)
-		var res *Result
-		var err error
-		if pruned {
-			res, err = runOnceHamerly(ctx, points, cfg.K, cfg.MaxIter, centers, innerW, rec)
-		} else {
-			res, err = runOnce(ctx, points, cfg.K, cfg.MaxIter, centers, innerW, rec)
-		}
+		res, err := once(ctx, points, cfg.K, cfg.MaxIter, centers, innerW, rec)
 		return restartOut{res, err}
 	})
 	best := outs[0]
@@ -126,85 +109,6 @@ func RunContext(ctx context.Context, points [][]float64, cfg Config) (*Result, e
 		}
 	}
 	return best.res, nil
-}
-
-func runOnce(ctx context.Context, points [][]float64, k, maxIter int, centers [][]float64, workers int, rec obs.Recorder) (*Result, error) {
-	n, d := len(points), len(points[0])
-	labels := make([]int, n)
-	for i := range labels {
-		labels[i] = -1
-	}
-	nearest := make([]float64, n) // squared distance to the assigned center
-	var nChanged int64
-	var interrupted error
-	iter := 0
-	for ; iter < maxIter; iter++ {
-		// Assignment, sharded over points. Each shard writes disjoint
-		// labels[i]/nearest[i] entries; the SSE is NOT accumulated here but
-		// summed over nearest in index order below, so the total is
-		// byte-identical for every worker count.
-		nChanged = 0
-		parallel.For(n, workers, func(lo, hi int) {
-			var changed int64
-			for i := lo; i < hi; i++ {
-				p := points[i]
-				bestC, bestD := 0, math.Inf(1)
-				for c, ctr := range centers {
-					if dd := dist.SqEuclidean(p, ctr); dd < bestD {
-						bestC, bestD = c, dd
-					}
-				}
-				if labels[i] != bestC {
-					labels[i] = bestC
-					changed++
-				}
-				nearest[i] = bestD
-			}
-			if changed > 0 {
-				atomic.AddInt64(&nChanged, changed)
-			}
-		})
-		// Trajectory instrumentation, gated so the disabled path pays only
-		// this nil check per iteration. The per-iteration SSE is the sum of
-		// the freshly written nearest[] slots in index order (deterministic
-		// for any worker count); it measures the assignment against the
-		// centers that produced it.
-		if rec != nil {
-			var iterSSE float64
-			for _, dd := range nearest {
-				iterSSE += dd
-			}
-			obs.Count(rec, "kmeans.iterations", 1)
-			obs.Count(rec, "kmeans.reassignments", nChanged)
-			obs.Count(rec, "kmeans.distance_computations", int64(n)*int64(len(centers)))
-			obs.Observe(rec, "kmeans.sse", iter, iterSSE)
-		}
-		if nChanged == 0 {
-			break
-		}
-		centers = recomputeCenters(points, labels, k, d, centers, rec)
-		// Iteration-boundary cancellation: labels are fully assigned here, so
-		// the partial model below is structurally valid.
-		if err := ctx.Err(); err != nil {
-			interrupted = err
-			iter++
-			break
-		}
-	}
-	// Report the SSE of the returned (Clustering, Centers) pair: when the
-	// loop exhausts MaxIter the centers were recomputed after the last
-	// assignment, so the in-loop sum (measured against the previous centers)
-	// would overstate the cost of the model actually returned.
-	var sse float64
-	for i, p := range points {
-		sse += dist.SqEuclidean(p, centers[labels[i]])
-	}
-	return &Result{
-		Clustering: core.NewClustering(labels),
-		Centers:    centers,
-		SSE:        sse,
-		Iterations: iter,
-	}, interrupted
 }
 
 // recomputeCenters returns the mean of each cluster's members. Empty
@@ -291,98 +195,4 @@ func PlusPlusSeeds(points [][]float64, k int, rng *rand.Rand) [][]float64 {
 		centers = append(centers, append([]float64(nil), points[idx]...))
 	}
 	return centers
-}
-
-// Assign labels each point to its nearest center under d.
-func Assign(points [][]float64, centers [][]float64, d dist.Func) *core.Clustering {
-	labels := make([]int, len(points))
-	for i, p := range points {
-		bestC, bestD := 0, math.Inf(1)
-		for c, ctr := range centers {
-			if dd := d(p, ctr); dd < bestD {
-				bestC, bestD = c, dd
-			}
-		}
-		labels[i] = bestC
-	}
-	return core.NewClustering(labels)
-}
-
-// SSE returns the sum of squared Euclidean distances from each point to its
-// assigned center; the tutorial's example quality function Q for k-means
-// (slide 28), negated (lower SSE = higher quality).
-func SSE(points [][]float64, c *core.Clustering, centers [][]float64) float64 {
-	var s float64
-	for i, p := range points {
-		l := c.Labels[i]
-		if l < 0 || l >= len(centers) {
-			continue
-		}
-		s += dist.SqEuclidean(p, centers[l])
-	}
-	return s
-}
-
-// Medoids runs a PAM-style k-medoid clustering under an arbitrary distance,
-// used by PROCLUS. It greedily swaps medoids while the total assignment cost
-// improves.
-func Medoids(points [][]float64, k int, d dist.Func, seed int64, maxIter int) (*core.Clustering, []int, error) {
-	n := len(points)
-	if n == 0 {
-		return nil, nil, core.ErrEmptyDataset
-	}
-	if k <= 0 || k > n {
-		return nil, nil, errors.New("kmeans: invalid medoid count")
-	}
-	if maxIter <= 0 {
-		maxIter = 30
-	}
-	rng := rand.New(rand.NewSource(seed))
-	medoids := rng.Perm(n)[:k]
-	assign := func(meds []int) ([]int, float64) {
-		labels := make([]int, n)
-		var cost float64
-		for i, p := range points {
-			bestC, bestD := 0, math.Inf(1)
-			for c, m := range meds {
-				if dd := d(p, points[m]); dd < bestD {
-					bestC, bestD = c, dd
-				}
-			}
-			labels[i] = bestC
-			cost += bestD
-		}
-		return labels, cost
-	}
-	labels, cost := assign(medoids)
-	for iter := 0; iter < maxIter; iter++ {
-		improved := false
-		for c := 0; c < k; c++ {
-			for cand := 0; cand < n; cand++ {
-				if contains(medoids, cand) {
-					continue
-				}
-				trial := append([]int(nil), medoids...)
-				trial[c] = cand
-				tl, tc := assign(trial)
-				if tc < cost-1e-12 {
-					medoids, labels, cost = trial, tl, tc
-					improved = true
-				}
-			}
-		}
-		if !improved {
-			break
-		}
-	}
-	return core.NewClustering(labels), medoids, nil
-}
-
-func contains(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

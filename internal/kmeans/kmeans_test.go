@@ -88,51 +88,16 @@ func TestPlusPlusSeedsDegenerate(t *testing.T) {
 	}
 }
 
-func TestAssign(t *testing.T) {
-	centers := [][]float64{{0, 0}, {10, 10}}
-	pts := [][]float64{{1, 1}, {9, 9}}
-	c := Assign(pts, centers, dist.Euclidean)
-	if c.Labels[0] != 0 || c.Labels[1] != 1 {
-		t.Errorf("Assign = %v", c.Labels)
-	}
-}
-
 func TestSSEHelper(t *testing.T) {
 	pts := [][]float64{{0}, {2}}
 	c := core.NewClustering([]int{0, 0})
 	centers := [][]float64{{1}}
-	if got := SSE(pts, c, centers); got != 2 {
-		t.Errorf("SSE = %v, want 2", got)
+	if got := sse(pts, c, centers); got != 2 {
+		t.Errorf("sse = %v, want 2", got)
 	}
 	// Noise points ignored.
 	c2 := core.NewClustering([]int{0, core.Noise})
-	if got := SSE(pts, c2, centers); got != 1 {
-		t.Errorf("SSE with noise = %v, want 1", got)
-	}
-}
-
-func TestMedoids(t *testing.T) {
-	ds, truth := dataset.GaussianBlobs(5, 60, [][]float64{{0, 0}, {8, 8}}, 0.4)
-	c, meds, err := Medoids(ds.Points, 2, dist.Euclidean, 3, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(meds) != 2 {
-		t.Fatal("wrong medoid count")
-	}
-	agree := 0
-	for i := range truth {
-		if (truth[i] == truth[0]) == (c.Labels[i] == c.Labels[0]) {
-			agree++
-		}
-	}
-	if agree < 55 {
-		t.Errorf("medoids agreement %d/60", agree)
-	}
-	if _, _, err := Medoids(nil, 2, dist.Euclidean, 1, 10); err == nil {
-		t.Error("empty data should fail")
-	}
-	if _, _, err := Medoids(ds.Points, 0, dist.Euclidean, 1, 10); err == nil {
-		t.Error("k=0 should fail")
+	if got := sse(pts, c2, centers); got != 1 {
+		t.Errorf("sse with noise = %v, want 1", got)
 	}
 }

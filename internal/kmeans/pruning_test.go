@@ -3,6 +3,7 @@ package kmeans
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -51,11 +52,11 @@ func TestHamerlyMatchesLloyd(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d_n=%d_k=%d", tc.seed, tc.n, tc.k), func(t *testing.T) {
 			pts := randomBlobPoints(tc.seed, tc.n, tc.dims, tc.k)
 			for _, w := range []int{1, 2, 4, 8} {
-				lloyd, err := Run(pts, Config{K: tc.k, Seed: tc.seed, Restarts: 2, Workers: w, Pruning: PruneOff})
+				lloyd, err := run(context.Background(), pts, Config{K: tc.k, Seed: tc.seed, Restarts: 2, Workers: w}, runOnce)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ham, err := Run(pts, Config{K: tc.k, Seed: tc.seed, Restarts: 2, Workers: w, Pruning: PruneHamerly})
+				ham, err := Run(pts, Config{K: tc.k, Seed: tc.seed, Restarts: 2, Workers: w})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -69,23 +70,6 @@ func TestHamerlyMatchesLloyd(t *testing.T) {
 	}
 }
 
-// TestPruneDefaultIsHamerly pins the knob's default: the zero value must
-// run the pruned path and match an explicit PruneHamerly run exactly.
-func TestPruneDefaultIsHamerly(t *testing.T) {
-	pts := randomBlobPoints(7, 300, 3, 4)
-	def, err := Run(pts, Config{K: 4, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ham, err := Run(pts, Config{K: 4, Seed: 7, Pruning: PruneHamerly})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(def, ham) {
-		t.Error("PruneDefault does not match PruneHamerly")
-	}
-}
-
 // TestHamerlyTelemetryMatchesLloyd pins the instrumented trajectories: the
 // recorded iterations, reassignments, and per-iteration SSE series must be
 // byte-identical between the two paths; only distance_computations may —
@@ -93,17 +77,17 @@ func TestPruneDefaultIsHamerly(t *testing.T) {
 // n*k per iteration.
 func TestHamerlyTelemetryMatchesLloyd(t *testing.T) {
 	pts := randomBlobPoints(11, 500, 3, 4)
-	snap := func(p Pruning) (obs.Snapshot, *Result) {
+	snap := func(once func(context.Context, [][]float64, int, int, [][]float64, int, obs.Recorder) (*Result, error)) (obs.Snapshot, *Result) {
 		col := obs.NewCollector()
 		ctx := obs.NewContext(context.Background(), col)
-		res, err := RunContext(ctx, pts, Config{K: 4, Seed: 11, Pruning: p})
+		res, err := run(ctx, pts, Config{K: 4, Seed: 11}, once)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return col.Snapshot(), res
 	}
-	ls, lr := snap(PruneOff)
-	hs, hr := snap(PruneHamerly)
+	ls, lr := snap(runOnce)
+	hs, hr := snap(runOnceHamerly)
 	for _, k := range []string{"kmeans.iterations", "kmeans.reassignments", "kmeans.restarts"} {
 		if ls.Counters[k] != hs.Counters[k] {
 			t.Errorf("counter %s: lloyd %d vs hamerly %d", k, ls.Counters[k], hs.Counters[k])
@@ -122,4 +106,66 @@ func TestHamerlyTelemetryMatchesLloyd(t *testing.T) {
 	if hr.SSE != lr.SSE || hr.Iterations != lr.Iterations {
 		t.Errorf("results diverge: SSE %v vs %v, iters %d vs %d", hr.SSE, lr.SSE, hr.Iterations, lr.Iterations)
 	}
+}
+
+// FuzzHamerlyEqualsLloyd fuzzes the pruning invariant over the input:
+// whatever points (n <= 200, d <= 6, coordinates snapped to an 8-step grid
+// so ties and duplicates occur), k <= min(n, 12), 1-3 restarts and MaxIter
+// the fuzzer finds, RunContext and the Lloyd oracle driven the same way
+// (same PlusPlusSeeds, same restart selection) return bit-equal labels,
+// centers and SSE and the same iteration count, and record the same
+// kmeans.iterations, kmeans.reassignments and kmeans.sse trajectories.
+func FuzzHamerlyEqualsLloyd(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte, dims, k, restarts, maxIter uint8, seed int64) {
+		d := int(dims)%6 + 1
+		n := min(len(raw)/d, 200)
+		if n == 0 {
+			t.Skip()
+		}
+		pts := make([][]float64, n)
+		for i := range pts {
+			pts[i] = make([]float64, d)
+			for j := range pts[i] {
+				pts[i][j] = float64(raw[i*d+j] % 8)
+			}
+		}
+		cfg := Config{K: int(k)%min(n, 12) + 1, Restarts: int(restarts)%3 + 1, MaxIter: int(maxIter), Seed: seed, Workers: 2}
+		hamCol, lloydCol := obs.NewCollector(), obs.NewCollector()
+		ham, err := RunContext(obs.NewContext(context.Background(), hamCol), pts, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lloyd, err := run(obs.NewContext(context.Background(), lloydCol), pts, cfg, runOnce)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ham.Clustering.Labels, lloyd.Clustering.Labels) {
+			t.Fatalf("labels diverge:\nhamerly %v\nlloyd   %v", ham.Clustering.Labels, lloyd.Clustering.Labels)
+		}
+		for c := range lloyd.Centers {
+			for j, v := range lloyd.Centers[c] {
+				if math.Float64bits(ham.Centers[c][j]) != math.Float64bits(v) {
+					t.Fatalf("center %d dim %d: hamerly %v, lloyd %v", c, j, ham.Centers[c][j], v)
+				}
+			}
+		}
+		if math.Float64bits(ham.SSE) != math.Float64bits(lloyd.SSE) || ham.Iterations != lloyd.Iterations {
+			t.Fatalf("SSE %v vs %v, iterations %d vs %d", ham.SSE, lloyd.SSE, ham.Iterations, lloyd.Iterations)
+		}
+		hs, ls := hamCol.Snapshot(), lloydCol.Snapshot()
+		for _, name := range []string{"kmeans.iterations", "kmeans.reassignments"} {
+			if hs.Counters[name] != ls.Counters[name] {
+				t.Fatalf("%s: hamerly %d, lloyd %d", name, hs.Counters[name], ls.Counters[name])
+			}
+		}
+		hseries, lseries := hs.Series["kmeans.sse"], ls.Series["kmeans.sse"]
+		if len(hseries) != len(lseries) {
+			t.Fatalf("kmeans.sse: %d samples vs %d", len(hseries), len(lseries))
+		}
+		for i := range lseries {
+			if hseries[i].Iter != lseries[i].Iter || math.Float64bits(hseries[i].Value) != math.Float64bits(lseries[i].Value) {
+				t.Fatalf("kmeans.sse sample %d: hamerly %+v, lloyd %+v", i, hseries[i], lseries[i])
+			}
+		}
+	})
 }

@@ -4,7 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"multiclust/internal/core"
 	"multiclust/internal/dataset"
+	"multiclust/internal/dist"
 )
 
 // Two clusters emptying in the same center-recompute pass must be re-seeded
@@ -47,6 +49,20 @@ func TestRecomputeCentersDegenerateAllUsed(t *testing.T) {
 	}
 }
 
+// sse returns the sum of squared Euclidean distances from each point to its
+// assigned center, skipping labels outside the center range.
+func sse(points [][]float64, c *core.Clustering, centers [][]float64) float64 {
+	var s float64
+	for i, p := range points {
+		l := c.Labels[i]
+		if l < 0 || l >= len(centers) {
+			continue
+		}
+		s += dist.SqEuclidean(p, centers[l])
+	}
+	return s
+}
+
 // Result.SSE must always be the SSE of the returned (Clustering, Centers)
 // pair, including when MaxIter stops the loop before convergence — the old
 // code reported the SSE measured against the previous iteration's centers.
@@ -57,7 +73,7 @@ func TestSSEMatchesReturnedModelAtMaxIter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := SSE(ds.Points, res.Clustering, res.Centers)
+		want := sse(ds.Points, res.Clustering, res.Centers)
 		if res.SSE != want {
 			t.Errorf("MaxIter=%d: Result.SSE = %v, SSE(Clustering, Centers) = %v", maxIter, res.SSE, want)
 		}

@@ -145,21 +145,3 @@ func InvSqrt(a *Matrix, eps float64) (*Matrix, error) {
 	}
 	return e.Vectors.Mul(Diag(d)).Mul(e.Vectors.T()), nil
 }
-
-// Sqrt returns A^{1/2} for a symmetric positive semi-definite matrix.
-// Negative eigenvalues (numerical noise) are clamped to zero.
-func Sqrt(a *Matrix) (*Matrix, error) {
-	e, err := SymEigen(a)
-	if err != nil {
-		return nil, err
-	}
-	n := a.Rows
-	d := make([]float64, n)
-	for i, v := range e.Values {
-		if v < 0 {
-			v = 0
-		}
-		d[i] = math.Sqrt(v)
-	}
-	return e.Vectors.Mul(Diag(d)).Mul(e.Vectors.T()), nil
-}

@@ -76,15 +76,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Row returns a view (not a copy) of row i.
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = m.Data[i*m.Cols+j]
-	}
-	return out
-}
-
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
 	out := NewMatrix(m.Rows, m.Cols)
@@ -103,31 +94,12 @@ func (m *Matrix) T() *Matrix {
 	return out
 }
 
-// Add returns m + b (allocates). Panics on shape mismatch.
-func (m *Matrix) Add(b *Matrix) *Matrix {
-	m.mustSameShape(b)
-	out := m.Clone()
-	for i, v := range b.Data {
-		out.Data[i] += v
-	}
-	return out
-}
-
 // Sub returns m - b (allocates). Panics on shape mismatch.
 func (m *Matrix) Sub(b *Matrix) *Matrix {
 	m.mustSameShape(b)
 	out := m.Clone()
 	for i, v := range b.Data {
 		out.Data[i] -= v
-	}
-	return out
-}
-
-// Scale returns s*m (allocates).
-func (m *Matrix) Scale(s float64) *Matrix {
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] *= s
 	}
 	return out
 }
@@ -181,18 +153,6 @@ func (m *Matrix) OuterInto(s float64, x, y []float64) {
 	}
 }
 
-// Trace returns the sum of diagonal elements of a square matrix.
-func (m *Matrix) Trace() float64 {
-	if m.Rows != m.Cols {
-		panic("linalg: Trace of non-square matrix")
-	}
-	var t float64
-	for i := 0; i < m.Rows; i++ {
-		t += m.Data[i*m.Cols+i]
-	}
-	return t
-}
-
 // FrobeniusNorm returns the Frobenius norm of m.
 func (m *Matrix) FrobeniusNorm() float64 {
 	var s float64
@@ -229,5 +189,13 @@ func (m *Matrix) String() string {
 func (m *Matrix) mustSameShape(b *Matrix) {
 	if m.Rows != b.Rows || m.Cols != b.Cols {
 		panic(fmt.Sprintf("linalg: shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
+	}
+}
+
+// RegularizeInPlace adds eps to the diagonal of a square matrix. Used to keep
+// empirical covariances positive definite.
+func RegularizeInPlace(a *Matrix, eps float64) {
+	for i := 0; i < a.Rows; i++ {
+		a.Data[i*a.Cols+i] += eps
 	}
 }

@@ -52,30 +52,6 @@ func ComputePCA(x *Matrix) (*PCA, error) {
 	return &PCA{Mean: mean, Components: e.Vectors, Variances: e.Values}, nil
 }
 
-// Project maps the n×d data matrix onto the first k principal components,
-// returning an n×k matrix of scores.
-func (p *PCA) Project(x *Matrix, k int) *Matrix {
-	if k > x.Cols {
-		k = x.Cols
-	}
-	out := NewMatrix(x.Rows, k)
-	centered := make([]float64, x.Cols)
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		for j := range centered {
-			centered[j] = row[j] - p.Mean[j]
-		}
-		for c := 0; c < k; c++ {
-			var s float64
-			for j := 0; j < x.Cols; j++ {
-				s += centered[j] * p.Components.At(j, c)
-			}
-			out.Set(i, c, s)
-		}
-	}
-	return out
-}
-
 // TopComponents returns the d×k matrix whose columns are the first k
 // principal directions.
 func (p *PCA) TopComponents(k int) *Matrix {

@@ -90,15 +90,6 @@ func (f *LU) Solve(b []float64) []float64 {
 	return x
 }
 
-// Det returns the determinant of the factorized matrix.
-func (f *LU) Det() float64 {
-	d := f.sign
-	for i := 0; i < f.lu.Rows; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
 // Solve solves the linear system a*x = b.
 func Solve(a *Matrix, b []float64) ([]float64, error) {
 	f, err := Factorize(a)
@@ -128,13 +119,4 @@ func Inverse(a *Matrix) (*Matrix, error) {
 		}
 	}
 	return inv, nil
-}
-
-// Det returns the determinant of the square matrix a, or 0 if a is singular.
-func Det(a *Matrix) float64 {
-	f, err := Factorize(a)
-	if err != nil {
-		return 0
-	}
-	return f.Det()
 }

@@ -115,11 +115,6 @@ func ComputeSVD(a *Matrix) (*SVD, error) {
 	return &SVD{U: su, S: ss, V: vv}, nil
 }
 
-// Reconstruct returns U * diag(S) * V^T.
-func (s *SVD) Reconstruct() *Matrix {
-	return s.U.Mul(Diag(s.S)).Mul(s.V.T())
-}
-
 // InvertStretch returns U * diag(S)^{-1} * V^T: the same rotations with the
 // stretch inverted. This is the "alternative transformation" of Davidson &
 // Qi (2008): directions the learned metric stretched are compressed and vice

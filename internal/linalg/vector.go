@@ -67,27 +67,3 @@ func Normalize(x []float64) float64 {
 	}
 	return n
 }
-
-// CosineSim returns the cosine similarity of x and y, or 0 if either has
-// zero norm.
-func CosineSim(x, y []float64) float64 {
-	nx, ny := Norm(x), Norm(y)
-	if nx == 0 || ny == 0 {
-		return 0
-	}
-	return Dot(x, y) / (nx * ny)
-}
-
-// Mean returns the element-wise mean of the given vectors (allocates).
-// Panics if vecs is empty or ragged.
-func Mean(vecs [][]float64) []float64 {
-	if len(vecs) == 0 {
-		panic("linalg: Mean of no vectors")
-	}
-	out := make([]float64, len(vecs[0]))
-	for _, v := range vecs {
-		Axpy(1, v, out)
-	}
-	ScaleVec(1/float64(len(vecs)), out)
-	return out
-}

@@ -7,7 +7,7 @@ import (
 )
 
 // SharedRNG flags a *rand.Rand that more than one worker of the
-// internal/parallel helpers (For, Each, Map, MapReduce) can reach. Worker
+// internal/parallel helpers (For, Each, Map) can reach. Worker
 // goroutines sharing one generator is both a data race (*rand.Rand is not
 // safe for concurrent use) and nondeterministic (the interleaving decides
 // who draws which variate). A worker closure is flagged when it
@@ -29,16 +29,15 @@ import (
 func SharedRNG() *Analyzer {
 	return &Analyzer{
 		Name: "sharedrng",
-		Doc:  "*rand.Rand shared by, or escaping, the closures passed to parallel.For/Each/Map/MapReduce",
+		Doc:  "*rand.Rand shared by, or escaping, the closures passed to parallel.For/Each/Map",
 		Run:  runSharedRNG,
 	}
 }
 
 var parallelEntryPoints = map[string]bool{
-	"For":       true,
-	"Each":      true,
-	"Map":       true,
-	"MapReduce": true,
+	"For":  true,
+	"Each": true,
+	"Map":  true,
 }
 
 func runSharedRNG(p *Package) []Finding {
@@ -54,7 +53,7 @@ func runSharedRNG(p *Package) []Finding {
 // worker is one closure handed to a parallel entry point.
 type worker struct {
 	lit *ast.FuncLit
-	fn  string // For / Each / Map / MapReduce
+	fn  string // For / Each / Map
 }
 
 // sharedRNGIn checks one top-level declaration: its worker closures are
@@ -81,7 +80,7 @@ func sharedRNGIn(p *Package, decl ast.Decl) []Finding {
 }
 
 // parallelClosures collects every FuncLit passed directly to a
-// parallel.For/Each/Map/MapReduce call under root.
+// parallel.For/Each/Map call under root.
 func parallelClosures(p *Package, root ast.Node) []worker {
 	var out []worker
 	ast.Inspect(root, func(n ast.Node) bool {

@@ -82,9 +82,9 @@ func ParseLogLevel(s string) (LogLevel, error) {
 	return LogInfo, fmt.Errorf("obs: unknown log level %q (want debug, info, warn or error)", s)
 }
 
-// LogField is one pre-rendered key/value pair. Construct with LStr, LInt,
-// LFloat, LBool or LDurMS; the value is rendered at construction so the
-// logger's hot path only concatenates.
+// LogField is one pre-rendered key/value pair. Construct with LStr, LInt
+// or LDurMS; the value is rendered at construction so the logger's hot
+// path only concatenates.
 type LogField struct {
 	key string
 	val string
@@ -95,13 +95,6 @@ func LStr(key, v string) LogField { return LogField{key: key, val: strconv.Quote
 
 // LInt is an integer-valued log field.
 func LInt(key string, v int64) LogField { return LogField{key: key, val: strconv.FormatInt(v, 10)} }
-
-// LFloat is a float-valued log field (shortest round-trip rendering;
-// non-finite values quote like trace output).
-func LFloat(key string, v float64) LogField { return LogField{key: key, val: jsonFloat(v)} }
-
-// LBool is a boolean-valued log field.
-func LBool(key string, v bool) LogField { return LogField{key: key, val: strconv.FormatBool(v)} }
 
 // LDurMS renders a duration as fractional milliseconds with fixed
 // three-decimal precision — fixed, not shortest, so column alignment and

@@ -53,14 +53,10 @@ type MuxOptions struct {
 	Log *obs.Logger
 }
 
-// NewMux routes the ops endpoints. col may be nil, in which case
-// /metrics and /spans report 503 Service Unavailable (the pprof and
-// health endpoints still work).
-func NewMux(col *obs.Collector) *http.ServeMux {
-	return NewMuxOpts(col, MuxOptions{})
-}
-
-// NewMuxOpts is NewMux plus a readiness hook and application mounts.
+// NewMuxOpts routes the ops endpoints plus opt's readiness hook and
+// application mounts. col may be nil, in which case /metrics and /spans
+// report 503 Service Unavailable (the pprof and health endpoints still
+// work).
 func NewMuxOpts(col *obs.Collector, opt MuxOptions) *http.ServeMux {
 	start := time.Now()
 	mux := http.NewServeMux()
@@ -109,19 +105,14 @@ func NewMuxOpts(col *obs.Collector, opt MuxOptions) *http.ServeMux {
 	return mux
 }
 
-// NewServer wraps the ops mux in an http.Server with conservative
-// timeouts. WriteTimeout stays 0 because /debug/pprof/profile streams
-// for its `seconds` parameter (30s default) and a write deadline would
-// truncate the profile; slow-loris exposure is bounded by
-// ReadHeaderTimeout and IdleTimeout instead.
-func NewServer(addr string, col *obs.Collector) *http.Server {
-	return NewServerOpts(addr, col, MuxOptions{})
-}
-
-// NewServerOpts is NewServer with a readiness hook and application
-// mounts. The whole mux is wrapped in the Instrument middleware, so every
-// request gets a trace id, a latency histogram observation and (with
-// opt.Log set) an access-log line.
+// NewServerOpts wraps the ops mux, with opt's readiness hook and
+// application mounts, in an http.Server with conservative timeouts.
+// WriteTimeout stays 0 because /debug/pprof/profile streams for its
+// `seconds` parameter (30s default) and a write deadline would truncate
+// the profile; slow-loris exposure is bounded by ReadHeaderTimeout and
+// IdleTimeout instead. The whole mux is wrapped in the Instrument
+// middleware, so every request gets a trace id, a latency histogram
+// observation and (with opt.Log set) an access-log line.
 func NewServerOpts(addr string, col *obs.Collector, opt MuxOptions) *http.Server {
 	return &http.Server{
 		Addr:              addr,

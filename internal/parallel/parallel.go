@@ -22,8 +22,7 @@
 // goroutine as a *PanicError carrying the task index and worker stack. In
 // Each/Map every index is still evaluated after a panic, so the re-raised
 // panic is the one from the LOWEST panicking index regardless of worker
-// count or scheduling. TryEach/TryMap give the same guarantee for ordinary
-// errors.
+// count or scheduling.
 //
 // Profiling attribution: worker goroutines inherit the runtime/pprof
 // labels of the goroutine that called For/Each/Map (the Go runtime copies
@@ -217,55 +216,6 @@ func Map[T any](n, workers int, fn func(i int) T) []T {
 	out := make([]T, n)
 	Each(n, workers, func(i int) { out[i] = fn(i) })
 	return out
-}
-
-// MapReduce maps every index concurrently and folds the mapped values
-// serially in index order — the fold order (and therefore any floating-point
-// accumulation) is identical to a fully serial run.
-func MapReduce[T, R any](n, workers int, m func(i int) T, init R, fold func(acc R, i int, v T) R) R {
-	mapped := Map(n, workers, m)
-	acc := init
-	for i, v := range mapped {
-		acc = fold(acc, i, v)
-	}
-	return acc
-}
-
-// TryEach runs fn(i) for every i in [0, n) concurrently and returns the
-// error from the lowest failing index (nil when all succeed). Every index is
-// evaluated even after a failure — no early abort — so the returned error is
-// independent of worker count and scheduling. Panics are contained exactly
-// as in Each.
-func TryEach(n, workers int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	errs := make([]error, n)
-	Each(n, workers, func(i int) { errs[i] = fn(i) })
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// TryMap computes fn(i) for every i in [0, n) concurrently, returning the
-// results in index order plus the error from the lowest failing index. On
-// error the full result slice is still returned (failed slots hold whatever
-// fn returned alongside its error), mirroring TryEach's evaluate-everything
-// determinism.
-func TryMap[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	if n <= 0 {
-		return nil, nil
-	}
-	out := make([]T, n)
-	err := TryEach(n, workers, func(i int) error {
-		v, e := fn(i)
-		out[i] = v
-		return e
-	})
-	return out, err
 }
 
 // noteDispatch records one fan-out into the process-wide recorder: how

@@ -160,63 +160,3 @@ func TestPanicErrorUnwrap(t *testing.T) {
 		t.Error("non-error panic value should unwrap to nil")
 	}
 }
-
-func TestTryEachLowestError(t *testing.T) {
-	for _, w := range []int{1, 2, 8} {
-		var visited atomic.Int32
-		err := TryEach(20, w, func(i int) error {
-			visited.Add(1)
-			if i == 7 || i == 13 {
-				return fmt.Errorf("fail %d", i)
-			}
-			return nil
-		})
-		if err == nil || err.Error() != "fail 7" {
-			t.Errorf("w=%d: err = %v, want fail 7", w, err)
-		}
-		if visited.Load() != 20 {
-			t.Errorf("w=%d: visited %d, want 20 (no early abort)", w, visited.Load())
-		}
-	}
-	if err := TryEach(5, 2, func(int) error { return nil }); err != nil {
-		t.Errorf("all-success TryEach: %v", err)
-	}
-	if err := TryEach(0, 2, func(int) error { return errors.New("x") }); err != nil {
-		t.Errorf("empty TryEach: %v", err)
-	}
-}
-
-func TestTryMap(t *testing.T) {
-	out, err := TryMap(6, 3, func(i int) (int, error) {
-		if i == 4 {
-			return -1, errors.New("bad 4")
-		}
-		return i * 2, nil
-	})
-	if err == nil || err.Error() != "bad 4" {
-		t.Fatalf("err = %v", err)
-	}
-	if len(out) != 6 || out[2] != 4 || out[4] != -1 {
-		t.Fatalf("out = %v", out)
-	}
-	ok, err := TryMap(4, 2, func(i int) (int, error) { return i, nil })
-	if err != nil || fmt.Sprint(ok) != "[0 1 2 3]" {
-		t.Fatalf("ok = %v err = %v", ok, err)
-	}
-	nilOut, err := TryMap(0, 2, func(int) (int, error) { return 0, nil })
-	if nilOut != nil || err != nil {
-		t.Fatalf("empty TryMap = %v, %v", nilOut, err)
-	}
-}
-
-func TestMapReduceDeterministicFold(t *testing.T) {
-	// The fold must run in index order regardless of worker count: build a
-	// string so any reordering is visible.
-	for _, w := range []int{1, 3, 8} {
-		s := MapReduce(6, w, func(i int) byte { return byte('a' + i) }, "",
-			func(acc string, _ int, v byte) string { return acc + string(v) })
-		if s != "abcdef" {
-			t.Errorf("w=%d: fold order broken: %q", w, s)
-		}
-	}
-}

@@ -9,7 +9,7 @@
 // multiclust function can panic and no contaminated dataset silently poisons
 // a result. The typed sentinels (ErrInvalidInput, ErrShape, ErrInterrupted,
 // ErrDegenerate, ErrPanic) are defined in internal/core — the bottom of the
-// import graph — and re-exported here; match them with errors.Is.
+// import graph; match them with errors.Is.
 package robust
 
 import (
@@ -17,16 +17,6 @@ import (
 	"math"
 
 	"multiclust/internal/core"
-)
-
-// Re-exported typed sentinels; see internal/core for the taxonomy.
-var (
-	ErrInvalidInput = core.ErrInvalidInput
-	ErrShape        = core.ErrShape
-	ErrInterrupted  = core.ErrInterrupted
-	ErrDegenerate   = core.ErrDegenerate
-	ErrPanic        = core.ErrPanic
-	ErrEmptyDataset = core.ErrEmptyDataset
 )
 
 // ValidateDataset checks that points form a rectangular table of finite

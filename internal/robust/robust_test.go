@@ -26,14 +26,14 @@ func TestValidateDatasetEmpty(t *testing.T) {
 }
 
 func TestValidateDatasetZeroDim(t *testing.T) {
-	if err := ValidateDataset([][]float64{{}}); !errors.Is(err, ErrInvalidInput) {
+	if err := ValidateDataset([][]float64{{}}); !errors.Is(err, core.ErrInvalidInput) {
 		t.Fatalf("want ErrInvalidInput, got %v", err)
 	}
 }
 
 func TestValidateDatasetRagged(t *testing.T) {
 	err := ValidateDataset([][]float64{{1, 2}, {3}})
-	if !errors.Is(err, ErrShape) {
+	if !errors.Is(err, core.ErrShape) {
 		t.Fatalf("want ErrShape, got %v", err)
 	}
 	if !strings.Contains(err.Error(), "row 1") {
@@ -48,7 +48,7 @@ func TestValidateDatasetNonFinite(t *testing.T) {
 		"-inf": math.Inf(-1),
 	} {
 		err := ValidateDataset([][]float64{{0, 1}, {2, v}})
-		if !errors.Is(err, ErrInvalidInput) {
+		if !errors.Is(err, core.ErrInvalidInput) {
 			t.Fatalf("%s: want ErrInvalidInput, got %v", name, err)
 		}
 		if !strings.Contains(err.Error(), "row 1 col 1") {
@@ -63,7 +63,7 @@ func TestValidateViews(t *testing.T) {
 	if err := ValidateViews(a, b); err != nil {
 		t.Fatalf("matched views rejected: %v", err)
 	}
-	if err := ValidateViews(a, b[:1]); !errors.Is(err, ErrShape) {
+	if err := ValidateViews(a, b[:1]); !errors.Is(err, core.ErrShape) {
 		t.Fatalf("want ErrShape for mismatched object counts, got %v", err)
 	}
 	if err := ValidateViews(); !errors.Is(err, core.ErrEmptyDataset) {
@@ -75,10 +75,10 @@ func TestValidateLabels(t *testing.T) {
 	if err := ValidateLabels([]int{0, 1, core.Noise}, 3); err != nil {
 		t.Fatalf("valid labels rejected: %v", err)
 	}
-	if err := ValidateLabels(nil, 3); !errors.Is(err, ErrInvalidInput) {
+	if err := ValidateLabels(nil, 3); !errors.Is(err, core.ErrInvalidInput) {
 		t.Fatalf("want ErrInvalidInput for nil labels, got %v", err)
 	}
-	if err := ValidateLabels([]int{0, 1}, 3); !errors.Is(err, ErrShape) {
+	if err := ValidateLabels([]int{0, 1}, 3); !errors.Is(err, core.ErrShape) {
 		t.Fatalf("want ErrShape for short labels, got %v", err)
 	}
 }
@@ -88,11 +88,11 @@ func TestValidateClusterings(t *testing.T) {
 	if err := ValidateClusterings([]*core.Clustering{good, good}, 2); err != nil {
 		t.Fatalf("valid clusterings rejected: %v", err)
 	}
-	if err := ValidateClustering(nil, 2); !errors.Is(err, ErrInvalidInput) {
+	if err := ValidateClustering(nil, 2); !errors.Is(err, core.ErrInvalidInput) {
 		t.Fatalf("want ErrInvalidInput for nil clustering, got %v", err)
 	}
 	bad := core.NewClustering([]int{0})
-	if err := ValidateClusterings([]*core.Clustering{good, bad}, 2); !errors.Is(err, ErrShape) {
+	if err := ValidateClusterings([]*core.Clustering{good, bad}, 2); !errors.Is(err, core.ErrShape) {
 		t.Fatalf("want ErrShape, got %v", err)
 	}
 }
@@ -114,7 +114,7 @@ func TestSanitizeRejectCopies(t *testing.T) {
 
 func TestSanitizeRejectFails(t *testing.T) {
 	_, _, err := Sanitize([][]float64{{math.NaN()}}, Reject)
-	if !errors.Is(err, ErrInvalidInput) {
+	if !errors.Is(err, core.ErrInvalidInput) {
 		t.Fatalf("want ErrInvalidInput, got %v", err)
 	}
 }
@@ -201,7 +201,7 @@ func TestRecoverTo(t *testing.T) {
 		panic("boom")
 	}
 	err := f()
-	if !errors.Is(err, ErrPanic) {
+	if !errors.Is(err, core.ErrPanic) {
 		t.Fatalf("want ErrPanic, got %v", err)
 	}
 	if !strings.Contains(err.Error(), "boom") {
@@ -216,77 +216,5 @@ func TestRecoverToNoPanic(t *testing.T) {
 	}
 	if err := f(); err != nil {
 		t.Fatalf("no panic should leave err nil, got %v", err)
-	}
-}
-
-func TestRetrySeedSchedule(t *testing.T) {
-	var seeds []int64
-	err := Retry(7, 4, func(s int64) error {
-		seeds = append(seeds, s)
-		if s < 9 {
-			return fmt.Errorf("singular: %w", core.ErrDegenerate)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Retry should succeed on third attempt: %v", err)
-	}
-	if fmt.Sprint(seeds) != "[7 8 9]" {
-		t.Fatalf("seed schedule %v, want [7 8 9]", seeds)
-	}
-}
-
-func TestRetryFirstAttemptUsesOriginalSeed(t *testing.T) {
-	var first int64 = -1
-	_ = Retry(42, 3, func(s int64) error {
-		if first == -1 {
-			first = s
-		}
-		return nil
-	})
-	if first != 42 {
-		t.Fatalf("first attempt seed = %d, want 42", first)
-	}
-}
-
-func TestRetryNonDegenerateErrorStops(t *testing.T) {
-	calls := 0
-	sentinel := errors.New("hard failure")
-	err := Retry(0, 5, func(int64) error {
-		calls++
-		return sentinel
-	})
-	if !errors.Is(err, sentinel) || calls != 1 {
-		t.Fatalf("non-degenerate error must not be retried: calls=%d err=%v", calls, err)
-	}
-}
-
-func TestRetryBudgetExhausted(t *testing.T) {
-	calls := 0
-	err := Retry(3, 3, func(int64) error {
-		calls++
-		return core.ErrDegenerate
-	})
-	if calls != 3 || !errors.Is(err, core.ErrDegenerate) {
-		t.Fatalf("calls=%d err=%v", calls, err)
-	}
-	if !strings.Contains(err.Error(), "seeds 3..5") {
-		t.Fatalf("exhaustion error should name the seed range: %v", err)
-	}
-}
-
-func TestRetryValue(t *testing.T) {
-	v, err := RetryValue(0, 3, func(s int64) (int, error) {
-		if s == 0 {
-			return 0, core.ErrDegenerate
-		}
-		return int(s) * 10, nil
-	})
-	if err != nil || v != 10 {
-		t.Fatalf("v=%d err=%v, want 10 nil", v, err)
-	}
-	v2, err := RetryValue(0, 2, func(int64) (int, error) { return 5, core.ErrDegenerate })
-	if !errors.Is(err, core.ErrDegenerate) || v2 != 0 {
-		t.Fatalf("exhausted RetryValue should zero the value: v=%d err=%v", v2, err)
 	}
 }

@@ -54,6 +54,16 @@ func TestDecKMeansLambdaDecorrelates(t *testing.T) {
 	}
 }
 
+// cosineSim returns the cosine similarity of x and y, or 0 if either has
+// zero norm.
+func cosineSim(x, y []float64) float64 {
+	nx, ny := linalg.Norm(x), linalg.Norm(y)
+	if nx == 0 || ny == 0 {
+		return 0
+	}
+	return linalg.Dot(x, y) / (nx * ny)
+}
+
 func TestDecKMeansRepresentativesOrthogonal(t *testing.T) {
 	ds, _, _ := dataset.FourBlobToy(5, 25)
 	res, err := DecKMeans(ds.Points, DecKMeansConfig{Ks: []int{2, 2}, Seed: 4})
@@ -69,7 +79,7 @@ func TestDecKMeansRepresentativesOrthogonal(t *testing.T) {
 		rc := linalg.SubVec(r, center)
 		for _, m := range res.Means[1] {
 			mc := linalg.SubVec(m, center)
-			if c := math.Abs(linalg.CosineSim(rc, mc)); c > maxCos {
+			if c := math.Abs(cosineSim(rc, mc)); c > maxCos {
 				maxCos = c
 			}
 		}

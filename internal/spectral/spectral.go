@@ -103,16 +103,10 @@ func NormalizedAffinity(w *linalg.Matrix) *linalg.Matrix {
 	return out
 }
 
-// Embed computes the row-normalized top-k eigenvector embedding of the
-// normalized affinity.
-func Embed(w *linalg.Matrix, k int) (*linalg.Matrix, error) {
-	return EmbedContext(context.Background(), w, k)
-}
-
-// EmbedContext is Embed with cancellation: the eigensolve polls ctx at each
-// Jacobi sweep. On interruption the partially-converged embedding is still
-// returned (row-normalized, finite) alongside an error wrapping
-// core.ErrInterrupted.
+// EmbedContext computes the row-normalized top-k eigenvector embedding of
+// the normalized affinity. The eigensolve polls ctx at each Jacobi sweep;
+// on interruption the partially-converged embedding is still returned
+// (row-normalized, finite) alongside an error wrapping core.ErrInterrupted.
 func EmbedContext(ctx context.Context, w *linalg.Matrix, k int) (*linalg.Matrix, error) {
 	if k <= 0 || k > w.Rows {
 		return nil, fmt.Errorf("spectral: invalid embedding dimension %d: %w", k, core.ErrInvalidInput)

@@ -1,6 +1,7 @@
 package spectral
 
 import (
+	"context"
 	"testing"
 
 	"multiclust/internal/dataset"
@@ -65,10 +66,10 @@ func TestRBFAffinityProperties(t *testing.T) {
 
 func TestEmbedErrors(t *testing.T) {
 	w, _ := RBFAffinity([][]float64{{0}, {1}}, 1)
-	if _, err := Embed(w, 0); err == nil {
+	if _, err := EmbedContext(context.Background(), w, 0); err == nil {
 		t.Error("k=0 should fail")
 	}
-	if _, err := Embed(w, 3); err == nil {
+	if _, err := EmbedContext(context.Background(), w, 3); err == nil {
 		t.Error("k>n should fail")
 	}
 }
@@ -76,7 +77,7 @@ func TestEmbedErrors(t *testing.T) {
 func TestEmbedRowsUnitNorm(t *testing.T) {
 	ds, _ := dataset.GaussianBlobs(3, 40, [][]float64{{0, 0}, {5, 5}}, 0.3)
 	w, _ := RBFAffinity(ds.Points, 0)
-	emb, err := Embed(w, 2)
+	emb, err := EmbedContext(context.Background(), w, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

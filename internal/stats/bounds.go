@@ -2,17 +2,6 @@ package stats
 
 import "math"
 
-// HoeffdingTail returns the Chernoff–Hoeffding upper bound on
-// Pr[Y >= E[Y] + n*t] <= exp(-2 n t^2) for a sum Y of n independent
-// [0,1]-valued variables. This is the bound SCHISM (Sequeira & Zaki 2004)
-// uses to derive its dimensionality-adaptive density threshold.
-func HoeffdingTail(n int, t float64) float64 {
-	if t <= 0 {
-		return 1
-	}
-	return math.Exp(-2 * float64(n) * t * t)
-}
-
 // SchismThreshold returns the SCHISM support threshold τ(s) for an
 // s-dimensional grid cell, as a fraction of the database size:
 //
@@ -56,27 +45,5 @@ func BinomialTailUpper(n, k int, p float64) float64 {
 		return math.Exp(float64(n) * math.Log(p))
 	}
 	d := q*math.Log(q/p) + (1-q)*math.Log((1-q)/(1-p))
-	return math.Exp(-float64(n) * d)
-}
-
-// BinomialTailLower returns an upper bound on Pr[X <= k] via the symmetric
-// Chernoff bound, for k/n < p. Returns 1 when k/n >= p.
-func BinomialTailLower(n, k int, p float64) float64 {
-	if n <= 0 {
-		return 1
-	}
-	q := float64(k) / float64(n)
-	if q >= p {
-		return 1
-	}
-	if p >= 1 {
-		return 0
-	}
-	var d float64
-	if q <= 0 {
-		d = math.Log(1 / (1 - p))
-	} else {
-		d = q*math.Log(q/p) + (1-q)*math.Log((1-q)/(1-p))
-	}
 	return math.Exp(-float64(n) * d)
 }

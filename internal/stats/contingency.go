@@ -158,12 +158,6 @@ func (t *ContingencyTable) ConditionalEntropyRowGivenCol() float64 {
 	return h
 }
 
-// Uniformity measures how close the table is to the fully independent
-// (uniform) profile that Hossain et al. (2010) maximize for disparate
-// clusterings. It is 1 - NMI, so 1 means the labelings are independent and
-// 0 means they determine each other.
-func (t *ContingencyTable) Uniformity() float64 { return 1 - NMI(t) }
-
 // NMI returns the normalized mutual information I(A;B)/sqrt(H(A)H(B)),
 // in [0,1]. If either entropy is zero, NMI is defined as 0 unless both are
 // zero and the labelings are identical-trivial, in which case it is 1.

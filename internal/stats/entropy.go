@@ -1,16 +1,10 @@
 // Package stats provides the information-theoretic and probabilistic
 // primitives shared by the clustering algorithms: entropy, mutual
-// information, contingency tables, Gaussian densities, kernel density
-// estimation, Chernoff–Hoeffding tail bounds, and histograms.
+// information, contingency tables, diagonal Gaussian mixture densities, the
+// SCHISM density threshold and a binomial tail bound.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-
-	"multiclust/internal/core"
-)
+import "math"
 
 // Entropy returns the Shannon entropy (in nats) of a discrete distribution
 // given as unnormalized non-negative weights. Zero weights contribute zero.
@@ -35,88 +29,3 @@ func Entropy(weights []float64) float64 {
 
 // Entropy2 is Entropy measured in bits.
 func Entropy2(weights []float64) float64 { return Entropy(weights) / math.Ln2 }
-
-// LabelEntropy returns the entropy (nats) of an integer labeling. Negative
-// labels (noise) are ignored.
-func LabelEntropy(labels []int) float64 {
-	counts := map[int]float64{}
-	for _, l := range labels {
-		if l < 0 {
-			continue
-		}
-		counts[l]++
-	}
-	// Entropy sums floats, so feed it the counts in sorted-label order:
-	// map-iteration order would perturb the last bits between runs.
-	distinct := make([]int, 0, len(counts))
-	for l := range counts {
-		distinct = append(distinct, l)
-	}
-	sort.Ints(distinct)
-	w := make([]float64, 0, len(counts))
-	for _, l := range distinct {
-		w = append(w, counts[l])
-	}
-	return Entropy(w)
-}
-
-// KLDiscrete returns the Kullback–Leibler divergence KL(p||q) in nats for
-// two distributions given as unnormalized weights of equal length. Bins
-// where p is zero contribute zero; bins where p>0 and q==0 contribute +Inf.
-// Unequal lengths return an error wrapping core.ErrShape.
-func KLDiscrete(p, q []float64) (float64, error) {
-	if len(p) != len(q) {
-		return 0, fmt.Errorf("stats: KLDiscrete lengths %d and %d: %w", len(p), len(q), core.ErrShape)
-	}
-	var sp, sq float64
-	for i := range p {
-		sp += p[i]
-		sq += q[i]
-	}
-	if sp <= 0 || sq <= 0 {
-		return 0, nil
-	}
-	var kl float64
-	for i := range p {
-		if p[i] <= 0 {
-			continue
-		}
-		pi := p[i] / sp
-		if q[i] <= 0 {
-			return math.Inf(1), nil
-		}
-		qi := q[i] / sq
-		kl += pi * math.Log(pi/qi)
-	}
-	return kl, nil
-}
-
-// JensenShannon returns the Jensen–Shannon divergence (nats) between two
-// distributions given as unnormalized weights. It is symmetric and bounded
-// by ln 2. Unequal lengths return an error wrapping core.ErrShape.
-func JensenShannon(p, q []float64) (float64, error) {
-	if len(p) != len(q) {
-		return 0, fmt.Errorf("stats: JensenShannon lengths %d and %d: %w", len(p), len(q), core.ErrShape)
-	}
-	var sp, sq float64
-	for i := range p {
-		sp += p[i]
-		sq += q[i]
-	}
-	if sp <= 0 || sq <= 0 {
-		return 0, nil
-	}
-	m := make([]float64, len(p))
-	pn := make([]float64, len(p))
-	qn := make([]float64, len(p))
-	for i := range p {
-		pn[i] = p[i] / sp
-		qn[i] = q[i] / sq
-		m[i] = 0.5 * (pn[i] + qn[i])
-	}
-	// The three slices are built above with equal lengths, so the inner
-	// calls cannot fail.
-	kp, _ := KLDiscrete(pn, m)
-	kq, _ := KLDiscrete(qn, m)
-	return 0.5*kp + 0.5*kq, nil
-}

@@ -1,85 +1,8 @@
 package stats
 
-import (
-	"errors"
-	"math"
-
-	"multiclust/internal/linalg"
-)
+import "math"
 
 const log2Pi = 1.8378770664093453 // log(2*pi)
-
-// Gaussian is a multivariate normal distribution with full covariance.
-type Gaussian struct {
-	Mean []float64
-	Cov  *linalg.Matrix
-	chol *linalg.Cholesky
-}
-
-// NewGaussian builds a Gaussian and factorizes its covariance. The covariance
-// is regularized by reg on the diagonal before factorization; pass 0 to use
-// it as-is.
-func NewGaussian(mean []float64, cov *linalg.Matrix, reg float64) (*Gaussian, error) {
-	if cov.Rows != len(mean) || cov.Cols != len(mean) {
-		return nil, errors.New("stats: Gaussian covariance shape mismatch")
-	}
-	c := cov.Clone()
-	if reg > 0 {
-		linalg.RegularizeInPlace(c, reg)
-	}
-	ch, err := linalg.CholeskyDecompose(c)
-	if err != nil {
-		return nil, err
-	}
-	return &Gaussian{Mean: append([]float64(nil), mean...), Cov: c, chol: ch}, nil
-}
-
-// LogPDF returns the log density at x.
-func (g *Gaussian) LogPDF(x []float64) float64 {
-	d := len(g.Mean)
-	diff := make([]float64, d)
-	for i := range diff {
-		diff[i] = x[i] - g.Mean[i]
-	}
-	quad := g.chol.QuadForm(diff)
-	return -0.5 * (float64(d)*log2Pi + g.chol.LogDet() + quad)
-}
-
-// PDF returns the density at x.
-func (g *Gaussian) PDF(x []float64) float64 { return math.Exp(g.LogPDF(x)) }
-
-// Mahalanobis returns the Mahalanobis distance from x to the mean.
-func (g *Gaussian) Mahalanobis(x []float64) float64 {
-	d := len(g.Mean)
-	diff := make([]float64, d)
-	for i := range diff {
-		diff[i] = x[i] - g.Mean[i]
-	}
-	return math.Sqrt(g.chol.QuadForm(diff))
-}
-
-// KLGaussians returns KL(p||q) in nats for two Gaussians of equal dimension:
-//
-//	0.5 * ( tr(Σq^{-1}Σp) + (μq-μp)^T Σq^{-1} (μq-μp) - d + ln(detΣq/detΣp) )
-func KLGaussians(p, q *Gaussian) float64 {
-	d := len(p.Mean)
-	qinv, err := linalg.Inverse(q.Cov)
-	if err != nil {
-		return math.Inf(1)
-	}
-	tr := qinv.Mul(p.Cov).Trace()
-	diff := make([]float64, d)
-	for i := range diff {
-		diff[i] = q.Mean[i] - p.Mean[i]
-	}
-	quad := linalg.Dot(diff, qinv.MulVec(diff))
-	logdet := q.chol.LogDet() - p.chol.LogDet()
-	kl := 0.5 * (tr + quad - float64(d) + logdet)
-	if kl < 0 {
-		kl = 0
-	}
-	return kl
-}
 
 // DiagGaussianLogPDF returns the log density of a diagonal-covariance
 // Gaussian with per-dimension variances vars (clamped below at minVar).

@@ -27,24 +27,20 @@ type DOCResult struct {
 	Quality  []float64 // mu(|C|, |D|) per cluster
 }
 
-// DOC finds axis-parallel projective clusters by Monte-Carlo sampling: draw
-// a pivot p and a small discriminating set X; the relevant dimensions D are
-// those on which every x in X stays within W of p; the cluster is every
-// point inside the 2W-box around p on D. Candidate quality is
+// DOCContext finds axis-parallel projective clusters by Monte-Carlo
+// sampling: draw a pivot p and a small discriminating set X; the relevant
+// dimensions D are those on which every x in X stays within W of p; the
+// cluster is every point inside the 2W-box around p on D. Candidate
+// quality is
 //
 //	mu(a, b) = a * (1/Beta)^b
 //
 // which trades cluster size against dimensionality. The best candidate is
 // accepted if it holds at least Alpha*n points; its points are removed and
 // the hunt repeats (the greedy "find one, remove, repeat" of the paper).
-func DOC(points [][]float64, cfg DOCConfig) (*DOCResult, error) {
-	return DOCContext(context.Background(), points, cfg)
-}
-
-// DOCContext is DOC with cancellation: ctx is polled at each cluster-hunt
-// boundary (every discovered cluster is complete), returning the clusters
-// found so far wrapped in core.ErrInterrupted. With a background context
-// the output is byte-identical to DOC.
+// ctx is polled at each cluster-hunt boundary (every discovered cluster is
+// complete), returning the clusters found so far wrapped in
+// core.ErrInterrupted.
 func DOCContext(ctx context.Context, points [][]float64, cfg DOCConfig) (*DOCResult, error) {
 	n := len(points)
 	if n == 0 {

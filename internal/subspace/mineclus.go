@@ -27,22 +27,14 @@ type MineClusResult struct {
 	Quality  []float64
 }
 
-// MineClus is the frequent-pattern reformulation of DOC: around a pivot
-// medoid p every point maps to the itemset of dimensions on which it lies
-// within W of p, and the best projective cluster corresponds to the itemset
-// maximizing mu(support, |itemset|) = support * (1/Beta)^|itemset|. The
-// itemset search greedily grows the dimension set in support order,
+// MineClusContext is the frequent-pattern reformulation of DOC: around a
+// pivot medoid p every point maps to the itemset of dimensions on which it
+// lies within W of p, and the best projective cluster corresponds to the
+// itemset maximizing mu(support, |itemset|) = support * (1/Beta)^|itemset|.
+// The itemset search greedily grows the dimension set in support order,
 // admitting a dimension only when it improves mu while the support stays
 // above Alpha*n — the deterministic replacement for DOC's random
 // discriminating sets. Found clusters are removed and the hunt repeats.
-func MineClus(points [][]float64, cfg MineClusConfig) (*MineClusResult, error) {
-	return MineClusContext(context.Background(), points, cfg)
-}
-
-// MineClusContext is MineClus with cancellation: ctx is polled at each
-// cluster-hunt boundary (every discovered cluster is complete), returning
-// the clusters found so far wrapped in core.ErrInterrupted. With a
-// background context the output is byte-identical to MineClus.
 func MineClusContext(ctx context.Context, points [][]float64, cfg MineClusConfig) (*MineClusResult, error) {
 	n := len(points)
 	if n == 0 {

@@ -1,6 +1,7 @@
 package subspace
 
 import (
+	"context"
 	"testing"
 
 	"multiclust/internal/dataset"
@@ -15,7 +16,7 @@ func TestMineClusFindsProjectiveClusters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MineClus(ds.Points, MineClusConfig{W: 0.06, Alpha: 0.15, Beta: 0.25, MaxClusters: 3, Seed: 1})
+	res, err := MineClusContext(context.Background(), ds.Points, MineClusConfig{W: 0.06, Alpha: 0.15, Beta: 0.25, MaxClusters: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +44,11 @@ func TestMineClusDeterministicVsDOCShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := MineClus(ds.Points, MineClusConfig{W: 0.06, Alpha: 0.1, Seed: 3, MaxClusters: 1})
+	mc, err := MineClusContext(context.Background(), ds.Points, MineClusConfig{W: 0.06, Alpha: 0.1, Seed: 3, MaxClusters: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, err := DOC(ds.Points, DOCConfig{W: 0.06, Alpha: 0.1, Seed: 3, MaxClusters: 1, OuterTrials: 5, InnerTrials: 16})
+	doc, err := DOCContext(context.Background(), ds.Points, DOCConfig{W: 0.06, Alpha: 0.1, Seed: 3, MaxClusters: 1, OuterTrials: 5, InnerTrials: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestMineClusDisjoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MineClus(ds.Points, MineClusConfig{W: 0.06, Alpha: 0.1, Seed: 1, MaxClusters: 4})
+	res, err := MineClusContext(context.Background(), ds.Points, MineClusConfig{W: 0.06, Alpha: 0.1, Seed: 1, MaxClusters: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,10 +84,10 @@ func TestMineClusDisjoint(t *testing.T) {
 }
 
 func TestMineClusErrors(t *testing.T) {
-	if _, err := MineClus(nil, MineClusConfig{W: 0.1}); err == nil {
+	if _, err := MineClusContext(context.Background(), nil, MineClusConfig{W: 0.1}); err == nil {
 		t.Error("empty data should fail")
 	}
-	if _, err := MineClus([][]float64{{0}}, MineClusConfig{W: 0}); err == nil {
+	if _, err := MineClusContext(context.Background(), [][]float64{{0}}, MineClusConfig{W: 0}); err == nil {
 		t.Error("W=0 should fail")
 	}
 }

@@ -1,6 +1,7 @@
 package subspace
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -61,11 +62,11 @@ func TestOrclusSameSeedReplay(t *testing.T) {
 func TestDOCSameSeedReplay(t *testing.T) {
 	pts, _ := projectedData(t)
 	cfg := DOCConfig{W: 0.06, Alpha: 0.1, Seed: 11, MaxClusters: 3, OuterTrials: 5, InnerTrials: 16}
-	a, err := DOC(pts, cfg)
+	a, err := DOCContext(context.Background(), pts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := DOC(pts, cfg)
+	b, err := DOCContext(context.Background(), pts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +78,11 @@ func TestDOCSameSeedReplay(t *testing.T) {
 func TestMineClusSameSeedReplay(t *testing.T) {
 	pts, _ := projectedData(t)
 	cfg := MineClusConfig{W: 0.06, Alpha: 0.1, Beta: 0.25, MaxClusters: 3, Seed: 13}
-	a, err := MineClus(pts, cfg)
+	a, err := MineClusContext(context.Background(), pts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MineClus(pts, cfg)
+	b, err := MineClusContext(context.Background(), pts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

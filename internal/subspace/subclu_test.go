@@ -1,6 +1,7 @@
 package subspace
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -149,7 +150,7 @@ func TestDOCFindsProjectiveCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := DOC(ds.Points, DOCConfig{W: 0.06, Alpha: 0.15, Beta: 0.25, MaxClusters: 3, Seed: 1})
+	res, err := DOCContext(context.Background(), ds.Points, DOCConfig{W: 0.06, Alpha: 0.15, Beta: 0.25, MaxClusters: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestDOCDisjointGreedy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := DOC(ds.Points, DOCConfig{W: 0.06, Alpha: 0.1, Seed: 3, MaxClusters: 4})
+	res, err := DOCContext(context.Background(), ds.Points, DOCConfig{W: 0.06, Alpha: 0.1, Seed: 3, MaxClusters: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,10 +200,10 @@ func TestDOCDisjointGreedy(t *testing.T) {
 }
 
 func TestDOCErrors(t *testing.T) {
-	if _, err := DOC(nil, DOCConfig{W: 0.1}); err == nil {
+	if _, err := DOCContext(context.Background(), nil, DOCConfig{W: 0.1}); err == nil {
 		t.Error("empty data should fail")
 	}
-	if _, err := DOC([][]float64{{0}}, DOCConfig{W: 0}); err == nil {
+	if _, err := DOCContext(context.Background(), [][]float64{{0}}, DOCConfig{W: 0}); err == nil {
 		t.Error("W=0 should fail")
 	}
 }

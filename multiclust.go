@@ -220,10 +220,6 @@ var (
 	Sanitize        = robust.Sanitize
 )
 
-// retryBudget bounds the deterministic reseed schedule (Seed, Seed+1, ...)
-// used when a stochastic fit degenerates; see internal/robust.Retry.
-const retryBudget = 3
-
 // gate is the facade gate every algorithm in this package runs behind: the
 // first non-nil validation check is returned without running fn, and a
 // panic inside fn is converted into an error wrapping ErrPanic. The checks
@@ -323,18 +319,6 @@ type (
 	KMeansResult = kmeans.Result
 )
 
-// Pruning selects the k-means assignment strategy (KMeansConfig.Pruning):
-// Hamerly triangle-inequality bounds by default, byte-identical to the
-// plain Lloyd scans in every output and recorded trajectory.
-type Pruning = kmeans.Pruning
-
-// Pruning values.
-const (
-	PruneDefault = kmeans.PruneDefault
-	PruneOff     = kmeans.PruneOff
-	PruneHamerly = kmeans.PruneHamerly
-)
-
 // KMeans clusters points with k-means++.
 func KMeans(points [][]float64, cfg KMeansConfig) (*KMeansResult, error) {
 	return KMeansContext(context.Background(), points, cfg)
@@ -398,7 +382,7 @@ type (
 
 // EM fits a diagonal-covariance Gaussian mixture. A fit that collapses to a
 // non-finite log-likelihood is retried on the deterministic seed schedule
-// Seed+1, Seed+2, ...; exhaustion returns an error wrapping ErrDegenerate.
+// Seed+1, Seed+2; exhaustion returns an error wrapping ErrDegenerate.
 func EM(points [][]float64, cfg EMConfig) (*EMResult, error) {
 	return EMContext(context.Background(), points, cfg)
 }
@@ -408,7 +392,7 @@ func EM(points [][]float64, cfg EMConfig) (*EMResult, error) {
 // wrapped in ErrInterrupted.
 func EMContext(ctx context.Context, points [][]float64, cfg EMConfig) (res *EMResult, err error) {
 	return gate(func() (*EMResult, error) {
-		return robust.RetryValueBackoff(ctx, cfg.Seed, retryBudget, robust.Backoff{}, func(seed int64) (*EMResult, error) {
+		return robust.Retry(ctx, cfg.Seed, func(seed int64) (*EMResult, error) {
 			c := cfg
 			c.Seed = seed
 			r, ferr := em.FitContext(ctx, points, c)
@@ -432,7 +416,7 @@ type (
 
 // Spectral runs normalized spectral clustering (Ng, Jordan & Weiss 2001).
 // A run whose embedding degenerates to non-finite coordinates is retried on
-// the deterministic seed schedule Seed+1, Seed+2, ...
+// the deterministic seed schedule Seed+1, Seed+2.
 func Spectral(points [][]float64, cfg SpectralConfig) (*SpectralResult, error) {
 	return SpectralContext(context.Background(), points, cfg)
 }
@@ -442,7 +426,7 @@ func Spectral(points [][]float64, cfg SpectralConfig) (*SpectralResult, error) {
 // partial result is returned wrapped in ErrInterrupted.
 func SpectralContext(ctx context.Context, points [][]float64, cfg SpectralConfig) (res *SpectralResult, err error) {
 	return gate(func() (*SpectralResult, error) {
-		return robust.RetryValueBackoff(ctx, cfg.Seed, retryBudget, robust.Backoff{}, func(seed int64) (*SpectralResult, error) {
+		return robust.Retry(ctx, cfg.Seed, func(seed int64) (*SpectralResult, error) {
 			c := cfg
 			c.Seed = seed
 			r, ferr := spectral.RunContext(ctx, points, c)

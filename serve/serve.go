@@ -1,6 +1,6 @@
 // Package serve is the public surface of multiclust's clustering service:
 // the async job engine (bounded queue, per-job deadlines, deterministic
-// retry/backoff, idempotency keys, graceful drain) and its HTTP API,
+// reseed retry, idempotency keys, graceful drain) and its HTTP API,
 // re-exported from internal/jobs so programs can embed the service without
 // reaching into internal packages.
 //
@@ -30,8 +30,8 @@ import (
 type (
 	// Engine is the bounded async job engine; see New.
 	Engine = jobs.Engine
-	// Config sizes the engine (workers, queue bound, timeouts, retry
-	// budget and backoff schedule).
+	// Config sizes the engine (workers, queue bound, timeouts, dataset
+	// size) and plugs in runners, stream factories and the job log.
 	Config = jobs.Config
 	// Spec is one job submission: dataset plus algorithm knobs.
 	Spec = jobs.Spec
