@@ -29,10 +29,11 @@ const boundSlack = 1 + 1e-12
 // can be closer and the point keeps its label without touching any center;
 // otherwise u is tightened with one exact distance and, if the test still
 // fails, the point falls back to the exact Lloyd scan (same iteration
-// order, same strict <, same squared-distance comparisons), which also
-// refreshes both bounds. Labels, iteration count, reassignment counts, and
-// the recorded SSE trajectory are byte-identical to the plain full-scan
-// iteration, kept as the test oracle runOnce (lloyd_test.go); only
+// order, same strict <, same squared-distance comparisons, the tightened
+// distance standing in for its old center's), which also refreshes both
+// bounds. Labels, iteration count, reassignment counts, and the recorded
+// SSE trajectory are byte-identical to the plain full-scan iteration, kept
+// as the test oracle runOnce (lloyd_test.go); only
 // kmeans.distance_computations differs — that counter is the point.
 func runOnceHamerly(ctx context.Context, points [][]float64, k, maxIter int, centers [][]float64, workers int, rec obs.Recorder) (*Result, error) {
 	n, d := len(points), len(points[0])
@@ -45,29 +46,33 @@ func runOnceHamerly(ctx context.Context, points [][]float64, k, maxIter int, cen
 	nearest := make([]float64, n) // exact squared distance to the assigned center (telemetry)
 	sHalf := make([]float64, k)   // half distance from each center to its nearest other center
 	move := make([]float64, k)    // per-center movement of the last update
+	stable := make([]bool, k)     // center's bits unchanged by the last update
 	var nChanged, nDist int64
 	var interrupted error
 	iter := 0
+	trackSSE := rec != nil
 	for ; iter < maxIter; iter++ {
 		// s(c)/2 for the center-separation test; these k(k-1)/2 exact
 		// distances are part of the algorithm's work and counted as such.
-		for c := range sHalf {
-			sHalf[c] = math.Inf(1)
-		}
-		for a := 0; a < k; a++ {
-			for b := a + 1; b < k; b++ {
-				dd := dist.Euclidean(centers[a], centers[b])
-				if h := dd / 2; h < sHalf[a] {
-					sHalf[a] = h
-				}
-				if h := dd / 2; h < sHalf[b] {
-					sHalf[b] = h
+		// The first pass labels every point by a full scan and reads none.
+		nChanged, nDist = 0, 0
+		if iter > 0 {
+			for c := range sHalf {
+				sHalf[c] = math.Inf(1)
+			}
+			for a := 0; a < k; a++ {
+				for b := a + 1; b < k; b++ {
+					dd := dist.Euclidean(centers[a], centers[b])
+					if h := dd / 2; h < sHalf[a] {
+						sHalf[a] = h
+					}
+					if h := dd / 2; h < sHalf[b] {
+						sHalf[b] = h
+					}
 				}
 			}
+			nDist = int64(k) * int64(k-1) / 2
 		}
-		nChanged = 0
-		nDist = int64(k) * int64(k-1) / 2
-		trackSSE := rec != nil
 		// Assignment, sharded over points exactly like Lloyd's: every write
 		// is to the shard's own labels/bounds/nearest slots, so the result
 		// is byte-identical for any worker count.
@@ -75,25 +80,29 @@ func runOnceHamerly(ctx context.Context, points [][]float64, k, maxIter int, cen
 			var changed, dcount int64
 			for i := lo; i < hi; i++ {
 				p := points[i]
-				if a := labels[i]; a >= 0 {
+				a := labels[i]
+				var aSq float64 // exact squared distance to center a, once tightened
+				if a >= 0 {
 					m := lower[i]
 					if sHalf[a] > m {
 						m = sHalf[a]
 					}
 					if upper[i]*boundSlack < m {
-						if trackSSE {
+						if trackSSE && !stable[a] {
 							// Exact distance for the SSE trajectory only; not
 							// part of the assignment work, so not counted.
+							// Under a stable center nearest[i] already holds
+							// it: last pass wrote it against the same bits.
 							nearest[i] = dist.SqEuclidean(p, centers[a])
 						}
 						continue
 					}
-					sq := dist.SqEuclidean(p, centers[a])
+					aSq = dist.SqEuclidean(p, centers[a])
 					dcount++
-					upper[i] = math.Sqrt(sq)
+					upper[i] = math.Sqrt(aSq)
 					if upper[i]*boundSlack < m {
 						if trackSSE {
-							nearest[i] = sq
+							nearest[i] = aSq
 						}
 						continue
 					}
@@ -103,7 +112,11 @@ func runOnceHamerly(ctx context.Context, points [][]float64, k, maxIter int, cen
 				bestC := 0
 				bestSq, secondSq := math.Inf(1), math.Inf(1)
 				for c, ctr := range centers {
-					sq := dist.SqEuclidean(p, ctr)
+					sq := aSq
+					if c != a {
+						sq = dist.SqEuclidean(p, ctr)
+						dcount++
+					}
 					if sq < bestSq {
 						secondSq = bestSq
 						bestC, bestSq = c, sq
@@ -111,7 +124,6 @@ func runOnceHamerly(ctx context.Context, points [][]float64, k, maxIter int, cen
 						secondSq = sq
 					}
 				}
-				dcount += int64(k)
 				if labels[i] != bestC {
 					labels[i] = bestC
 					changed++
@@ -149,6 +161,7 @@ func runOnceHamerly(ctx context.Context, points [][]float64, k, maxIter int, cen
 		// would drift the parallel.* work counters away from Lloyd's.
 		maxMove, secondMove, argMax := 0.0, 0.0, -1
 		for c := range next {
+			stable[c] = sameBits(centers[c], next[c])
 			move[c] = dist.Euclidean(centers[c], next[c])
 			if move[c] > maxMove {
 				secondMove = maxMove
@@ -189,4 +202,15 @@ func runOnceHamerly(ctx context.Context, points [][]float64, k, maxIter int, cen
 		SSE:        sse,
 		Iterations: iter,
 	}, interrupted
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns. A
+// zero movement is not enough: a shift below about 1e-154 squares to 0.
+func sameBits(a, b []float64) bool {
+	for j, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[j]) {
+			return false
+		}
+	}
+	return true
 }

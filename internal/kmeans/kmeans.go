@@ -93,7 +93,7 @@ func run(ctx context.Context, points [][]float64, cfg Config,
 	}
 	outs := parallel.Map(cfg.Restarts, w, func(r int) restartOut {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(r)))
-		centers := PlusPlusSeeds(points, cfg.K, rng)
+		centers := plusPlusSeeds(ctx, points, cfg.K, rng, rec)
 		res, err := once(ctx, points, cfg.K, cfg.MaxIter, centers, innerW, rec)
 		return restartOut{res, err}
 	})
@@ -116,21 +116,26 @@ func run(ctx context.Context, points [][]float64, cfg Config,
 // the standard dead-centroid fix — excluding points already claimed by
 // another reseed in the same pass, so two clusters that empty in the same
 // iteration land on distinct points instead of collapsing onto one.
+//
+// The sums live in one flat k×d array and each returned center is a
+// capacity-capped window onto it; every (center, column) sum still adds
+// its points in index order, so the means are bit-identical to per-center
+// accumulators.
 func recomputeCenters(points [][]float64, labels []int, k, d int, centers [][]float64, rec obs.Recorder) [][]float64 {
 	counts := make([]int, k)
-	next := make([][]float64, k)
-	for c := range next {
-		next[c] = make([]float64, d)
-	}
+	sums := make([]float64, k*d)
 	for i, p := range points {
 		c := labels[i]
 		counts[c]++
+		s := sums[c*d : c*d+d]
 		for j, v := range p {
-			next[c][j] += v
+			s[j] += v
 		}
 	}
+	next := make([][]float64, k)
 	var used []bool
 	for c := range next {
+		next[c] = sums[c*d : c*d+d : c*d+d]
 		if counts[c] == 0 {
 			obs.Count(rec, "kmeans.reseeds", 1)
 			if used == nil {
@@ -159,24 +164,34 @@ func recomputeCenters(points [][]float64, labels []int, k, d int, centers [][]fl
 	return next
 }
 
-// PlusPlusSeeds picks k initial centers with the k-means++ D^2 weighting.
-func PlusPlusSeeds(points [][]float64, k int, rng *rand.Rand) [][]float64 {
+// plusPlusSeeds picks k initial centers with the k-means++ D^2 weighting,
+// under a kmeans.seed span. Each point keeps its squared distance to the
+// nearest center chosen so far and folds in only the newest one, so a
+// restart computes (k-1)·n distances (counted as
+// kmeans.seed_distance_computations) instead of n·k(k-1)/2; a minimum is
+// exact and the total adds the same values in the same order, so the
+// centers and the RNG draws equal a full rescan's.
+func plusPlusSeeds(ctx context.Context, points [][]float64, k int, rng *rand.Rand, rec obs.Recorder) [][]float64 {
+	_, endSpan := obs.SpanCtx(ctx, rec, "kmeans.seed")
+	defer endSpan()
 	n := len(points)
 	centers := make([][]float64, 0, k)
 	first := points[rng.Intn(n)]
 	centers = append(centers, append([]float64(nil), first...))
 	d2 := make([]float64, n)
+	for i := range d2 {
+		d2[i] = math.Inf(1)
+	}
+	var nDist int64
 	for len(centers) < k {
+		newest := centers[len(centers)-1]
 		var total float64
 		for i, p := range points {
-			best := math.Inf(1)
-			for _, c := range centers {
-				if dd := dist.SqEuclidean(p, c); dd < best {
-					best = dd
-				}
+			if dd := dist.SqEuclidean(p, newest); dd < d2[i] {
+				d2[i] = dd
 			}
-			d2[i] = best
-			total += best
+			nDist++
+			total += d2[i]
 		}
 		var idx int
 		if total == 0 {
@@ -194,5 +209,6 @@ func PlusPlusSeeds(points [][]float64, k int, rng *rand.Rand) [][]float64 {
 		}
 		centers = append(centers, append([]float64(nil), points[idx]...))
 	}
+	obs.Count(rec, "kmeans.seed_distance_computations", nDist)
 	return centers
 }

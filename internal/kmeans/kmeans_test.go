@@ -1,6 +1,7 @@
 package kmeans
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -70,7 +71,7 @@ func TestRestartsImproveOrEqual(t *testing.T) {
 func TestPlusPlusSeedsDistinct(t *testing.T) {
 	ds, _ := dataset.GaussianBlobs(4, 40, [][]float64{{0, 0}, {100, 100}}, 0.1)
 	rng := rand.New(rand.NewSource(1))
-	seeds := PlusPlusSeeds(ds.Points, 2, rng)
+	seeds := plusPlusSeeds(context.Background(), ds.Points, 2, rng, nil)
 	if len(seeds) != 2 {
 		t.Fatal("wrong seed count")
 	}
@@ -82,7 +83,7 @@ func TestPlusPlusSeedsDistinct(t *testing.T) {
 func TestPlusPlusSeedsDegenerate(t *testing.T) {
 	pts := [][]float64{{1, 1}, {1, 1}, {1, 1}}
 	rng := rand.New(rand.NewSource(1))
-	seeds := PlusPlusSeeds(pts, 3, rng)
+	seeds := plusPlusSeeds(context.Background(), pts, 3, rng, nil)
 	if len(seeds) != 3 {
 		t.Fatal("should still return k seeds on duplicate data")
 	}

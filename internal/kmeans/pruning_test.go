@@ -108,13 +108,64 @@ func TestHamerlyTelemetryMatchesLloyd(t *testing.T) {
 	}
 }
 
+// counters runs pts through RunContext and through the Lloyd oracle, each
+// with its own Collector, and returns the two counter sets.
+func counters(t *testing.T, pts [][]float64, cfg Config) (ham, lloyd map[string]int64) {
+	t.Helper()
+	hamCol, lloydCol := obs.NewCollector(), obs.NewCollector()
+	if _, err := RunContext(obs.NewContext(context.Background(), hamCol), pts, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := run(obs.NewContext(context.Background(), lloydCol), pts, cfg, runOnce); err != nil {
+		t.Fatal(err)
+	}
+	return hamCol.Snapshot().Counters, lloydCol.Snapshot().Counters
+}
+
+// A pass that reads no bounds costs what Lloyd's does: with MaxIter 1 every
+// point is labelled by one full scan, the center separations are never
+// needed, and Hamerly counts exactly n·k distances per restart.
+func TestHamerlyFirstPassCountsLloydWork(t *testing.T) {
+	pts := randomBlobPoints(13, 240, 3, 6)
+	for _, k := range []int{1, 6, 12} {
+		ham, lloyd := counters(t, pts, Config{K: k, Seed: 13, Restarts: 2, MaxIter: 1, Workers: 2})
+		want := int64(2 * len(pts) * k)
+		if h, l := ham["kmeans.distance_computations"], lloyd["kmeans.distance_computations"]; h != want || l != want {
+			t.Errorf("k=%d: kmeans.distance_computations hamerly %d, lloyd %d, want n·k·restarts = %d", k, h, l, want)
+		}
+	}
+}
+
+// On duplicate points every center separation and bound is 0, so every
+// point of every pass after the first fails both prune tests and falls
+// through to the full scan; the scan reuses the tightened distance to the
+// old center, so such a pass costs Lloyd's n·k plus the k(k-1)/2 center
+// separations and nothing more.
+func TestHamerlyFallThroughCostsLloydScan(t *testing.T) {
+	pts := make([][]float64, 30)
+	for i := range pts {
+		pts[i] = []float64{2, 7}
+	}
+	ham, lloyd := counters(t, pts, Config{K: 3, Seed: 4, Restarts: 2, Workers: 2})
+	passes := ham["kmeans.iterations"] - ham["kmeans.restarts"]
+	if passes == 0 {
+		t.Fatal("no pass after the first; the fall-through path did not run")
+	}
+	if got, want := ham["kmeans.distance_computations"], lloyd["kmeans.distance_computations"]+passes*3; got != want {
+		t.Errorf("kmeans.distance_computations = %d, want lloyd %d + %d passes × 3 separations = %d",
+			got, lloyd["kmeans.distance_computations"], passes, want)
+	}
+}
+
 // FuzzHamerlyEqualsLloyd fuzzes the pruning invariant over the input:
 // whatever points (n <= 200, d <= 6, coordinates snapped to an 8-step grid
 // so ties and duplicates occur), k <= min(n, 12), 1-3 restarts and MaxIter
 // the fuzzer finds, RunContext and the Lloyd oracle driven the same way
-// (same PlusPlusSeeds, same restart selection) return bit-equal labels,
-// centers and SSE and the same iteration count, and record the same
+// (same seeding, same restart selection) return bit-equal labels, centers
+// and SSE and the same iteration count, and record the same
 // kmeans.iterations, kmeans.reassignments and kmeans.sse trajectories.
+// Hamerly never counts more distances than Lloyd plus the k(k-1)/2 center
+// separations of each pass after a restart's first.
 func FuzzHamerlyEqualsLloyd(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte, dims, k, restarts, maxIter uint8, seed int64) {
 		d := int(dims)%6 + 1
@@ -157,6 +208,10 @@ func FuzzHamerlyEqualsLloyd(f *testing.F) {
 			if hs.Counters[name] != ls.Counters[name] {
 				t.Fatalf("%s: hamerly %d, lloyd %d", name, hs.Counters[name], ls.Counters[name])
 			}
+		}
+		sep := (hs.Counters["kmeans.iterations"] - hs.Counters["kmeans.restarts"]) * int64(cfg.K*(cfg.K-1)/2)
+		if hd, ld := hs.Counters["kmeans.distance_computations"], ls.Counters["kmeans.distance_computations"]; hd > ld+sep {
+			t.Fatalf("kmeans.distance_computations: hamerly %d > lloyd %d + %d center separations", hd, ld, sep)
 		}
 		hseries, lseries := hs.Series["kmeans.sse"], ls.Series["kmeans.sse"]
 		if len(hseries) != len(lseries) {
