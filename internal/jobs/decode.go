@@ -7,7 +7,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
+
+	"multiclust/internal/parallel"
 )
 
 // maxBodyBytes bounds one request body; a dataset bigger than this cannot be
@@ -86,7 +89,7 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 // body with several points members, which encoding/json decodes one after
 // another into the same slices, goes to the json.Decoder whole.
 func decodeBody(b []byte, v any, points *[][]float64) error {
-	m, err := findPoints(b)
+	m, err := findPoints(b, parsePoints)
 	if err != nil {
 		return err
 	}
@@ -115,12 +118,13 @@ type pointsMember struct {
 }
 
 // findPoints walks the members of the object b holds and parses the value
-// of the one whose key is "points" up to case folding and escapes. It
-// reports none found when b is not an object or has no such member or more
-// than one. The other values are only skipped: on valid JSON the skip is
-// exact, and on invalid JSON the first bad byte precedes any points value
-// it could misplace, so the json.Decoder still meets it in the rest.
-func findPoints(b []byte) (pointsMember, error) {
+// of the one whose key is "points" up to case folding and escapes with
+// parse: parsePoints, or parseSegments at a fixed cut. It reports none
+// found when b is not an object or has no such member or more than one.
+// The other values are only skipped: on valid JSON the skip is exact, and
+// on invalid JSON the first bad byte precedes any points value it could
+// misplace, so the json.Decoder still meets it in the rest.
+func findPoints(b []byte, parse func(b []byte, start int) ([][]float64, int, error)) (pointsMember, error) {
 	var m pointsMember
 	i := skipSpace(b, 0)
 	if i >= len(b) || b[i] != '{' {
@@ -148,7 +152,7 @@ func findPoints(b []byte) (pointsMember, error) {
 		case m.found:
 			return pointsMember{}, nil
 		default:
-			rows, end, err := parsePoints(b, start)
+			rows, end, err := parse(b, start)
 			if err != nil {
 				return m, err
 			}
@@ -177,6 +181,11 @@ func isPointsKey(quoted []byte) bool {
 	return json.Unmarshal(quoted, &key) == nil && strings.EqualFold(key, "points")
 }
 
+// minSegment is the fewest bytes per segment of a split points parse, so a
+// body with fewer than twice this many after the array's '[' is parsed as
+// one segment, with no dispatch.
+const minSegment = 16 << 10
+
 // parsePoints parses the points value at b[start], null or an array whose
 // rows are null or arrays of JSON numbers and nulls, and returns its rows
 // and the index past it. A first pass checks the grammar and counts; the
@@ -185,55 +194,171 @@ func isPointsKey(quoted []byte) bool {
 // allocated at the counted size, and cuts the rows from it as
 // flat[lo:hi:hi]. So a value that breaks the grammar allocates nothing, and
 // a null element is 0, as it is in the fresh slices encoding/json decodes
-// into.
+// into. Both passes run over one segment of rows per worker, the default
+// worker count capped at GOMAXPROCS as parallel caps any defaulted count,
+// and at most one segment per minSegment bytes (see parseSegments).
 func parsePoints(b []byte, start int) ([][]float64, int, error) {
+	return parseSegments(b, start, min(parallel.Workers(0), runtime.GOMAXPROCS(0)), minSegment)
+}
+
+// parseSegments is parsePoints with the rows cut into at most segments
+// segments of at least minBytes bytes each (see splitRows). Each pass
+// parses every segment concurrently from its first row until the array
+// closes or the next row would start where the next segment does. The
+// counts are then chained in segment order: the first error along the
+// chain is the parse's error, and the first segment that closes the array
+// ends the value, so the segments after it, which parsed bytes past the
+// value (a later member, say), are dropped. The fill pass writes each kept
+// segment into its own window of the one backing array and reports the
+// lowest segment's error.
+//
+// The chain is exactly the serial parse: a segment stops short of the
+// array's end only on arriving at the next segment's start as a row start,
+// so while every earlier segment did, each one continues the serial parse
+// where the one before it stopped. And the cuts make every segment stop
+// there: rows hold only numbers and nulls, so a ']' that the serial parse
+// reaches closes either a row or the array. A segment starts at the row
+// after a ']' and a comma, so before it the serial parse either fails, or
+// closes the array, or closes the row at that ']' and arrives at the
+// segment's start as a row start. The accepted rows, the end offset and
+// the error text are therefore the same for any segment count, and one
+// segment is the serial parse, with no dispatch.
+func parseSegments(b []byte, start, segments, minBytes int) ([][]float64, int, error) {
 	if isNull(b, start) {
 		return nil, start + len("null"), nil
 	}
-	count := pointsParser{b: b, counting: true}
-	end, err := count.array(start)
-	if err != nil {
-		return nil, 0, err
+	if start >= len(b) || b[start] != '[' {
+		return nil, 0, pointsError(b, start)
 	}
-	p := pointsParser{b: b, flat: make([]float64, 0, count.nvals), rows: make([][]float64, 0, count.nrows)}
-	if _, err := p.array(start); err != nil {
-		return nil, 0, err
+	first := skipSpace(b, start+1)
+	if first < len(b) && b[first] == ']' {
+		return [][]float64{}, first + 1, nil
 	}
-	return p.rows, end, nil
+	segs := splitRows(b, first, min(segments, (len(b)-start-1)/minBytes))
+	pass := func(k int) {
+		s := &segs[k]
+		s.end, s.closed, s.err = s.rowsFrom(s.start, s.stop)
+	}
+	eachSegment(len(segs), pass)
+	var nrows, nvals, end int
+	for k := range segs {
+		s := &segs[k]
+		if s.err != nil {
+			return nil, 0, s.err
+		}
+		nrows += s.nrows
+		nvals += s.nvals
+		if s.closed {
+			segs, end = segs[:k+1], s.end
+			break
+		}
+	}
+	flat := make([]float64, nvals)
+	rows := make([][]float64, nrows)
+	nrows, nvals = 0, 0
+	for k := range segs {
+		s := &segs[k]
+		s.counting = false
+		s.flat = flat[nvals : nvals : nvals+s.nvals]
+		s.rows = rows[nrows : nrows : nrows+s.nrows]
+		nrows += s.nrows
+		nvals += s.nvals
+	}
+	eachSegment(len(segs), pass)
+	for _, s := range segs {
+		if s.err != nil {
+			return nil, 0, s.err
+		}
+	}
+	return rows, end, nil
 }
 
-// pointsParser is one pass of parsePoints. A counting pass only checks the
-// grammar and counts rows and numbers; the other fills flat and rows.
+// splitRows cuts the rows of the array whose first row starts at b[first]
+// into at most n segments. Segment k > 0 starts at the first row start
+// after a "]," (whitespace allowed around the comma) at or past the k-th
+// n-th of the bytes from first; when there is none past the previous
+// segment's start, fewer segments are returned. The last segment's stop is
+// -1: only the array's close or an error ends it.
+func splitRows(b []byte, first, n int) []pointsParser {
+	segs := make([]pointsParser, 1, max(n, 1))
+	segs[0] = pointsParser{b: b, start: first, counting: true}
+	for k := 1; k < n; k++ {
+		prev := &segs[len(segs)-1]
+		at := nextRowStart(b, max(first+(len(b)-first)/n*k, prev.start+1))
+		if at < 0 {
+			break
+		}
+		prev.stop = at
+		segs = append(segs, pointsParser{b: b, start: at, counting: true})
+	}
+	segs[len(segs)-1].stop = -1
+	return segs
+}
+
+// nextRowStart returns the index of the first '[' or 'n' at or after b[i]
+// that follows a ']' and a ',' with only whitespace around the comma, or -1.
+func nextRowStart(b []byte, i int) int {
+	for i < len(b) {
+		j := bytes.IndexByte(b[i:], ']')
+		if j < 0 {
+			break
+		}
+		i += j + 1
+		if k := skipSpace(b, i); k < len(b) && b[k] == ',' {
+			if k = skipSpace(b, k+1); k < len(b) && (b[k] == '[' || b[k] == 'n') {
+				return k
+			}
+		}
+	}
+	return -1
+}
+
+// eachSegment runs fn for every segment index, through parallel.Each when
+// there are several, so a one-segment parse makes no dispatch.
+func eachSegment(n int, fn func(k int)) {
+	if n == 1 {
+		fn(0)
+		return
+	}
+	parallel.Each(n, 0, fn)
+}
+
+// pointsParser is one pass over one segment of parsePoints: the rows from
+// b[start] until the array closes or the next row would start at b[stop].
+// A counting pass only checks the grammar and counts rows and numbers; the
+// other fills flat and rows, the segment's windows of the backing arrays.
 type pointsParser struct {
 	b            []byte
+	start, stop  int
 	counting     bool
 	nrows, nvals int
 	flat         []float64
 	rows         [][]float64
+	end          int   // past the array's ']' when closed, else stop
+	closed       bool  // the array closed in this segment
+	err          error // the segment's first error
 }
 
-// array parses the array of rows at b[i] and returns the index past it.
-func (p *pointsParser) array(i int) (int, error) {
+// rowsFrom parses the row at b[i] and those after it. It returns the index
+// past the array's ']' and true when the array closes, or stop and false
+// when the next row would start at b[stop].
+func (p *pointsParser) rowsFrom(i, stop int) (int, bool, error) {
 	b := p.b
-	if i >= len(b) || b[i] != '[' {
-		return 0, pointsError(b, i)
-	}
-	if i = skipSpace(b, i+1); i < len(b) && b[i] == ']' {
-		return i + 1, nil
-	}
 	for {
 		var err error
 		if i, err = p.row(i); err != nil {
-			return 0, err
+			return 0, false, err
 		}
 		if i = skipSpace(b, i); i < len(b) && b[i] == ',' {
-			i = skipSpace(b, i+1)
+			if i = skipSpace(b, i+1); i == stop {
+				return i, false, nil
+			}
 			continue
 		}
 		if i < len(b) && b[i] == ']' {
-			return i + 1, nil
+			return i + 1, true, nil
 		}
-		return 0, pointsError(b, i)
+		return 0, false, pointsError(b, i)
 	}
 }
 

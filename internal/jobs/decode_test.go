@@ -14,6 +14,8 @@ import (
 	"testing"
 	"testing/iotest"
 	"time"
+
+	"multiclust/internal/parallel"
 )
 
 // oracleDecode is the reflection decoder the job handlers used before
@@ -28,7 +30,9 @@ func oracleDecode(body io.Reader, v any) error {
 // checkDecode decodes body with decodeBody and with the oracle and fails
 // unless both accept or both reject, and, when they accept, unless the
 // decoded values are deeply equal (nil versus empty slices included) and
-// every float is bit-identical.
+// every float is bit-identical. It then parses the body's points member
+// again with its rows cut into up to 3 segments of at least one byte, so
+// that bodies far below minSegment take the split path too.
 func checkDecode[T any](t *testing.T, body []byte, points func(*T) *[][]float64) {
 	t.Helper()
 	var got, want T
@@ -39,6 +43,26 @@ func checkDecode[T any](t *testing.T, body []byte, points func(*T) *[][]float64)
 	}
 	if gotErr == nil && (!reflect.DeepEqual(got, want) || !sameBits(*points(&got), *points(&want))) {
 		t.Fatalf("body %q:\ndecodeBody    %#v\nencoding/json %#v", body, got, want)
+	}
+	checkSplit(t, body, 3)
+}
+
+// cutInto is parsePoints with the rows cut into at most n segments of at
+// least one byte.
+func cutInto(n int) func([]byte, int) ([][]float64, int, error) {
+	return func(b []byte, start int) ([][]float64, int, error) { return parseSegments(b, start, n, 1) }
+}
+
+// checkSplit fails unless findPoints with the rows cut into at most n
+// segments returns what it returns with parsePoints: the same error text,
+// or the same member, its rows deeply equal (nil versus empty included)
+// and bit-identical, at the same offsets.
+func checkSplit(t *testing.T, body []byte, n int) {
+	t.Helper()
+	want, wantErr := findPoints(body, parsePoints)
+	got, gotErr := findPoints(body, cutInto(n))
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) || !sameBits(got.rows, want.rows) {
+		t.Fatalf("body %q cut into %d segments:\ngot  %#v, error %v\nwant %#v, error %v", body, n, got, gotErr, want, wantErr)
 	}
 }
 
@@ -68,6 +92,92 @@ func FuzzAppend(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkDecode(t, body, func(r *appendRequest) *[][]float64 { return &r.Points })
 	})
+}
+
+// TestParseSegmentsMatchesSerial parses points values with their rows cut
+// into 1, 2, 3, 4 and 8 segments of at least one byte. Every cut must give
+// the serial parse's rows, end offset and error text, and every cut of two
+// or more must really split the value's bytes.
+func TestParseSegmentsMatchesSerial(t *testing.T) {
+	const pre = `{"points":`
+	// eight rows of one number each, row j replaced by row
+	rows8 := func(j int, row string) string {
+		r := []string{"[1]", "[2]", "[3]", "[4]", "[5]", "[6]", "[7]", "[8]"}
+		r[j] = row
+		return "[" + strings.Join(r, ",") + "]"
+	}
+	// the errors for the first byte of bad in value, and for its 1e400
+	grammar := func(value, bad string) string {
+		return fmt.Sprintf("points: invalid character %q at offset %d (want null or an array of rows of numbers)", bad[0], len(pre)+strings.Index(value, bad))
+	}
+	overflow := func(value string) string {
+		return fmt.Sprintf("points: number 1e400 at offset %d does not fit a float64", len(pre)+strings.Index(value, "1e400"))
+	}
+	type tc struct {
+		name, value, rest string
+		rows              [][]float64 // when err is empty
+		err               string
+	}
+	cases := []tc{
+		{name: "space around cuts", value: "[ [1, 2] ,\n [3,4]\r\n,\t[5,6] , [7 ,8 ]\n]", rest: "}",
+			rows: [][]float64{{1, 2}, {3, 4}, {5, 6}, {7, 8}}},
+		{name: "null and empty rows", value: "[null,[1],[],null,[2,null],[],null]", rest: "}",
+			rows: [][]float64{nil, {1}, {}, nil, {2, 0}, {}, nil}},
+		{name: "cut in a later member", value: "[[1],[2]]", rest: `,"x":[[3],[4]]}`,
+			rows: [][]float64{{1}, {2}}},
+		{name: "unterminated", value: "[[1],[2],[3],", err: "points: unexpected end of JSON input (want null or an array of rows of numbers)"},
+	}
+	for j := 0; j < 8; j++ {
+		v := rows8(j, "[-]")
+		cases = append(cases, tc{name: fmt.Sprintf("bad number in row %d", j), value: v, rest: "}", err: grammar(v, "-")})
+	}
+	v := rows8(5, "nul")
+	cases = append(cases, tc{name: "bad null row", value: v, rest: "}", err: grammar(v, "nul")})
+	v = rows8(3, "[4] [9]")
+	cases = append(cases, tc{name: "missing comma", value: v, rest: "}", err: grammar(v, "[9]")})
+	v = rows8(7, "[1e400]")
+	cases = append(cases, tc{name: "1e400 in the last row", value: v, rest: "}", err: overflow(v)})
+	v = strings.Replace(rows8(6, "[1e400]"), "[2]", "[1e400]", 1)
+	cases = append(cases, tc{name: "two numbers that do not fit", value: v, rest: "}", err: overflow(v)})
+	v = rows8(1, "[1e400]")
+	v = strings.Replace(v, "[7]", "[-]", 1)
+	cases = append(cases, tc{name: "bad number after one that does not fit", value: v, rest: "}", err: grammar(v, "-")})
+
+	for _, c := range cases {
+		body := []byte(pre + c.value + c.rest)
+		for _, n := range []int{1, 2, 3, 4, 8} {
+			if segs := splitRows(body, skipSpace(body, len(pre)+1), n); n > 1 && len(segs) < 2 {
+				t.Fatalf("%s: %d segments asked for, %d cut", c.name, n, len(segs))
+			}
+			rows, end, err := parseSegments(body, len(pre), n, 1)
+			if c.err != "" {
+				if err == nil || err.Error() != c.err {
+					t.Fatalf("%s, %d segments: error %v, want %s", c.name, n, err, c.err)
+				}
+				continue
+			}
+			if err != nil || end != len(pre)+len(c.value) || !reflect.DeepEqual(rows, c.rows) {
+				t.Fatalf("%s, %d segments: rows %#v, end %d, error %v; want %#v, end %d", c.name, n, rows, end, err, c.rows, len(pre)+len(c.value))
+			}
+		}
+	}
+}
+
+// TestDecodeSplitsLargeBody decodes a spec of over 64 kB, which the default
+// worker count on a host with several cores cuts into segments, so that
+// the race detector sees both dispatches; the same body with a number that
+// does not fit in its last row must fail with the serial error.
+func TestDecodeSplitsLargeBody(t *testing.T) {
+	body := mustMarshal(t, Spec{Algo: "kmeans", K: 8, Seed: 1, Points: decodeRows(1500, 8)})
+	if len(body) < 64<<10 {
+		t.Fatalf("body is %d bytes, want at least 64 kB", len(body))
+	}
+	end := bytes.LastIndex(body, []byte("]]"))
+	overflow := append(append(append([]byte{}, body[:end]...), ",1e400"...), body[end:]...)
+	for _, b := range [][]byte{body, overflow} {
+		checkDecode(t, b, func(s *Spec) *[][]float64 { return &s.Points })
+		checkSplit(t, b, 4)
+	}
 }
 
 // decodeRows is an n×d dataset with values of the digit length json.Marshal
@@ -127,8 +237,10 @@ func TestDecodeAllocsBounded(t *testing.T) {
 }
 
 // BenchmarkDecodeSpec times reading and decoding a request body: POST specs
-// of n rows and a 500-row PATCH chunk, all d = 8. The reflect variant is
-// the oracle, the decoder the handlers used before.
+// of n rows and a 500-row PATCH chunk, all d = 8. The one-pass variants
+// decode with the default worker count set to 1 and to 2, so w1 parses
+// every body as one segment; the reflect variant is the oracle, the
+// decoder the handlers used before.
 func BenchmarkDecodeSpec(b *testing.B) {
 	for _, c := range []struct {
 		name   string
@@ -140,15 +252,19 @@ func BenchmarkDecodeSpec(b *testing.B) {
 		{"chunk=500", mustMarshal(b, appendRequest{Points: decodeRows(500, 8)}), newChunk},
 	} {
 		r := httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(c.body))
-		b.Run(c.name+"/one-pass", func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(c.body)))
-			for i := 0; i < b.N; i++ {
-				if err := decodeOnce(r, c.body, c.target); err != nil {
-					b.Fatal(err)
+		for _, w := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/one-pass/w%d", c.name, w), func(b *testing.B) {
+				defer parallel.SetDefault(parallel.Default())
+				parallel.SetDefault(w)
+				b.ReportAllocs()
+				b.SetBytes(int64(len(c.body)))
+				for i := 0; i < b.N; i++ {
+					if err := decodeOnce(r, c.body, c.target); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 		b.Run(c.name+"/reflect", func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(c.body)))

@@ -2,6 +2,7 @@ package kmeans
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -285,22 +286,25 @@ func BenchmarkPlusPlusSeeds(b *testing.B) {
 }
 
 // BenchmarkKMeansFit times a whole fit at the served k-means job's shape
-// (n = 8000, d = 8, k = 8, two workers, seeds cycling through 0-7), with no
-// recorder and with the per-job Collector the job engine installs.
+// (n = 8000, d = 8, k = 8, seeds cycling through 0-7) on one worker and on
+// the service's two, with no recorder and with the per-job Collector the
+// job engine installs.
 func BenchmarkKMeansFit(b *testing.B) {
 	pts := serviceBlobs(1, 8000)
 	for _, name := range []string{"nil", "collector"} {
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ctx := context.Background()
-				if name == "collector" {
-					ctx = obs.NewContext(ctx, obs.NewCollector())
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/w%d", name, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					ctx := context.Background()
+					if name == "collector" {
+						ctx = obs.NewContext(ctx, obs.NewCollector())
+					}
+					if _, err := RunContext(ctx, pts, Config{K: 8, Seed: int64(i % 8), Workers: workers}); err != nil {
+						b.Fatal(err)
+					}
 				}
-				if _, err := RunContext(ctx, pts, Config{K: 8, Seed: int64(i % 8), Workers: 2}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			})
+		}
 	}
 }
