@@ -117,9 +117,11 @@ chaos:
 # Service-layer fault injection under the race detector: the job engine's
 # property suite (panic containment, exactly-one terminal state, 429-iff-full
 # backpressure, lossless drain), the public serve facade, and the real-binary
-# SIGTERM drain integration test.
+# SIGTERM drain integration test. The release and idempotency tests run three
+# times more, so a finalizer or GC-timing flake in them shows up here.
 chaos-serve:
 	$(GO) test -race -timeout 180s ./internal/jobs/... ./serve/...
+	$(GO) test -race -count=3 -timeout 180s -run '^(TestRelease|TestIdempotency)' ./internal/jobs/
 	$(GO) test -race -timeout 180s -run 'TestServe' ./cmd/multiclust/
 
 # Streaming fault injection under the race detector: chunk appends racing

@@ -2,9 +2,12 @@ package jobs
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"reflect"
 	"sort"
 	"strconv"
@@ -184,6 +187,10 @@ func (e *Engine) Submit(spec Spec) (*Job, bool, error) {
 // Submit). The trace id is pure telemetry and deliberately excluded from
 // idempotency comparison: a retried request with a fresh traceparent
 // still deduplicates, keeping the original job's id.
+//
+// A retry matches when its points have the digest the original's had at
+// admission and every other field is equal, which is exactly when the
+// two specs are equal under reflect.DeepEqual.
 func (e *Engine) SubmitTraced(spec Spec, traceID string) (*Job, bool, error) {
 	if err := e.validate(spec); err != nil {
 		return nil, false, err
@@ -198,6 +205,14 @@ func (e *Engine) SubmitTraced(spec Spec, traceID string) (*Job, bool, error) {
 		}
 		handle = h
 	}
+	// Only a keyed spec is ever compared, so only it pays for the
+	// digest, and it pays outside the engine lock.
+	var digest [sha256.Size]byte
+	if spec.IdempotencyKey != "" {
+		digest = pointsDigest(spec.Points)
+	}
+	points := spec.Points
+	spec.Points = nil
 	e.mu.Lock()
 	if e.draining {
 		e.mu.Unlock()
@@ -208,7 +223,9 @@ func (e *Engine) SubmitTraced(spec Spec, traceID string) (*Job, bool, error) {
 		if id, ok := e.byKey[spec.IdempotencyKey]; ok {
 			j := e.jobs[id]
 			e.mu.Unlock()
-			if !reflect.DeepEqual(j.Spec, spec) {
+			// j.Spec and j.digest are fixed at admission, so they are
+			// read without j.mu.
+			if j.digest != digest || !reflect.DeepEqual(j.Spec, spec) {
 				// Same key, different request: refusing loudly is the
 				// only safe answer — silent dedup would hand the caller
 				// a result for a spec it never sent.
@@ -225,6 +242,7 @@ func (e *Engine) SubmitTraced(spec Spec, traceID string) (*Job, bool, error) {
 		Key:        spec.IdempotencyKey,
 		Spec:       spec,
 		TraceID:    traceID,
+		digest:     digest,
 		col:        obs.NewCollector(),
 		enqueuedAt: time.Now(),
 		done:       make(chan struct{}),
@@ -234,14 +252,15 @@ func (e *Engine) SubmitTraced(spec Spec, traceID string) (*Job, bool, error) {
 	// chunk; one that opens empty holds no queue slot until a PATCH
 	// appends work.
 	needToken := true
-	if spec.Stream {
-		if len(spec.Points) > 0 {
-			j.pending = []streamChunk{{rows: spec.Points}}
-			j.chunksAcked = 1
-			j.rowsAcked = int64(len(spec.Points))
-		} else {
-			needToken = false
-		}
+	switch {
+	case !spec.Stream:
+		j.points = points
+	case len(points) > 0:
+		j.pending = []streamChunk{{rows: points}}
+		j.chunksAcked = 1
+		j.rowsAcked = int64(len(points))
+	default:
+		needToken = false
 	}
 	// Every send on the queue happens under e.mu, and workers only take
 	// from it, so a free slot seen here is still free at the send below.
@@ -264,6 +283,45 @@ func (e *Engine) SubmitTraced(spec Spec, traceID string) (*Job, bool, error) {
 	e.mu.Unlock()
 	obs.Count(obs.Default(), "jobs.submitted", 1)
 	return j, false, nil
+}
+
+// pointsDigest hashes what reflect.DeepEqual tells apart in a validated
+// dataset: nil versus empty, the row count, each row's length and each
+// value. A -0 is hashed as +0, because == finds them equal; NaN and Inf
+// never pass validation, so for every other value == is equality of
+// bits. SHA-256, not a faster hash: a crafted collision would hand one
+// spec's result to a caller who sent another.
+func pointsDigest(points [][]float64) [sha256.Size]byte {
+	h := sha256.New()
+	var buf [512]byte
+	n := 0
+	put := func(u uint64) {
+		if n == len(buf) {
+			h.Write(buf[:])
+			n = 0
+		}
+		binary.LittleEndian.PutUint64(buf[n:], u)
+		n += 8
+	}
+	if points != nil {
+		put(1)
+	} else {
+		put(0)
+	}
+	put(uint64(len(points)))
+	for _, row := range points {
+		put(uint64(len(row)))
+		for _, v := range row {
+			if v == 0 {
+				v = 0
+			}
+			put(math.Float64bits(v))
+		}
+	}
+	h.Write(buf[:n])
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
 }
 
 // logState emits one job.state line for a lifecycle transition. attempts
@@ -576,17 +634,20 @@ func (e *Engine) resolveTimeout(ms int64) time.Duration {
 	return timeout
 }
 
-// tryStart moves the job to Running and installs its cancel hook, or
-// reports false when the job was cancelled while queued.
-func (e *Engine) tryStart(j *Job, cancel func()) bool {
+// tryStart moves the job to Running, installs its cancel hook and
+// returns the spec with its points attached, or reports false when the
+// job was cancelled while queued.
+func (e *Engine) tryStart(j *Job, cancel func()) (Spec, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateQueued {
-		return false
+		return Spec{}, false
 	}
 	j.state = StateRunning
 	j.cancel = cancel
-	return true
+	spec := j.Spec
+	spec.Points = j.points
+	return spec, true
 }
 
 // execute runs one job to its terminal state. Panics cannot escape: every
@@ -597,7 +658,8 @@ func (e *Engine) execute(j *Job) {
 	timeout := e.resolveTimeout(j.Spec.TimeoutMS)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if !e.tryStart(j, cancel) {
+	spec, ok := e.tryStart(j, cancel)
+	if !ok {
 		return // cancelled while queued; already terminal
 	}
 	e.logState(j, StateRunning, 0, nil)
@@ -618,9 +680,9 @@ func (e *Engine) execute(j *Job) {
 	// correlated with the creating request.
 	tctx = obs.NewContext(obs.WithTraceID(tctx, j.TraceID), j.col)
 
-	runner := e.cfg.Runners[j.Spec.Algo]
+	runner := e.cfg.Runners[spec.Algo]
 	execStart := time.Now()
-	out, err := robust.Retry(tctx, j.Spec.Seed,
+	out, err := robust.Retry(tctx, spec.Seed,
 		func(seed int64) (o *Outcome, rerr error) {
 			defer robust.RecoverTo(&rerr)
 			j.mu.Lock()
@@ -637,7 +699,7 @@ func (e *Engine) execute(j *Job) {
 			// the collector by the time /trace becomes servable.
 			actx, end := obs.SpanCtx(tctx, j.col, "jobs.run")
 			defer end()
-			return runner(actx, j.Spec, seed, j.col)
+			return runner(actx, spec, seed, j.col)
 		})
 	obs.Histogram(obs.Default(), "jobs.exec_seconds", time.Since(execStart).Seconds())
 
@@ -685,7 +747,10 @@ func (e *Engine) executeChunk(j *Job) {
 	j.processing = true
 	for j.tokens > 0 && !j.state.Terminal() && len(j.pending) > 0 {
 		j.tokens--
-		chunk := j.pending[0]
+		chunk, handle := j.pending[0], j.handle
+		// Clear the slot: the rows are released once pushed, not when a
+		// later append happens to reallocate the backing array.
+		j.pending[0] = streamChunk{}
 		j.pending = j.pending[1:]
 		if j.state == StateQueued {
 			j.state = StateRunning
@@ -703,17 +768,18 @@ func (e *Engine) executeChunk(j *Job) {
 		}
 		j.attempts++
 		j.mu.Unlock()
-		e.runChunk(j, chunk)
+		e.runChunk(j, handle, chunk)
 		j.mu.Lock()
 	}
 	j.processing = false
 	j.mu.Unlock()
 }
 
-// runChunk folds one popped chunk into the handle and settles the job if
-// that chunk was terminal (final, faulty, cancelled, or interrupted).
-// Called without j.mu held, by the worker holding the processing claim.
-func (e *Engine) runChunk(j *Job, chunk streamChunk) {
+// runChunk folds one popped chunk into the job's handle, read under j.mu
+// at the pop, and settles the job if that chunk was terminal (final,
+// faulty, cancelled, or interrupted). Called without j.mu held, by the
+// worker holding the processing claim.
+func (e *Engine) runChunk(j *Job, handle StreamHandle, chunk streamChunk) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	j.mu.Lock()
@@ -733,7 +799,7 @@ func (e *Engine) runChunk(j *Job, chunk streamChunk) {
 			defer robust.RecoverTo(&perr)
 			pctx, end := obs.SpanCtx(tctx, j.col, "jobs.chunk_push")
 			defer end()
-			perr = j.handle.PushChunk(pctx, chunk.rows)
+			perr = handle.PushChunk(pctx, chunk.rows)
 		}()
 		obs.Histogram(obs.Default(), "jobs.chunk_push_seconds", time.Since(pushStart).Seconds())
 	}
@@ -744,7 +810,7 @@ func (e *Engine) runChunk(j *Job, chunk streamChunk) {
 	var serr error
 	func() {
 		defer robust.RecoverTo(&serr)
-		out, serr = j.handle.Snapshot(obs.NewContext(context.Background(), j.col))
+		out, serr = handle.Snapshot(obs.NewContext(context.Background(), j.col))
 	}()
 
 	j.mu.Lock()
@@ -780,7 +846,11 @@ func (e *Engine) runChunk(j *Job, chunk streamChunk) {
 // finish performs the terminal transition. It is the only place a job's
 // state becomes terminal, and it refuses to run twice: the exactly-once
 // property the fault-injection suite asserts is enforced here, not merely
-// tested.
+// tested. It also releases what only the run needed: a batch job's
+// points, and a stream's unpushed chunks and its learner, which may hold
+// rows of its own (the meta ensemble keeps its window's chunks). A worker
+// pushes with the learner it read at the pop, so dropping j.handle here
+// never pulls it from under a push.
 func (e *Engine) finish(j *Job, s State, out *Outcome, err error) {
 	j.mu.Lock()
 	j.finishCalls++
@@ -791,6 +861,7 @@ func (e *Engine) finish(j *Job, s State, out *Outcome, err error) {
 	j.state = s
 	j.result = out
 	j.err = err
+	j.points, j.pending, j.handle = nil, nil, nil
 	attempts := j.attempts
 	close(j.done)
 	j.mu.Unlock()

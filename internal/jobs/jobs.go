@@ -29,6 +29,7 @@
 package jobs
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"sync"
@@ -175,16 +176,22 @@ type Status struct {
 
 // Job is one admitted clustering run. All mutable fields are guarded by mu;
 // readers take snapshots via Status. The done channel closes exactly once,
-// at the terminal transition.
+// at the terminal transition, which also releases the dataset: a terminal
+// job keeps only its status, outcome, counters and spans.
 type Job struct {
-	ID   string
-	Key  string // idempotency key, "" when none
+	ID  string
+	Key string // idempotency key, "" when none
+	// Spec is the admitted spec, immutable after admission. Its Points is
+	// always nil: the engine holds the rows only until the run ends.
 	Spec Spec
 	// TraceID is the trace id of the creating request, fixed at admission
 	// for the job's whole async lifetime ("" when untraced). It is the
 	// id's one home: Status, /spans, /trace and the job.state lines
 	// all read it here.
 	TraceID string
+	// digest is pointsDigest of the admitted points, taken only when Key
+	// is set; a retry with the same key must match it.
+	digest [sha256.Size]byte
 
 	// col is the job's one recorder, so nothing leaks between tenants:
 	// runners and job spans record to it, Status.Metrics and /spans read
@@ -192,6 +199,7 @@ type Job struct {
 	col *obs.Collector
 
 	mu          sync.Mutex
+	points      [][]float64 // a batch job's dataset, nil once terminal
 	state       State
 	result      *Outcome
 	err         error
@@ -202,7 +210,8 @@ type Job struct {
 	finishCalls int // total finish attempts; >1 would break exactly-once
 	done        chan struct{}
 
-	// Streaming state (Spec.Stream jobs only), also guarded by mu. Every
+	// Streaming state (Spec.Stream jobs only), also guarded by mu; the
+	// opening rows live only as the first pending chunk. Every
 	// acknowledged chunk in pending has a matching token in the engine
 	// queue, so pending is bounded by the queue capacity. Chunk
 	// processing is serialized by a claim: the first worker whose token
