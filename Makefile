@@ -77,34 +77,40 @@ examples:
 	$(GO) run ./examples/genes
 	$(GO) run ./examples/text
 
-# Short fuzz sessions over the parsing, metric, index, k-means pruning,
-# subspace-search, streaming, request-decoding and number-conversion
-# surfaces. -fuzz must match exactly one target per package, hence the
-# anchored names.
+# The fuzz targets, one <-fuzz pattern>:<package> pair each, over the
+# parsing, metric, index, k-means pruning, subspace-search, streaming,
+# request-decoding and number-conversion surfaces. -fuzz must match exactly
+# one target per package, hence the anchored names.
+FUZZ_TARGETS = \
+	FuzzReadCSV:./internal/dataset/ \
+	FuzzComparisonMeasures:./internal/metrics/ \
+	'^FuzzGridEqualsLinear$$':./internal/dbscan/ \
+	'^FuzzHamerlyEqualsLloyd$$':./internal/kmeans/ \
+	'^FuzzSubcluEqualsReference$$':./internal/subspace/ \
+	'^FuzzCliqueEqualsReference$$':./internal/subspace/ \
+	'^FuzzChunkedReplay$$':./internal/stream/ \
+	'^FuzzSubmitSpec$$':./internal/jobs/ \
+	'^FuzzAppend$$':./internal/jobs/ \
+	'^FuzzParseNumber$$':./internal/jobs/
+
+define newline
+
+
+endef
+
+# $(call fuzz-each,<flags before -fuzz>,<fuzztime>) expands to one go test
+# command per fuzz target; non-empty flags end in a space. Each command ends
+# in a newline, so make runs it as its own recipe line and stops at the
+# first failure.
+fuzz-each = $(foreach t,$(FUZZ_TARGETS),$(GO) test $(1)-fuzz=$(firstword $(subst :, ,$(t))) -fuzztime=$(2) $(lastword $(subst :, ,$(t)))$(newline))
+
+# Short fuzz sessions, 30 seconds per target.
 fuzz:
-	$(GO) test -fuzz=FuzzReadCSV -fuzztime=30s ./internal/dataset/
-	$(GO) test -fuzz=FuzzComparisonMeasures -fuzztime=30s ./internal/metrics/
-	$(GO) test -fuzz='^FuzzGridEqualsLinear$$' -fuzztime=30s ./internal/dbscan/
-	$(GO) test -fuzz='^FuzzHamerlyEqualsLloyd$$' -fuzztime=30s ./internal/kmeans/
-	$(GO) test -fuzz='^FuzzSubcluEqualsReference$$' -fuzztime=30s ./internal/subspace/
-	$(GO) test -fuzz='^FuzzCliqueEqualsReference$$' -fuzztime=30s ./internal/subspace/
-	$(GO) test -fuzz='^FuzzChunkedReplay$$' -fuzztime=30s ./internal/stream/
-	$(GO) test -fuzz='^FuzzSubmitSpec$$' -fuzztime=30s ./internal/jobs/
-	$(GO) test -fuzz='^FuzzAppend$$' -fuzztime=30s ./internal/jobs/
-	$(GO) test -fuzz='^FuzzParseNumber$$' -fuzztime=30s ./internal/jobs/
+	$(call fuzz-each,,30s)
 
 # 10-second smoke fuzz, the same step CI runs on every push.
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=10s ./internal/dataset/
-	$(GO) test -run='^$$' -fuzz=FuzzComparisonMeasures -fuzztime=10s ./internal/metrics/
-	$(GO) test -run='^$$' -fuzz='^FuzzGridEqualsLinear$$' -fuzztime=10s ./internal/dbscan/
-	$(GO) test -run='^$$' -fuzz='^FuzzHamerlyEqualsLloyd$$' -fuzztime=10s ./internal/kmeans/
-	$(GO) test -run='^$$' -fuzz='^FuzzSubcluEqualsReference$$' -fuzztime=10s ./internal/subspace/
-	$(GO) test -run='^$$' -fuzz='^FuzzCliqueEqualsReference$$' -fuzztime=10s ./internal/subspace/
-	$(GO) test -run='^$$' -fuzz='^FuzzChunkedReplay$$' -fuzztime=10s ./internal/stream/
-	$(GO) test -run='^$$' -fuzz='^FuzzSubmitSpec$$' -fuzztime=10s ./internal/jobs/
-	$(GO) test -run='^$$' -fuzz='^FuzzAppend$$' -fuzztime=10s ./internal/jobs/
-	$(GO) test -run='^$$' -fuzz='^FuzzParseNumber$$' -fuzztime=10s ./internal/jobs/
+	$(call fuzz-each,-run='^$$' ,10s)
 
 # Fault-injection property suite under the race detector: seeded corrupters
 # (internal/robust/chaos) against every facade algorithm, plus the
@@ -147,7 +153,8 @@ e2ebench-check:
 	$(GO) -C e2ebench vet ./...
 	$(GO) -C e2ebench test ./...
 
-# Everything the GitHub Actions workflow runs, locally.
+# Everything the GitHub Actions workflow runs, locally. The workflow calls
+# these targets, so the two cannot drift apart.
 ci: build vet fmt-check test race lint lint-bench fuzz-smoke chaos chaos-serve stream-chaos logs-check e2ebench-check cover bench-json
 
 clean:

@@ -9,7 +9,7 @@ import (
 )
 
 // lintRepoBudget is the wall-clock ceiling for one full self-host run —
-// parse, type-check, and all eleven analyzers over every package. The
+// parse, type-check, and every analyzer over every package. The
 // interactive contract is "make lint is something you run on every save";
 // a run that blows this budget is a performance regression in the engine
 // (an accidental quadratic CFG walk, a taint fixpoint that stopped

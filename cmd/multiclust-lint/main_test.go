@@ -75,6 +75,8 @@ func TestRuleSelection(t *testing.T) {
 	}
 }
 
+// -list must name the rules of README's table, in its order, so the
+// suite, the flag and the documentation change together.
 func TestListRules(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
@@ -84,11 +86,36 @@ func TestListRules(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
 		got = append(got, strings.Fields(line)[0])
 	}
-	want := []string{"maporder", "sharedrng", "nakedgo", "floatkey", "ctxpoll", "obsnil",
-		"spanend", "ctxflow", "lockcopy", "goleak", "detsource"}
-	if strings.Join(got, " ") != strings.Join(want, " ") {
-		t.Errorf("-list rules = %v, want %v", got, want)
+	want := readmeRules(t)
+	if len(want) == 0 {
+		t.Fatal("README.md has no rule table under its Static analysis heading")
 	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("-list rules = %v, README's table = %v", got, want)
+	}
+}
+
+// readmeRules returns the first column of the table under README.md's
+// "## Static analysis" heading, in table order.
+func readmeRules(t *testing.T) []string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(repoRoot(t), "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(data), "\n## Static analysis\n")
+	if !ok {
+		t.Fatal("README.md has no Static analysis heading")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	var rules []string
+	for _, line := range strings.Split(section, "\n") {
+		if rest, ok := strings.CutPrefix(line, "| `"); ok {
+			name, _, _ := strings.Cut(rest, "`")
+			rules = append(rules, name)
+		}
+	}
+	return rules
 }
 
 // -json must emit a machine-readable array with rule, message, position and

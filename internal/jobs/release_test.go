@@ -294,7 +294,6 @@ func TestIdempotencyResubmitRacesTerminal(t *testing.T) {
 	ready.Add(workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		//lint:ignore nakedgo test-only fan-out joined by the WaitGroup below
 		go func() {
 			defer wg.Done()
 			retry := spec

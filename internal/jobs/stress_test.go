@@ -26,7 +26,6 @@ func TestConcurrentSubmitDeterministicPerJob(t *testing.T) {
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
-		//lint:ignore nakedgo test-only fan-out joined by the WaitGroup two lines below
 		go func(i int) {
 			defer wg.Done()
 			j, _, err := e.Submit(Spec{
@@ -93,7 +92,6 @@ func TestConcurrentSubmitPollCancel(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
-		//lint:ignore nakedgo test-only fan-out joined by the WaitGroup below
 		go func(i int) {
 			defer wg.Done()
 			algo := "kmeans"

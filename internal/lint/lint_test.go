@@ -1,10 +1,15 @@
 package lint
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/token"
+	"io"
+	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -67,6 +72,13 @@ func parseWants(t *testing.T, p *Package) map[string][]*regexp.Regexp {
 
 func checkFixture(t *testing.T, dir string, a *Analyzer) {
 	t.Helper()
+	pkg := loadFixture(t, dir)
+	matchWants(t, parseWants(t, pkg), Run(pkg, []*Analyzer{a}))
+}
+
+// loadFixture loads the package under testdata/<dir>.
+func loadFixture(t *testing.T, dir string) *Package {
+	t.Helper()
 	abs, err := filepath.Abs(filepath.Join("testdata", dir))
 	if err != nil {
 		t.Fatal(err)
@@ -75,9 +87,13 @@ func checkFixture(t *testing.T, dir string, a *Analyzer) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wants := parseWants(t, pkg)
-	findings := Run(pkg, []*Analyzer{a})
+	return pkg
+}
 
+// matchWants fails on a want with no matching finding, a finding with no
+// want, and a line with more findings than wants.
+func matchWants(t *testing.T, wants map[string][]*regexp.Regexp, findings []Finding) {
+	t.Helper()
 	matched, reported := map[string]int{}, map[string]int{}
 	for _, f := range findings {
 		key := fmt.Sprintf("%s:%d", f.Pos.Filename, f.Pos.Line)
@@ -121,7 +137,6 @@ func TestCtxPollFixture(t *testing.T)   { checkFixture(t, "ctxpoll", CtxPoll()) 
 func TestObsNilFixture(t *testing.T)    { checkFixture(t, "obsnil", ObsNil()) }
 func TestSpanEndFixture(t *testing.T)   { checkFixture(t, "spanend", SpanEnd()) }
 func TestCtxFlowFixture(t *testing.T)   { checkFixture(t, "ctxflow", CtxFlow()) }
-func TestLockCopyFixture(t *testing.T)  { checkFixture(t, "lockcopy", LockCopy()) }
 func TestGoLeakFixture(t *testing.T)    { checkFixture(t, "goleak", GoLeak()) }
 func TestDetSourceFixture(t *testing.T) { checkFixture(t, "detsource", DetSource()) }
 
@@ -129,6 +144,72 @@ func TestDetSourceFixture(t *testing.T) { checkFixture(t, "detsource", DetSource
 // their own packages: the merged rule must report exactly their wants.
 func TestGlobalRandFixture(t *testing.T) { checkFixture(t, "globalrand", DetSource()) }
 func TestRngEscapeFixture(t *testing.T)  { checkFixture(t, "rngescape", SharedRNG()) }
+
+// TestVetCopyLocksFixture pins why the suite has no lock-copy rule of its
+// own: go vet's copylocks check, which make vet and CI run, reports every
+// copy in testdata/lockcopy (each line marked want, the _ = x discards
+// included) and nothing in its clean half. The real tree holds no lock
+// copies, so only this fixture shows a toolchain that stops reporting one
+// of these shapes. It runs the go command that go test put first on PATH,
+// the one that built this test binary.
+func TestVetCopyLocksFixture(t *testing.T) {
+	goCmd, err := exec.LookPath("go")
+	if err != nil {
+		t.Fatalf("no go command to run vet with: %v", err)
+	}
+	pkg := loadFixture(t, "lockcopy")
+	cmd := exec.Command(goCmd, "vet", "-json", ".")
+	cmd.Dir = pkg.Dir
+	var out bytes.Buffer
+	cmd.Stderr = &out // go vet -json writes its report to stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("go vet -json: %v\n%s", err, out.String())
+	}
+	findings := vetFindings(t, out.String())
+	for _, f := range findings {
+		if f.Rule != "copylocks" {
+			t.Errorf("go vet's %s check reported the fixture: %s", f.Rule, f)
+		}
+	}
+	matchWants(t, parseWants(t, pkg), findings)
+}
+
+var vetPosnRe = regexp.MustCompile(`^(.+?):(\d+)(?::\d+)?$`)
+
+// vetFindings decodes go vet -json output, a "# <package>" line followed by
+// one object per package that maps each check to its diagnostics, into
+// findings named after the check.
+func vetFindings(t *testing.T, out string) []Finding {
+	t.Helper()
+	var body strings.Builder
+	for _, line := range strings.SplitAfter(out, "\n") {
+		if !strings.HasPrefix(line, "#") {
+			body.WriteString(line)
+		}
+	}
+	var findings []Finding
+	dec := json.NewDecoder(strings.NewReader(body.String()))
+	for {
+		var pkgs map[string]map[string][]struct{ Posn, Message string }
+		if err := dec.Decode(&pkgs); err == io.EOF {
+			return findings
+		} else if err != nil {
+			t.Fatalf("go vet -json output: %v\n%s", err, out)
+		}
+		for _, checks := range pkgs {
+			for check, diags := range checks {
+				for _, d := range diags {
+					m := vetPosnRe.FindStringSubmatch(d.Posn)
+					if m == nil {
+						t.Fatalf("go vet position %q is not file:line:col", d.Posn)
+					}
+					line, _ := strconv.Atoi(m[2])
+					findings = append(findings, Finding{Pos: tokenPosition(m[1], line), Rule: check, Message: d.Message})
+				}
+			}
+		}
+	}
+}
 
 // internal/obs is the one package allowed to call Recorder methods
 // directly: its helpers and sinks ARE the guard. The real package must
@@ -149,15 +230,7 @@ func TestObsNilExemptsObsPackage(t *testing.T) {
 func TestSilhouetteMapOrderRegressionFails(t *testing.T) {
 	checkFixture(t, "silhouette", MapOrder())
 
-	abs, err := filepath.Abs("testdata/silhouette")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := loaderForTest(t).Load(abs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings := Run(pkg, []*Analyzer{MapOrder()})
+	findings := Run(loadFixture(t, "silhouette"), []*Analyzer{MapOrder()})
 	if len(findings) == 0 {
 		t.Fatal("linter passed the reintroduced Silhouette map-order bug")
 	}

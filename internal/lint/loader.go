@@ -27,19 +27,13 @@ import (
 // them anyway would type-check code that never builds here (and typically
 // fails on missing platform symbols).
 //
-// By default only non-test files are loaded: the determinism invariants the
-// analyzers enforce bind library code, while tests legitimately compare
-// floats exactly (that is what a replay-determinism test does). Setting
-// IncludeTests adds each package's in-package _test.go files; external
-// (package foo_test) files are still excluded because they cannot be
-// type-checked into the same package.
+// Only non-test files are loaded: the determinism invariants the analyzers
+// enforce bind library code, while tests legitimately compare floats
+// exactly (that is what a replay-determinism test does).
 type Loader struct {
 	Fset       *token.FileSet
 	ModulePath string
 	ModuleDir  string
-
-	// IncludeTests loads in-package _test.go files alongside library code.
-	IncludeTests bool
 
 	std   types.Importer
 	cache map[string]*types.Package
@@ -84,7 +78,7 @@ func (l *Loader) Load(dir string) (*Package, error) {
 	if !filepath.IsAbs(dir) {
 		dir = filepath.Join(l.ModuleDir, dir)
 	}
-	files, err := l.parseDir(dir, l.IncludeTests)
+	files, err := l.parseDir(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -127,9 +121,7 @@ func (l *Loader) importPathFor(dir string) string {
 
 // Import implements types.Importer: module-local paths are loaded from
 // source under the module root, and everything else is delegated to the
-// standard library's source importer. Imported packages never include test
-// files — the go tool does not compile a dependency's tests into an import
-// either.
+// standard library's source importer.
 func (l *Loader) Import(path string) (*types.Package, error) {
 	if p, ok := l.cache[path]; ok {
 		return p, nil
@@ -143,7 +135,7 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 		return pkg, nil
 	}
 	dir := filepath.Join(l.ModuleDir, strings.TrimPrefix(strings.TrimPrefix(path, l.ModulePath), "/"))
-	files, err := l.parseDir(dir, false)
+	files, err := l.parseDir(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -156,11 +148,10 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 	return pkg, nil
 }
 
-// parseDir parses the files go/build selects in dir for this platform, in
-// name order (so positions and findings are stable across runs): GoFiles,
-// plus the in-package TestGoFiles when includeTests is set. A directory with
-// no buildable Go files yields no files.
-func (l *Loader) parseDir(dir string, includeTests bool) ([]*ast.File, error) {
+// parseDir parses the non-test files go/build selects in dir for this
+// platform (GoFiles), in name order, so positions and findings are stable
+// across runs. A directory with no buildable Go files yields no files.
+func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	ctx := build.Default
 	ctx.CgoEnabled = false
 	bp, err := ctx.ImportDir(dir, 0)
@@ -168,13 +159,8 @@ func (l *Loader) parseDir(dir string, includeTests bool) ([]*ast.File, error) {
 	if err != nil && !errors.As(err, &noGo) {
 		return nil, err
 	}
-	names := bp.GoFiles
-	if includeTests {
-		names = append(names, bp.TestGoFiles...)
-		sort.Strings(names)
-	}
-	files := make([]*ast.File, 0, len(names))
-	for _, n := range names {
+	files := make([]*ast.File, 0, len(bp.GoFiles))
+	for _, n := range bp.GoFiles {
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, n), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err

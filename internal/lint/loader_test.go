@@ -91,7 +91,7 @@ func TestLoaderCurrentPlatformFilesLoad(t *testing.T) {
 }
 
 // loadedFuncs writes one file per name, each declaring func F<i>, loads the
-// module with tests included, and reports which files the loader kept.
+// module, and reports which files the loader kept.
 func loadedFuncs(t *testing.T, names []string, header func(i int) string) []bool {
 	t.Helper()
 	files := map[string]string{"go.mod": "module scratch\n\ngo 1.21\n"}
@@ -103,7 +103,6 @@ func loadedFuncs(t *testing.T, names []string, header func(i int) string) []bool
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.IncludeTests = true
 	pkg, err := l.Load(dir)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
@@ -167,47 +166,28 @@ func TestFilenameMatchesPlatform(t *testing.T) {
 	}
 }
 
-func TestLoaderIncludeTestsToggle(t *testing.T) {
-	files := map[string]string{
+func TestLoaderDropsTestFiles(t *testing.T) {
+	dir := writeModule(t, map[string]string{
 		"go.mod": "module scratch\n\ngo 1.21\n",
 		"lib.go": "package scratch\n\nfunc Lib() int { return 1 }\n",
-		// In-package test file: included only under IncludeTests.
+		// In-package and external test files: never loaded.
 		"lib_test.go": "package scratch\n\nfunc testHelper() int { return Lib() + 1 }\n",
-		// External test package: never type-checkable into scratch, always dropped.
 		"ext_test.go": "package scratch_test\n\nfunc externalHelper() int { return 0 }\n",
-	}
-
-	dir := writeModule(t, files)
+	})
 	l, err := NewLoader(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pkg, err := l.Load(dir)
 	if err != nil {
-		t.Fatalf("Load without tests: %v", err)
+		t.Fatalf("Load: %v", err)
 	}
 	if len(pkg.Files) != 1 {
-		t.Fatalf("default load got %d files, want 1", len(pkg.Files))
+		t.Fatalf("got %d files, want 1 (lib.go)", len(pkg.Files))
 	}
-	if pkg.Types.Scope().Lookup("testHelper") != nil {
-		t.Error("testHelper loaded without IncludeTests")
-	}
-
-	l2, err := NewLoader(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l2.IncludeTests = true
-	pkg2, err := l2.Load(dir)
-	if err != nil {
-		t.Fatalf("Load with tests: %v", err)
-	}
-	if len(pkg2.Files) != 2 {
-		t.Fatalf("IncludeTests load got %d files, want 2 (lib.go + lib_test.go)", len(pkg2.Files))
-	}
-	scope := pkg2.Types.Scope()
-	if scope.Lookup("testHelper") == nil {
-		t.Error("testHelper missing with IncludeTests")
+	scope := pkg.Types.Scope()
+	if scope.Lookup("testHelper") != nil {
+		t.Error("in-package test file leaked into the package")
 	}
 	if scope.Lookup("externalHelper") != nil {
 		t.Error("external test package file leaked into the package")

@@ -1,6 +1,7 @@
-// Fixture for the lockcopy analyzer: values of lock-containing types being
-// copied (true positives) next to the pointer-shaped patterns that are fine
-// (true negatives).
+// Fixture for go vet's copylocks check, the one check of lock copies in
+// this repository: values of lock-containing types being copied (each line
+// marked want) next to the pointer-shaped patterns that are fine (the clean
+// half). TestVetCopyLocksFixture in package lint runs go vet on it.
 package fixture
 
 import (
@@ -20,48 +21,48 @@ type nested struct {
 	inner jobState
 }
 
-func byValueParam(s jobState) int { // want `parameter passes jobState by value`
+func byValueParam(s jobState) int { // want `byValueParam passes lock by value`
 	return s.runs
 }
 
-func byValueCollector(c obs.Collector) { // want `parameter passes obs.Collector by value`
-	_ = c
+func byValueCollector(c obs.Collector) { // want `byValueCollector passes lock by value`
+	_ = c // want `assignment copies lock value to _`
 }
 
 func assignCopy() {
 	var a jobState
-	b := a // want `assignment copies jobState`
-	_ = b
+	b := a // want `assignment copies lock value to b`
+	_ = b  // want `assignment copies lock value to _`
 }
 
 func declCopy() {
 	var a nested
-	var b = a // want `declaration copies nested`
-	_ = b
+	var b = a // want `variable declaration copies lock value to b`
+	_ = b     // want `assignment copies lock value to _`
 }
 
 func derefCopy(p *jobState) {
-	v := *p // want `assignment copies jobState`
-	_ = v
+	v := *p // want `assignment copies lock value to v`
+	_ = v   // want `assignment copies lock value to _`
 }
 
 func rangeCopy(states []jobState) int {
 	total := 0
-	for _, s := range states { // want `range binds element copies of jobState`
+	for _, s := range states { // want `range var s copies lock`
 		total += s.runs
 	}
 	return total
 }
 
 func returnCopy(p *jobState) jobState {
-	return *p // want `return copies jobState`
+	return *p // want `return copies lock value`
 }
 
 func argCopy(states []jobState) int {
-	return byValueParam(states[0]) // want `argument copies jobState`
+	return byValueParam(states[0]) // want `call of byValueParam copies lock value`
 }
 
-func (s jobState) valueReceiver() int { // want `method receiver copies jobState`
+func (s jobState) valueReceiver() int { // want `valueReceiver passes lock by value`
 	return s.runs
 }
 
