@@ -102,6 +102,24 @@ func TestCancelledContextInterrupted(t *testing.T) {
 			t.Fatal("nil best-so-far result")
 		}
 	})
+	t.Run("subclu", func(t *testing.T) {
+		res, err := SubcluContext(ctx, pts, SubcluConfig{Eps: 0.5, MinPts: 3})
+		if !errors.Is(err, ErrInterrupted) {
+			t.Fatalf("err = %v, want ErrInterrupted", err)
+		}
+		if res == nil {
+			t.Fatal("nil best-so-far result")
+		}
+	})
+	t.Run("dusc", func(t *testing.T) {
+		res, err := DuscContext(ctx, pts, DuscConfig{Eps: 0.5})
+		if !errors.Is(err, ErrInterrupted) {
+			t.Fatalf("err = %v, want ErrInterrupted", err)
+		}
+		if res == nil {
+			t.Fatal("nil best-so-far result")
+		}
+	})
 	t.Run("mineclus", func(t *testing.T) {
 		res, err := MineClusContext(ctx, pts, MineClusConfig{W: 1.0, Seed: 1, MaxClusters: 3})
 		if !errors.Is(err, ErrInterrupted) {

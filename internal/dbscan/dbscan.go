@@ -67,7 +67,7 @@ func contextNeighbors(ctx context.Context, points [][]float64, d dist.Func, cfg 
 	_, end := obs.SpanCtx(ctx, rec, "dbscan.neighbors")
 	defer end()
 	if d == nil {
-		return precomputeGridNeighbors(rec, points, cfg.Eps, cfg.Workers)
+		return PrecomputeGridNeighbors(rec, points, cfg.Eps, cfg.Workers)
 	}
 	return precomputeNeighbors(rec, points, d, cfg.Eps, cfg.Workers)
 }

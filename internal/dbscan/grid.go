@@ -215,14 +215,9 @@ func (g *GridIndex) Neighbors(o int) []int {
 
 // PrecomputeGridNeighbors materializes every object's ε-neighborhood
 // through a uniform-grid index (Euclidean metric), falling back to the
-// linear scan when the grid declines the geometry. Counters land on the
-// process-default recorder; RunContext threads its per-run recorder through
-// the internal variant instead.
-func PrecomputeGridNeighbors(points [][]float64, eps float64, workers int) NeighborFunc {
-	return precomputeGridNeighbors(obs.Default(), points, eps, workers)
-}
-
-func precomputeGridNeighbors(rec obs.Recorder, points [][]float64, eps float64, workers int) NeighborFunc {
+// linear scan when the grid declines the geometry. Counters land on rec,
+// the caller's per-run recorder.
+func PrecomputeGridNeighbors(rec obs.Recorder, points [][]float64, eps float64, workers int) NeighborFunc {
 	g := NewGridIndex(points, eps)
 	if g == nil {
 		return precomputeNeighbors(rec, points, dist.Euclidean, eps, workers)

@@ -45,7 +45,7 @@ func linearNeighbors(points [][]float64, o int, eps float64) []int {
 func precomputeEqualsLinear(t *testing.T, pts [][]float64, eps float64) {
 	t.Helper()
 	for _, w := range []int{1, 3} {
-		nf := PrecomputeGridNeighbors(pts, eps, w)
+		nf := PrecomputeGridNeighbors(nil, pts, eps, w)
 		for o := range pts {
 			if got, want := nf(o), linearNeighbors(pts, o, eps); !slices.Equal(got, want) {
 				t.Fatalf("workers=%d object %d: precomputed %v != linear %v (eps=%g)", w, o, got, want, eps)
@@ -296,7 +296,7 @@ func BenchmarkPrecomputeGrid(b *testing.B) {
 		b.Run(in.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				PrecomputeGridNeighbors(in.pts, in.eps, 0)
+				PrecomputeGridNeighbors(nil, in.pts, in.eps, 0)
 			}
 		})
 	}

@@ -66,7 +66,7 @@ func TestLogLikelihoodIncreasesDuringEM(t *testing.T) {
 	}
 	prev := math.Inf(-1)
 	for iter := 0; iter < 15; iter++ {
-		ll := EStep(ds.Points, m, post, cfg.MinVar)
+		ll := EStep(ds.Points, m, post, cfg.MinVar, 0)
 		if ll < prev-1e-6 {
 			t.Fatalf("log-likelihood decreased at iter %d: %v -> %v", iter, prev, ll)
 		}
@@ -78,7 +78,7 @@ func TestLogLikelihoodIncreasesDuringEM(t *testing.T) {
 func TestFitFromContinuesImproving(t *testing.T) {
 	ds, _ := dataset.GaussianBlobs(3, 100, [][]float64{{0, 0}, {6, 6}}, 0.5)
 	start := RandomModel(ds.Points, 2, 9)
-	startLL := EStep(ds.Points, start, newPost(ds.N(), 2), 1e-6)
+	startLL := EStep(ds.Points, start, newPost(ds.N(), 2), 1e-6, 0)
 	res, err := FitFrom(ds.Points, start, Config{K: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -160,6 +160,6 @@ func BenchmarkEStep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		EStep(va.Points, fit.Model, post, 1e-6)
+		EStep(va.Points, fit.Model, post, 1e-6, 0)
 	}
 }

@@ -99,10 +99,10 @@ func CoEM(viewA, viewB [][]float64, cfg CoEMConfig) (*CoEMResult, error) {
 			defer end()
 			// View B: maximize with A's posteriors, then expectation in B.
 			em.MStep(viewB, postA, modelB, cfg.MinVar)
-			llB := em.EStep(viewB, modelB, postB, cfg.MinVar)
+			llB := em.EStep(viewB, modelB, postB, cfg.MinVar, 0)
 			// View A: maximize with B's posteriors, then expectation in A.
 			em.MStep(viewA, postB, modelA, cfg.MinVar)
-			llA := em.EStep(viewA, modelA, postA, cfg.MinVar)
+			llA := em.EStep(viewA, modelA, postA, cfg.MinVar, 0)
 
 			res.History = append(res.History, CoEMIteration{
 				LogLikA:   llA,

@@ -353,8 +353,8 @@ var algorithms = []Algorithm{
 		},
 	},
 	{Name: "subclu", Taxonomy: "SUBCLU",
-		Run: func(_ context.Context, p Params) (*Result, error) {
-			res, err := multiclust.Subclu(unit(p.Points), multiclust.SubcluConfig{Eps: p.Eps, MinPts: p.MinPts})
+		Run: func(ctx context.Context, p Params) (*Result, error) {
+			res, err := multiclust.SubcluContext(ctx, unit(p.Points), multiclust.SubcluConfig{Eps: p.Eps, MinPts: p.MinPts})
 			return wrap(res, err, func(r *multiclust.SubcluResult) *Result { return mined(r.Clusters, nil) })
 		},
 	},
@@ -365,8 +365,8 @@ var algorithms = []Algorithm{
 		},
 	},
 	{Name: "dusc", Taxonomy: "DUSC",
-		Run: func(_ context.Context, p Params) (*Result, error) {
-			res, err := multiclust.Dusc(unit(p.Points), multiclust.DuscConfig{Eps: p.Eps, MaxDim: 3})
+		Run: func(ctx context.Context, p Params) (*Result, error) {
+			res, err := multiclust.DuscContext(ctx, unit(p.Points), multiclust.DuscConfig{Eps: p.Eps, MaxDim: 3})
 			return wrap(res, err, func(r *multiclust.SubcluResult) *Result { return mined(r.Clusters, nil) })
 		},
 	},

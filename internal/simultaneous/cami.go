@@ -91,8 +91,8 @@ func camiOnce(points [][]float64, m1, m2 *em.Model, cfg CAMIConfig) *CAMIResult 
 	n := len(points)
 	post1 := newPost(n, cfg.K1)
 	post2 := newPost(n, cfg.K2)
-	em.EStep(points, m1, post1, cfg.MinVar)
-	em.EStep(points, m2, post2, cfg.MinVar)
+	em.EStep(points, m1, post1, cfg.MinVar, 0)
+	em.EStep(points, m2, post2, cfg.MinVar, 0)
 
 	prevObj := math.Inf(-1)
 	res := &CAMIResult{}

@@ -91,10 +91,10 @@ func TestPenalizedEStepEqualsReference(t *testing.T) {
 		floored.Vars[0][0] = 1e-9 // below the floor
 		floored.Pi[2] = 0         // a component no row can take
 		other := newPost(n, 2)
-		em.EStep(tc.points, kmeansModel(tc.points, 2, 2, tc.minVar), other, tc.minVar)
+		em.EStep(tc.points, kmeansModel(tc.points, 2, 2, tc.minVar), other, tc.minVar, 0)
 		for _, m := range []*em.Model{fitted, floored} {
 			got, want := newPost(n, 3), newPost(n, 3)
-			em.EStep(tc.points, m, got, tc.minVar)
+			em.EStep(tc.points, m, got, tc.minVar, 0)
 			for i := range want {
 				copy(want[i], got[i])
 			}

@@ -151,11 +151,11 @@ func (s *CoEM) PushContext(ctx context.Context, rows [][]float64) error {
 		postB := newPost(n, s.cfg.K)
 		// One interleaved online round, mirroring the batch order
 		// MStep(B)·EStep(B)·MStep(A)·EStep(A) with decayed statistics.
-		em.EStepParallel(viewA, s.modelA, postA, s.cfg.MinVar, s.cfg.Workers)
+		em.EStep(viewA, s.modelA, postA, s.cfg.MinVar, s.cfg.Workers)
 		s.statsB.Scale(s.cfg.Forgetting)
 		s.statsB.Add(viewB, postA)
 		s.statsB.ModelInto(s.modelB, s.cfg.MinVar)
-		em.EStepParallel(viewB, s.modelB, postB, s.cfg.MinVar, s.cfg.Workers)
+		em.EStep(viewB, s.modelB, postB, s.cfg.MinVar, s.cfg.Workers)
 		s.statsA.Scale(s.cfg.Forgetting)
 		s.statsA.Add(viewA, postB)
 		s.statsA.ModelInto(s.modelA, s.cfg.MinVar)
@@ -190,8 +190,8 @@ func (s *CoEM) SnapshotContext(ctx context.Context) (*CoEMSnapshot, error) {
 	n := len(s.lastA)
 	postA := newPost(n, s.cfg.K)
 	postB := newPost(n, s.cfg.K)
-	llA := em.EStepParallel(s.lastA, s.modelA, postA, s.cfg.MinVar, s.cfg.Workers)
-	llB := em.EStepParallel(s.lastB, s.modelB, postB, s.cfg.MinVar, s.cfg.Workers)
+	llA := em.EStep(s.lastA, s.modelA, postA, s.cfg.MinVar, s.cfg.Workers)
+	llB := em.EStep(s.lastB, s.modelB, postB, s.cfg.MinVar, s.cfg.Workers)
 	avg := make([][]float64, n)
 	for i := range avg {
 		row := make([]float64, s.cfg.K)

@@ -1,6 +1,7 @@
 package subspace
 
 import (
+	"context"
 	"errors"
 	"math"
 
@@ -23,17 +24,19 @@ type DuscConfig struct {
 	MinPtsFloor int
 }
 
-// Dusc runs the SUBCLU search with DUSC's dimensionality-unbiased density
-// threshold: the fixed MinPts of plain density-based subspace clustering is
-// biased — the volume of the eps-ball shrinks exponentially with the
-// subspace dimensionality, so a constant threshold over-selects in low
-// dimensions and starves high ones. DUSC replaces it with
+// DuscContext runs the SUBCLU search with DUSC's dimensionality-unbiased
+// density threshold: the fixed MinPts of plain density-based subspace
+// clustering is biased — the volume of the eps-ball shrinks exponentially
+// with the subspace dimensionality, so a constant threshold over-selects in
+// low dimensions and starves high ones. DUSC replaces it with
 //
 //	minPts(s) = max(floor, Alpha * n * vol(eps-ball in s dims))
 //
 // so "dense" always means "Alpha times denser than uniform", independent of
-// the subspace dimensionality. Points are expected in [0,1]^d.
-func Dusc(points [][]float64, cfg DuscConfig) (*SubcluResult, error) {
+// the subspace dimensionality. Points are expected in [0,1]^d. Cancellation
+// is SubcluContext's: the clusters of the completed levels are returned
+// wrapped in core.ErrInterrupted.
+func DuscContext(ctx context.Context, points [][]float64, cfg DuscConfig) (*SubcluResult, error) {
 	n := len(points)
 	if n == 0 {
 		return nil, core.ErrEmptyDataset
@@ -59,7 +62,7 @@ func Dusc(points [][]float64, cfg DuscConfig) (*SubcluResult, error) {
 		}
 		return m
 	}
-	return Subclu(points, SubcluConfig{
+	return SubcluContext(ctx, points, SubcluConfig{
 		Eps:      cfg.Eps,
 		MinPts:   cfg.MinPtsFloor,
 		MaxDim:   cfg.MaxDim,

@@ -1,6 +1,8 @@
 package subspace
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"multiclust/internal/dataset"
@@ -18,10 +20,7 @@ func TestDuscUnbiasedAcrossDimensionality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Dusc(ds.Points, DuscConfig{Eps: 0.05, Alpha: 2, MaxDim: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := duscAtWorkers(t, ds.Points, DuscConfig{Eps: 0.05, Alpha: 2, MaxDim: 3})
 	bestDim := 0
 	for _, c := range res.Clusters {
 		if c.SharedObjects(truth[0]) >= 40 && len(c.Dims) > bestDim {
@@ -38,6 +37,27 @@ func TestDuscUnbiasedAcrossDimensionality(t *testing.T) {
 	}
 }
 
+// duscAtWorkers runs DuscContext atWorkers each count of determinismWorkers,
+// fails unless the results are identical, and returns the result.
+func duscAtWorkers(t *testing.T, points [][]float64, cfg DuscConfig) *SubcluResult {
+	t.Helper()
+	var first *SubcluResult
+	for _, w := range determinismWorkers {
+		var got *SubcluResult
+		var err error
+		atWorkers(w, func() { got, err = DuscContext(context.Background(), points, cfg) })
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if first == nil {
+			first = got
+		} else if !reflect.DeepEqual(got, first) {
+			t.Fatalf("workers=%d: result differs from 1 worker's\n got: %+v\nwant: %+v", w, got, first)
+		}
+	}
+	return first
+}
+
 func TestDuscThresholdShrinksWithDim(t *testing.T) {
 	// Verify through behaviour: plain SUBCLU with the 1D-scale MinPts misses
 	// the deep cluster (it never survives level 1 pruning of its parents at
@@ -49,7 +69,7 @@ func TestDuscThresholdShrinksWithDim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dusc, err := Dusc(ds.Points, DuscConfig{Eps: 0.05, Alpha: 2, MaxDim: 3})
+	dusc, err := DuscContext(context.Background(), ds.Points, DuscConfig{Eps: 0.05, Alpha: 2, MaxDim: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,10 +88,10 @@ func TestDuscThresholdShrinksWithDim(t *testing.T) {
 }
 
 func TestDuscErrors(t *testing.T) {
-	if _, err := Dusc(nil, DuscConfig{Eps: 0.1}); err == nil {
+	if _, err := DuscContext(context.Background(), nil, DuscConfig{Eps: 0.1}); err == nil {
 		t.Error("empty data should fail")
 	}
-	if _, err := Dusc([][]float64{{0}}, DuscConfig{Eps: 0}); err == nil {
+	if _, err := DuscContext(context.Background(), [][]float64{{0}}, DuscConfig{Eps: 0}); err == nil {
 		t.Error("eps=0 should fail")
 	}
 }

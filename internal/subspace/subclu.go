@@ -3,13 +3,17 @@ package subspace
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"sort"
 	"strconv"
+	"sync"
 
 	"multiclust/internal/core"
 	"multiclust/internal/dbscan"
 	"multiclust/internal/dist"
 	"multiclust/internal/obs"
+	"multiclust/internal/parallel"
 )
 
 // SubcluConfig controls a SUBCLU run (Kailing et al. 2004b, slide 74).
@@ -46,6 +50,20 @@ type SubcluResult struct {
 // the grid's exact ε-test, so the result is identical to building a grid
 // for every candidate subspace.
 func Subclu(points [][]float64, cfg SubcluConfig) (*SubcluResult, error) {
+	return SubcluContext(context.Background(), points, cfg)
+}
+
+// SubcluContext is Subclu with cancellation: ctx is checked before each
+// level and handed to every DBSCAN run. When it is done, the clusters of
+// the completed levels are returned wrapped in core.ErrInterrupted; the
+// interrupted level contributes nothing, so the result is the same for any
+// worker count. With a background context the output is byte-identical to
+// Subclu.
+//
+// The candidates of one level depend only on the level before it, which
+// is complete and stored when they are joined, so each level's candidates
+// are examined concurrently and gathered in join order.
+func SubcluContext(ctx context.Context, points [][]float64, cfg SubcluConfig) (*SubcluResult, error) {
 	n := len(points)
 	if n == 0 {
 		return nil, core.ErrEmptyDataset
@@ -59,94 +77,96 @@ func Subclu(points [][]float64, cfg SubcluConfig) (*SubcluResult, error) {
 	}
 	res := &SubcluResult{}
 
-	// The apriori walk over subspaces is serial; the per-level examined
-	// counts trace how hard the anti-monotonicity prune is working. The
-	// root span wraps the whole walk with one child span per lattice
-	// level, and each DBSCAN run receives the level's context so its own
-	// span nests beneath the level that dispatched it.
-	rec := obs.Default()
-	ctx, endSpan := obs.SpanCtx(context.Background(), rec, "subspace.subclu.search")
+	// The per-level examined counts trace how hard the anti-monotonicity
+	// prune is working. The root span wraps the whole walk with one child
+	// span per lattice level, and each DBSCAN run receives the level's
+	// context so its own span nests beneath the level that dispatched it.
+	rec := obs.From(ctx)
+	ctx, endSpan := obs.SpanCtx(ctx, rec, "subspace.subclu.search")
 	defer endSpan()
 
-	w := &subcluWalk{points: points, cfg: cfg, rec: rec}
+	// The level fan-out's count is the default one capped at GOMAXPROCS,
+	// as parallel caps any defaulted count.
+	sc := &subcluSearch{points: points, cfg: cfg, rec: rec, workers: min(parallel.Workers(0), runtime.GOMAXPROCS(0))}
+	sc.scratch.New = func() any { return new(walkScratch) }
 
 	// Level 1: every single dimension over the full database.
 	allObjects := make([]int, n)
 	for i := range allObjects {
 		allObjects[i] = i
 	}
-	var level []*subInfo
-	func() {
-		lctx, end := obs.SpanCtx(ctx, rec, "subspace.subclu.level")
-		defer end()
-		for j := 0; j < d; j++ {
-			res.SubspacesExamined++
-			if si := w.examine(lctx, []int{j}, allObjects, nil); si != nil {
-				level = append(level, si)
-				res.add(si)
-			}
-		}
-	}()
-	obs.Observe(rec, "subspace.subclu.level_examined", 1, float64(res.SubspacesExamined))
-
-	for s := 2; s <= cfg.MaxDim && len(level) > 1; s++ {
-		examinedBefore := res.SubspacesExamined
-		// The join order is the string order of the rendered dims, which
-		// past ten dimensions differs from the numeric order ("[2 10]"
-		// sorts before "[2 3]"); the output's cluster order follows it.
-		sort.Slice(level, func(i, j int) bool { return level[i].key < level[j].key })
-		byKey := make(map[string]*subInfo, len(level))
-		for _, si := range level {
-			byKey[si.key] = si
-		}
-		var next []*subInfo
-		func() {
-			lctx, end := obs.SpanCtx(ctx, rec, "subspace.subclu.level")
-			defer end()
-			// Each s-subspace joins from exactly one pair, itself minus
-			// one of its two largest dims, so none is examined twice.
-			var key []byte
-			for i := 0; i < len(level); i++ {
-				for j := i + 1; j < len(level); j++ {
-					dims, ok := joinDims(level[i].dims, level[j].dims)
-					if !ok {
-						continue
-					}
-					// Apriori prune: all (s-1)-subsets must contain clusters.
-					// The run is restricted to the objects of the parent with
-					// the fewest clustered objects (the first one on ties).
-					var parent *subInfo
-					for drop := range dims {
-						key = appendDimsKey(key[:0], dims, drop)
-						si, ok := byKey[string(key)]
-						if !ok {
-							parent = nil
-							break
-						}
-						if parent == nil || si.size < parent.size {
-							parent = si
-						}
-					}
-					if parent == nil {
-						continue
-					}
-					res.SubspacesExamined++
-					if si := w.examine(lctx, dims, parent.objects(), parent.nb); si != nil {
-						next = append(next, si)
-						res.add(si)
-					}
-				}
-			}
-		}()
-		obs.Observe(rec, "subspace.subclu.level_examined", s, float64(res.SubspacesExamined-examinedBefore))
-		level = next
+	cands := make([]candidate, d)
+	for j := range cands {
+		cands[j] = candidate{dims: []int{j}, objects: allObjects}
+	}
+	level, err := sc.examineLevel(ctx, res, 1, cands)
+	for s := 2; err == nil && s <= cfg.MaxDim && len(level) > 1; s++ {
+		level, err = sc.examineLevel(ctx, res, s, joinLevel(level))
 	}
 	if rec != nil {
 		obs.Count(rec, "subspace.subclu.runs", 1)
 		obs.Count(rec, "subspace.subclu.subspaces_examined", int64(res.SubspacesExamined))
 		obs.Count(rec, "subspace.subclu.subspaces_clustered", int64(res.SubspacesWithClust))
 	}
-	return res, nil
+	if err != nil && !errors.Is(err, core.ErrInterrupted) {
+		return nil, err
+	}
+	return res, err
+}
+
+// candidate is one subspace to examine: its dims, the ascending objects
+// DBSCAN runs over, and the parent's stored neighborhoods over exactly
+// those objects (nil on level 1 and wherever a grid is built instead).
+type candidate struct {
+	dims    []int
+	objects []int
+	parent  *neighborhoods
+}
+
+// joinLevel enumerates the next level's candidates from the clustered
+// subspaces of the current one, in join order. The join order is the
+// string order of the rendered dims, which past ten dimensions differs from
+// the numeric order ("[2 10]" sorts before "[2 3]"); the output's cluster
+// order follows it. Each candidate's objects are built here, on the walking
+// goroutine, because siblings sharing a parent would otherwise race to
+// build its lazily built union.
+func joinLevel(level []*subInfo) []candidate {
+	sort.Slice(level, func(i, j int) bool { return level[i].key < level[j].key })
+	byKey := make(map[string]*subInfo, len(level))
+	for _, si := range level {
+		byKey[si.key] = si
+	}
+	// Each s-subspace joins from exactly one pair, itself minus one of its
+	// two largest dims, so none is examined twice.
+	var cands []candidate
+	var key []byte
+	for i := 0; i < len(level); i++ {
+		for j := i + 1; j < len(level); j++ {
+			dims, ok := joinDims(level[i].dims, level[j].dims)
+			if !ok {
+				continue
+			}
+			// Apriori prune: all (s-1)-subsets must contain clusters.
+			// The run is restricted to the objects of the parent with the
+			// fewest clustered objects (the first one on ties).
+			var parent *subInfo
+			for drop := range dims {
+				key = appendDimsKey(key[:0], dims, drop)
+				si, ok := byKey[string(key)]
+				if !ok {
+					parent = nil
+					break
+				}
+				if parent == nil || si.size < parent.size {
+					parent = si
+				}
+			}
+			if parent != nil {
+				cands = append(cands, candidate{dims: dims, objects: parent.objects(), parent: parent.nb})
+			}
+		}
+	}
+	return cands
 }
 
 // add appends the clusters of one clustered subspace to the result.
@@ -157,13 +177,20 @@ func (res *SubcluResult) add(si *subInfo) {
 	}
 }
 
-// subcluWalk holds what every subspace run of one SUBCLU search shares,
-// including scratch buffers reused from one candidate subspace to the next.
-type subcluWalk struct {
-	points [][]float64
-	cfg    SubcluConfig
-	rec    obs.Recorder
+// subcluSearch is what every candidate subspace of one SUBCLU search
+// shares: the data, the configuration, the recorder, the level fan-out's
+// worker count and the idle scratch buffers.
+type subcluSearch struct {
+	points  [][]float64
+	cfg     SubcluConfig
+	rec     obs.Recorder
+	workers int
+	scratch sync.Pool // idle *walkScratch, which the next candidate reuses
+}
 
+// walkScratch is one worker's buffers, reused from one candidate subspace
+// to the next.
+type walkScratch struct {
 	coords []float64 // candidate coordinates in the subspace, row-major
 	rows   [][]float64
 	idx    []int // derived neighbor lists, flat
@@ -171,32 +198,91 @@ type subcluWalk struct {
 	pos    []int // candidate position → clustered-object position, -1 for noise
 }
 
-// examine runs DBSCAN in subspace dims over the candidate objects cand
-// (ascending indices into points) and returns the subspace's record, or
-// nil when it holds no cluster. With a nil parent the neighborhoods come
-// from dbscan's grid; otherwise cand is the parent's clustered objects and
-// the neighborhoods are derived from the parent's stored lists. The record
-// keeps its own lists when a later level will derive from them.
-func (w *subcluWalk) examine(ctx context.Context, dims, cand []int, parent *neighborhoods) *subInfo {
-	rows := w.subspaceRows(dims, cand)
-	var nf dbscan.NeighborFunc
-	if parent == nil {
-		nf = w.gridNeighbors(ctx, rows)
-	} else {
-		nf = w.derive(ctx, rows, parent)
+// examineLevel examines the candidate subspaces of level s concurrently,
+// each on scratch of its own, then adds the clustered ones to res and
+// counts the examined ones in join order, so the clusters, the counters and
+// the level series are those of the serial walk. The level's MinPts is
+// resolved once here: it depends only on the dimensionality, and a
+// caller's hook is then never called concurrently. A candidate's grid gets
+// the workers the level leaves over, at least one. When ctx is done the
+// level is dropped whole.
+func (sc *subcluSearch) examineLevel(ctx context.Context, res *SubcluResult, s int, cands []candidate) ([]*subInfo, error) {
+	if err := interrupted(ctx, s); err != nil {
+		return nil, err
 	}
-	minPts := w.cfg.MinPts
-	if w.cfg.MinPtsAt != nil {
-		if v := w.cfg.MinPtsAt(len(dims)); v > 0 {
+	minPts := sc.cfg.MinPts
+	if sc.cfg.MinPtsAt != nil {
+		if v := sc.cfg.MinPtsAt(s); v > 0 {
 			minPts = v
 		}
 	}
-	c, err := dbscan.RunGenericContext(ctx, len(cand), nf, minPts)
-	if err != nil {
-		return nil
+	lctx, end := obs.SpanCtx(ctx, sc.rec, "subspace.subclu.level")
+	defer end()
+	inner := max(1, sc.workers/max(1, len(cands)))
+	type examined struct {
+		si  *subInfo
+		err error
 	}
-	si := &subInfo{dims: dims, key: string(appendDimsKey(nil, dims, -1))}
-	for _, members := range c.Clusters() {
+	outs := parallel.Map(len(cands), sc.workers, func(i int) examined {
+		ws := sc.scratch.Get().(*walkScratch)
+		defer sc.scratch.Put(ws)
+		si, err := sc.examine(lctx, ws, cands[i], minPts, inner)
+		return examined{si, err}
+	})
+	if err := interrupted(ctx, s); err != nil {
+		return nil, err
+	}
+	for _, o := range outs {
+		if o.err != nil {
+			return nil, o.err
+		}
+	}
+	res.SubspacesExamined += len(cands)
+	var next []*subInfo
+	for _, o := range outs {
+		if o.si != nil {
+			next = append(next, o.si)
+			res.add(o.si)
+		}
+	}
+	obs.Observe(sc.rec, "subspace.subclu.level_examined", s, float64(len(cands)))
+	return next, nil
+}
+
+// interrupted returns, once ctx is done, the error of a search cut at
+// level s, wrapping core.ErrInterrupted; nil before.
+func interrupted(ctx context.Context, s int) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("subspace: subclu interrupted at level %d: %v: %w", s, err, core.ErrInterrupted)
+	}
+	return nil
+}
+
+// examine runs DBSCAN with minPts in subspace c.dims over the objects
+// c.objects on the scratch ws and returns the subspace's record, or nil
+// when it holds no cluster. With a nil c.parent the neighborhoods come
+// from dbscan's grid on up to workers workers; otherwise they are derived
+// from the parent's stored lists. The record keeps its own lists when a
+// later level will derive from them. A done ctx is returned as its error,
+// and DBSCAN's error is returned as it is.
+func (sc *subcluSearch) examine(ctx context.Context, ws *walkScratch, c candidate, minPts, workers int) (*subInfo, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	cand := c.objects
+	rows := sc.subspaceRows(ws, c.dims, cand)
+	var nf dbscan.NeighborFunc
+	if c.parent == nil {
+		nf = sc.gridNeighbors(ctx, rows, workers)
+	} else {
+		nf = sc.derive(ctx, ws, rows, c.parent)
+	}
+	cl, err := dbscan.RunGenericContext(ctx, len(cand), nf, minPts)
+	if err != nil {
+		return nil, err
+	}
+	si := &subInfo{dims: c.dims, key: string(appendDimsKey(nil, c.dims, -1))}
+	for _, members := range cl.Clusters() {
 		orig := make([]int, len(members))
 		for i, m := range members {
 			orig[i] = cand[m]
@@ -205,37 +291,38 @@ func (w *subcluWalk) examine(ctx context.Context, dims, cand []int, parent *neig
 		si.size += len(orig)
 	}
 	if len(si.clusters) == 0 {
-		return nil
+		return nil, nil
 	}
-	if len(dims) >= 2 && len(dims) < w.cfg.MaxDim {
-		si.nb = w.store(cand, si.objects(), nf)
+	if len(c.dims) >= 2 && len(c.dims) < sc.cfg.MaxDim {
+		si.nb = ws.store(cand, si.objects(), nf)
 	}
-	return si
+	return si, nil
 }
 
 // subspaceRows projects the candidates onto dims, one row per candidate,
 // into buffers reused across subspaces: the grid and the derivation both
 // read the rows only while the subspace is being examined.
-func (w *subcluWalk) subspaceRows(dims, cand []int) [][]float64 {
+func (sc *subcluSearch) subspaceRows(ws *walkScratch, dims, cand []int) [][]float64 {
 	s := len(dims)
-	w.coords = grow(w.coords, len(cand)*s)
-	w.rows = grow(w.rows, len(cand))
+	ws.coords = grow(ws.coords, len(cand)*s)
+	ws.rows = grow(ws.rows, len(cand))
 	for i, o := range cand {
-		row := w.coords[i*s : (i+1)*s : (i+1)*s]
+		row := ws.coords[i*s : (i+1)*s : (i+1)*s]
 		for j, dim := range dims {
-			row[j] = w.points[o][dim]
+			row[j] = sc.points[o][dim]
 		}
-		w.rows[i] = row
+		ws.rows[i] = row
 	}
-	return w.rows
+	return ws.rows
 }
 
 // gridNeighbors precomputes the neighborhoods of rows through dbscan's
-// uniform grid, as dbscan.RunContext does, under the same span name.
-func (w *subcluWalk) gridNeighbors(ctx context.Context, rows [][]float64) dbscan.NeighborFunc {
-	_, end := obs.SpanCtx(ctx, w.rec, "dbscan.neighbors")
+// uniform grid on workers workers, as dbscan.RunContext does, under the
+// same span name.
+func (sc *subcluSearch) gridNeighbors(ctx context.Context, rows [][]float64, workers int) dbscan.NeighborFunc {
+	_, end := obs.SpanCtx(ctx, sc.rec, "dbscan.neighbors")
 	defer end()
-	return dbscan.PrecomputeGridNeighbors(rows, w.cfg.Eps, 0)
+	return dbscan.PrecomputeGridNeighbors(sc.rec, rows, sc.cfg.Eps, workers)
 }
 
 // derive builds the neighborhoods of a subspace whose candidates are the
@@ -246,12 +333,12 @@ func (w *subcluWalk) gridNeighbors(ctx context.Context, rows [][]float64) dbscan
 // grid's own test, the squared distance on the projected rows against
 // dist.SqBound(ε), therefore yields exactly the grid's lists, in the same
 // ascending order. Each derived neighborhood counts as one region query,
-// as a grid query does.
-func (w *subcluWalk) derive(ctx context.Context, rows [][]float64, parent *neighborhoods) dbscan.NeighborFunc {
-	_, end := obs.SpanCtx(ctx, w.rec, "subspace.subclu.derive")
+// as a grid query does. The lists are built in ws.
+func (sc *subcluSearch) derive(ctx context.Context, ws *walkScratch, rows [][]float64, parent *neighborhoods) dbscan.NeighborFunc {
+	_, end := obs.SpanCtx(ctx, sc.rec, "subspace.subclu.derive")
 	defer end()
-	sq := dist.SqBound(w.cfg.Eps)
-	idx, off := w.idx[:0], append(w.off[:0], 0)
+	sq := dist.SqBound(sc.cfg.Eps)
+	idx, off := ws.idx[:0], append(ws.off[:0], 0)
 	for k, row := range rows {
 		for _, q := range parent.list(k) {
 			if dist.SqEuclidean(row, rows[q]) <= sq {
@@ -260,8 +347,8 @@ func (w *subcluWalk) derive(ctx context.Context, rows [][]float64, parent *neigh
 		}
 		off = append(off, len(idx))
 	}
-	w.idx, w.off = idx, off
-	obs.Count(w.rec, "dbscan.region_queries", int64(len(rows)))
+	ws.idx, ws.off = idx, off
+	obs.Count(sc.rec, "dbscan.region_queries", int64(len(rows)))
 	return func(o int) []int { return idx[off[o]:off[o+1]:off[o+1]] }
 }
 
@@ -288,22 +375,22 @@ type neighborhoods struct {
 // store copies the lists nf serves for the candidates cand into one
 // exactly sized store over objects, the clustered candidates, dropping
 // every noise object from the rows and from the lists.
-func (w *subcluWalk) store(cand, objects []int, nf dbscan.NeighborFunc) *neighborhoods {
-	w.pos = grow(w.pos, len(cand))
+func (ws *walkScratch) store(cand, objects []int, nf dbscan.NeighborFunc) *neighborhoods {
+	ws.pos = grow(ws.pos, len(cand))
 	k := 0
 	for i, o := range cand {
-		w.pos[i] = -1
+		ws.pos[i] = -1
 		if k < len(objects) && objects[k] == o {
-			w.pos[i] = k
+			ws.pos[i] = k
 			k++
 		}
 	}
 	off := make([]int, len(objects)+1)
 	for i := range cand {
-		if k := w.pos[i]; k >= 0 {
+		if k := ws.pos[i]; k >= 0 {
 			off[k+1] = off[k]
 			for _, q := range nf(i) {
-				if w.pos[q] >= 0 {
+				if ws.pos[q] >= 0 {
 					off[k+1]++
 				}
 			}
@@ -311,9 +398,9 @@ func (w *subcluWalk) store(cand, objects []int, nf dbscan.NeighborFunc) *neighbo
 	}
 	idx := make([]int32, 0, off[len(objects)])
 	for i := range cand {
-		if w.pos[i] >= 0 {
+		if ws.pos[i] >= 0 {
 			for _, q := range nf(i) {
-				if k := w.pos[q]; k >= 0 {
+				if k := ws.pos[q]; k >= 0 {
 					idx = append(idx, int32(k))
 				}
 			}

@@ -2,17 +2,21 @@ package subspace
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
+	"multiclust/internal/core"
 	"multiclust/internal/dataset"
 	"multiclust/internal/dist"
 	"multiclust/internal/obs"
+	"multiclust/internal/parallel"
 )
 
 // libConfig and libPoints are the shape of the end-to-end lib-paradigms
@@ -55,23 +59,54 @@ func observeSubclu(run func([][]float64, SubcluConfig) (*SubcluResult, error), p
 	obs.SetDefault(col)
 	defer obs.SetDefault(prev)
 	res, err := run(points, cfg)
-	o := subcluObservation{res: res, err: err, counters: map[string]int64{}, levels: col.Series("subspace.subclu.level_examined")}
+	return subcluObservation{res: res, err: err, counters: subcluCounters(col), levels: col.Series("subspace.subclu.level_examined")}
+}
+
+// subcluCounters returns the counters of col that observeSubclu compares.
+func subcluCounters(col *obs.Collector) map[string]int64 {
+	out := map[string]int64{}
 	for k, v := range col.Snapshot().Counters {
 		if strings.HasPrefix(k, "subspace.subclu.") || k == "dbscan.region_queries" ||
 			k == "dbscan.neighborhood_lookups" || k == "dbscan.core_objects" || k == "dbscan.clusters" {
-			o.counters[k] = v
+			out[k] = v
 		}
 	}
+	return out
+}
+
+// determinismWorkers are the worker counts every differential test runs
+// Subclu at.
+var determinismWorkers = []int{1, 2, 4, 8}
+
+// atWorkers runs f with the process default worker count set to workers
+// and GOMAXPROCS raised to at least workers, so that a defaulted fan-out,
+// which is capped at GOMAXPROCS, really splits that many ways. Both are
+// restored afterwards.
+func atWorkers(workers int, f func()) {
+	defer parallel.SetDefault(parallel.Default())
+	parallel.SetDefault(workers)
+	procs := runtime.GOMAXPROCS(max(workers, runtime.GOMAXPROCS(0)))
+	defer runtime.GOMAXPROCS(procs)
+	f()
+}
+
+// observeSubcluAt is observeSubclu run atWorkers(workers).
+func observeSubcluAt(workers int, run func([][]float64, SubcluConfig) (*SubcluResult, error), points [][]float64, cfg SubcluConfig) (o subcluObservation) {
+	atWorkers(workers, func() { o = observeSubclu(run, points, cfg) })
 	return o
 }
 
-// checkSubcluEqualsReference fails unless Subclu and subcluReference agree
-// exactly on the result, the error and the work counters, and returns
-// Subclu's result.
+// checkSubcluEqualsReference fails unless Subclu at every worker count of
+// determinismWorkers and subcluReference agree exactly on the result, the
+// error and the work counters, and returns Subclu's result.
 func checkSubcluEqualsReference(t *testing.T, name string, points [][]float64, cfg SubcluConfig) *SubcluResult {
 	t.Helper()
-	got := observeSubclu(Subclu, points, cfg)
-	compareObservations(t, name, got, observeSubclu(subcluReference, points, cfg))
+	want := observeSubclu(subcluReference, points, cfg)
+	var got subcluObservation
+	for _, w := range determinismWorkers {
+		got = observeSubcluAt(w, Subclu, points, cfg)
+		compareObservations(t, fmt.Sprintf("%s workers=%d", name, w), got, want)
+	}
 	return got.res
 }
 
@@ -91,11 +126,12 @@ func compareObservations(t *testing.T, name string, got, want subcluObservation)
 	}
 }
 
-// TestSubcluEqualsReference pins the derived neighborhoods to the
-// grid-per-subspace reference on the end-to-end workload's shape at 40
-// seeds, and on a 12-dimensional case whose level order is the string
-// order of the rendered dims ("[2 10]" before "[2 3]"), not the numeric
-// one.
+// TestSubcluEqualsReference pins the derived neighborhoods and the
+// concurrent examination of each level's candidates to the serial
+// grid-per-subspace reference, at 1, 2, 4 and 8 workers, on the end-to-end
+// workload's shape at 40 seeds, and on a 12-dimensional case whose level
+// order is the string order of the rendered dims ("[2 10]" before
+// "[2 3]"), not the numeric one.
 func TestSubcluEqualsReference(t *testing.T) {
 	derived := 0
 	for seed := int64(0); seed < 40; seed++ {
@@ -118,6 +154,65 @@ func TestSubcluEqualsReference(t *testing.T) {
 	if !hasDims(checkSubcluEqualsReference(t, "d=12", ds.Points, SubcluConfig{Eps: 0.06, MinPts: 6, MaxDim: 4}), 4) {
 		t.Fatal("the d=12 case found no 4-dimensional cluster")
 	}
+}
+
+// TestSubcluContextInterruptedAtLevel cancels the search from the
+// MinPtsAt hook when it is asked for level 2, at every worker count: the
+// result, the counters and the level series must be exactly those of a
+// search capped at level 1, with an error wrapping core.ErrInterrupted
+// whose text does not depend on the worker count.
+func TestSubcluContextInterruptedAtLevel(t *testing.T) {
+	points := libPoints(t, 3, 500)
+	capped := libConfig
+	capped.MaxDim = 1
+	want := observeSubclu(Subclu, points, capped)
+	var firstErr string
+	for _, w := range determinismWorkers {
+		ctx, cancel := context.WithCancel(context.Background())
+		cfg := libConfig
+		asked := 0
+		cfg.MinPtsAt = func(dim int) int {
+			asked++
+			if dim == 2 {
+				cancel()
+			}
+			return 0 // MinPts applies
+		}
+		got := observeSubcluAt(w, func(p [][]float64, c SubcluConfig) (*SubcluResult, error) {
+			return SubcluContext(ctx, p, c)
+		}, points, cfg)
+		cancel()
+		if !errors.Is(got.err, core.ErrInterrupted) {
+			t.Fatalf("workers=%d: error %v, want ErrInterrupted", w, got.err)
+		}
+		if asked != 2 {
+			t.Fatalf("workers=%d: MinPtsAt asked %d times, want once per level", w, asked)
+		}
+		if firstErr == "" {
+			firstErr = got.err.Error()
+		} else if got.err.Error() != firstErr {
+			t.Fatalf("workers=%d: error %q, at 1 worker %q", w, got.err, firstErr)
+		}
+		got.err = nil
+		compareObservations(t, fmt.Sprintf("workers=%d", w), got, want)
+	}
+}
+
+// TestSubcluContextRecorder pins the per-call recorder: with a recorder
+// on ctx, every SUBCLU and DBSCAN counter of the run, the grid's region
+// queries included, lands there and none on the process recorder.
+func TestSubcluContextRecorder(t *testing.T) {
+	points := libPoints(t, 3, 500)
+	want := observeSubclu(Subclu, points, libConfig)
+	col := obs.NewCollector()
+	got := observeSubclu(func(p [][]float64, c SubcluConfig) (*SubcluResult, error) {
+		return SubcluContext(obs.NewContext(context.Background(), col), p, c)
+	}, points, libConfig)
+	if len(got.counters) != 0 || len(got.levels) != 0 {
+		t.Fatalf("process recorder saw %v and levels %v", got.counters, got.levels)
+	}
+	got.counters, got.levels = subcluCounters(col), col.Series("subspace.subclu.level_examined")
+	compareObservations(t, "ctx recorder", got, want)
 }
 
 // TestDeriveMatchesEuclidean pins derive's re-test to the Euclidean
@@ -143,8 +238,8 @@ func TestDeriveMatchesEuclidean(t *testing.T) {
 			}
 			parent.off = append(parent.off, len(parent.idx))
 		}
-		w := &subcluWalk{cfg: SubcluConfig{Eps: eps}}
-		nf := w.derive(context.Background(), rows, parent)
+		sc := &subcluSearch{cfg: SubcluConfig{Eps: eps}}
+		nf := sc.derive(context.Background(), new(walkScratch), rows, parent)
 		for o, row := range rows {
 			var want []int
 			for q, other := range rows {
@@ -170,15 +265,16 @@ func hasDims(res *SubcluResult, s int) bool {
 }
 
 // FuzzSubcluEqualsReference fuzzes the differential property: over random
-// data with planted subspace clusters, radii, thresholds and dimensionality
-// caps, Subclu must return exactly the reference's result and counters.
-// Some coordinates are snapped to a 0.1 grid so that distances of exactly
-// ε occur, and some runs set MinPtsAt, DUSC's per-dimensionality hook.
+// data with planted subspace clusters, radii, thresholds, dimensionality
+// caps and worker counts from 1 to 4, Subclu must return exactly the
+// reference's result and counters. Some coordinates are snapped to a 0.1
+// grid so that distances of exactly ε occur, and some runs set MinPtsAt,
+// DUSC's per-dimensionality hook.
 func FuzzSubcluEqualsReference(f *testing.F) {
-	f.Add(int64(1), uint8(120), uint8(8), 0.05, uint8(6), uint8(3), uint8(0), uint8(0))
-	f.Add(int64(2), uint8(100), uint8(12), 0.1, uint8(4), uint8(13), uint8(128), uint8(3))
-	f.Add(int64(3), uint8(64), uint8(5), 0.2, uint8(3), uint8(0), uint8(255), uint8(5))
-	f.Fuzz(func(t *testing.T, seed int64, n, d uint8, eps float64, minPts, maxDim, snap, minPtsAt uint8) {
+	f.Add(int64(1), uint8(120), uint8(8), 0.05, uint8(6), uint8(3), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(100), uint8(12), 0.1, uint8(4), uint8(13), uint8(128), uint8(3), uint8(1))
+	f.Add(int64(3), uint8(64), uint8(5), 0.2, uint8(3), uint8(0), uint8(255), uint8(5), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, n, d uint8, eps float64, minPts, maxDim, snap, minPtsAt, workers uint8) {
 		nn := int(n)%128 + 1
 		dd := int(d)%12 + 1
 		if !(eps >= 0.005 && eps <= 1) {
@@ -206,13 +302,14 @@ func FuzzSubcluEqualsReference(f *testing.F) {
 				}
 			}
 		}
-		name := fmt.Sprintf("n=%d d=%d eps=%g minPts=%d maxDim=%d", nn, dd, eps, cfg.MinPts, cfg.MaxDim)
+		w := int(workers)%4 + 1
+		name := fmt.Sprintf("n=%d d=%d eps=%g minPts=%d maxDim=%d workers=%d", nn, dd, eps, cfg.MinPts, cfg.MaxDim, w)
 		// An input that holds clusters in nearly every subspace (MinPts
 		// 1, or a radius across the unit cube) makes the reference's
 		// scan-per-subspace walk slow enough to trip the fuzzer's
 		// per-input deadline, so such inputs are skipped once Subclu has
 		// counted the subspaces the reference would examine.
-		got := observeSubclu(Subclu, ds.Points, cfg)
+		got := observeSubcluAt(w, Subclu, ds.Points, cfg)
 		if referenceCost(got.levels, nn) > 1<<23 {
 			t.Skip()
 		}

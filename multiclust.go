@@ -123,8 +123,8 @@ func RecorderDefault() Recorder { return obs.Default() }
 
 // WithRecorder returns a context carrying r; the ...Context algorithm
 // variants report into it instead of the process-wide recorder. Hot paths
-// without a context parameter (the subspace miners, co-EM) see only the
-// process-wide recorder.
+// without a context parameter (co-EM, the subspace miners other than
+// SubcluContext and DuscContext) see only the process-wide recorder.
 func WithRecorder(ctx context.Context, r Recorder) context.Context {
 	return obs.NewContext(ctx, r)
 }
@@ -697,17 +697,29 @@ func Schism(points [][]float64, cfg SchismConfig) (res *SchismResult, err error)
 
 // Subclu finds density-connected clusters in all subspaces (Kailing et al.
 // 2004b).
-func Subclu(points [][]float64, cfg SubcluConfig) (res *SubcluResult, err error) {
+func Subclu(points [][]float64, cfg SubcluConfig) (*SubcluResult, error) {
+	return SubcluContext(context.Background(), points, cfg)
+}
+
+// SubcluContext is Subclu with cancellation: ctx is checked before each
+// lattice level and polled by every DBSCAN run; the clusters of the
+// completed levels are returned wrapped in ErrInterrupted.
+func SubcluContext(ctx context.Context, points [][]float64, cfg SubcluConfig) (res *SubcluResult, err error) {
 	return gate(func() (*SubcluResult, error) {
-		return subspace.Subclu(points, cfg)
+		return subspace.SubcluContext(ctx, points, cfg)
 	}, robust.ValidateDataset(points))
 }
 
 // Dusc runs SUBCLU with DUSC's dimensionality-unbiased density threshold
 // (Assent et al. 2007).
-func Dusc(points [][]float64, cfg DuscConfig) (res *SubcluResult, err error) {
+func Dusc(points [][]float64, cfg DuscConfig) (*SubcluResult, error) {
+	return DuscContext(context.Background(), points, cfg)
+}
+
+// DuscContext is Dusc with SubcluContext's cancellation.
+func DuscContext(ctx context.Context, points [][]float64, cfg DuscConfig) (res *SubcluResult, err error) {
 	return gate(func() (*SubcluResult, error) {
-		return subspace.Dusc(points, cfg)
+		return subspace.DuscContext(ctx, points, cfg)
 	}, robust.ValidateDataset(points))
 }
 
