@@ -7,10 +7,9 @@
 // loses no admitted job.
 //
 // Like the dataset corrupters in internal/robust/chaos, every fault here
-// is deterministic: a runner's behavior is a pure function of the
-// (spec, seed) pair it is handed — Degenerate counts attempts off the
-// engine's documented seed schedule, Flaky draws from a seeded hash of the
-// job seed — so any chaos failure replays from its spec alone.
+// is deterministic: a runner's behavior is a pure function of the spec it
+// is handed — Flaky draws from a seeded hash of the job seed — so any
+// chaos failure replays from its spec alone.
 package chaos
 
 import (
@@ -20,41 +19,32 @@ import (
 
 	"multiclust/internal/core"
 	"multiclust/internal/jobs"
-	"multiclust/internal/obs"
 )
 
 // Instant returns a runner that succeeds immediately with a tiny fixed
 // outcome — the control group, and the bench harness's dispatch-overhead
 // probe.
 func Instant() jobs.Runner {
-	return func(_ context.Context, spec jobs.Spec, _ int64, _ obs.Recorder) (*jobs.Outcome, error) {
+	return func(_ context.Context, spec jobs.Spec) (*jobs.Outcome, error) {
 		labels := make([]int, len(spec.Points))
 		return &jobs.Outcome{Labels: labels, K: 1}, nil
 	}
 }
 
-// Panicky returns a runner that panics with msg on every attempt. The
+// Panicky returns a runner that panics with msg on every run. The
 // engine must contain it: the job fails with an error wrapping ErrPanic
 // and the worker pool keeps serving.
 func Panicky(msg string) jobs.Runner {
-	return func(context.Context, jobs.Spec, int64, obs.Recorder) (*jobs.Outcome, error) {
+	return func(context.Context, jobs.Spec) (*jobs.Outcome, error) {
 		panic(msg)
 	}
 }
 
-// Degenerate returns a runner that reports core.ErrDegenerate for the
-// first n attempts of a job and succeeds afterwards. Attempts are counted
-// deterministically off the engine's reseed schedule (seed - spec.Seed),
-// so the runner needs no state and the retry path it exercises is
-// replayable.
-func Degenerate(n int) jobs.Runner {
-	return func(_ context.Context, spec jobs.Spec, seed int64, _ obs.Recorder) (*jobs.Outcome, error) {
-		attempt := int(seed - spec.Seed)
-		if attempt < n {
-			return nil, fmt.Errorf("chaos: injected degenerate fit (attempt %d of %d): %w", attempt, n, core.ErrDegenerate)
-		}
-		labels := make([]int, len(spec.Points))
-		return &jobs.Outcome{Labels: labels, K: 1, Stats: map[string]float64{"attempts": float64(attempt + 1)}}, nil
+// Degenerate returns a runner that reports core.ErrDegenerate on every
+// run. The engine runs a job once, so the job fails with that error.
+func Degenerate() jobs.Runner {
+	return func(_ context.Context, spec jobs.Spec) (*jobs.Outcome, error) {
+		return nil, fmt.Errorf("chaos: injected degenerate fit for seed %d: %w", spec.Seed, core.ErrDegenerate)
 	}
 }
 
@@ -64,7 +54,7 @@ func Degenerate(n int) jobs.Runner {
 // the facade's ...Context algorithms do. It is the canonical stuck-job and
 // drain-deadline probe.
 func Slow(onStart chan<- string) jobs.Runner {
-	return func(ctx context.Context, spec jobs.Spec, _ int64, _ obs.Recorder) (*jobs.Outcome, error) {
+	return func(ctx context.Context, spec jobs.Spec) (*jobs.Outcome, error) {
 		if onStart != nil {
 			onStart <- spec.Algo
 		}
@@ -78,15 +68,15 @@ func Slow(onStart chan<- string) jobs.Runner {
 	}
 }
 
-// Flaky returns a runner that fails — a plain error, not a degenerate fit,
-// so the engine must NOT retry it — on the deterministic fraction p of job
-// seeds, and succeeds on the rest. The decision hashes the job seed
-// through a seeded RNG: same spec, same verdict, every run.
+// Flaky returns a runner that fails with a plain error on the
+// deterministic fraction p of job seeds, and succeeds on the rest. The
+// decision hashes the job seed through a seeded RNG: same spec, same
+// verdict, every run.
 func Flaky(p float64) jobs.Runner {
-	return func(_ context.Context, spec jobs.Spec, seed int64, _ obs.Recorder) (*jobs.Outcome, error) {
-		rng := rand.New(rand.NewSource(seed))
+	return func(_ context.Context, spec jobs.Spec) (*jobs.Outcome, error) {
+		rng := rand.New(rand.NewSource(spec.Seed))
 		if rng.Float64() < p {
-			return nil, fmt.Errorf("chaos: injected hard failure for seed %d", seed)
+			return nil, fmt.Errorf("chaos: injected hard failure for seed %d", spec.Seed)
 		}
 		labels := make([]int, len(spec.Points))
 		return &jobs.Outcome{Labels: labels, K: 1}, nil
@@ -100,7 +90,7 @@ func TestRunners() map[string]jobs.Runner {
 	return map[string]jobs.Runner{
 		"chaos-instant":    Instant(),
 		"chaos-panic":      Panicky("injected worker panic"),
-		"chaos-degenerate": Degenerate(2),
+		"chaos-degenerate": Degenerate(),
 		"chaos-slow":       Slow(nil),
 		"chaos-flaky":      Flaky(0.5),
 	}

@@ -3,7 +3,6 @@ package chaos_test
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -14,29 +13,6 @@ import (
 
 func points() [][]float64 {
 	return [][]float64{{0, 0}, {1, 1}, {2, 2}, {3, 3}}
-}
-
-// terminalLog records every OnTerminal callback; the exactly-once property
-// is asserted against it in addition to each job's own FinishCalls counter.
-type terminalLog struct {
-	mu   sync.Mutex
-	seen map[string]int
-}
-
-func newTerminalLog() *terminalLog {
-	return &terminalLog{seen: map[string]int{}}
-}
-
-func (l *terminalLog) hook(j *jobs.Job, _ jobs.State) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.seen[j.ID]++
-}
-
-func (l *terminalLog) count(id string) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seen[id]
 }
 
 func drainOrDie(t *testing.T, e *jobs.Engine, timeout time.Duration) jobs.DrainReport {
@@ -85,16 +61,11 @@ func TestPropertyNoPanicEscapes(t *testing.T) {
 }
 
 // TestPropertyExactlyOneTerminalState runs the whole fault battery — panics,
-// degenerate retries, hard failures, slow jobs raced with cancels — and
+// degenerate fits, hard failures, slow jobs raced with cancels — and
 // asserts every admitted job lands in exactly one terminal state exactly
-// once, observed both by FinishCalls and the OnTerminal hook.
+// once, observed by FinishCalls.
 func TestPropertyExactlyOneTerminalState(t *testing.T) {
-	log := newTerminalLog()
-	runners := chaos.TestRunners()
-	e := jobs.New(jobs.Config{
-		Workers: 4, QueueSize: 128,
-		Runners: runners, OnTerminal: log.hook,
-	})
+	e := jobs.New(jobs.Config{Workers: 4, QueueSize: 128, Runners: chaos.TestRunners()})
 
 	battery := []string{"chaos-instant", "chaos-panic", "chaos-degenerate", "chaos-flaky", "chaos-slow"}
 	var admitted []*jobs.Job
@@ -127,9 +98,6 @@ func TestPropertyExactlyOneTerminalState(t *testing.T) {
 		}
 		if j.FinishCalls() != 1 {
 			t.Fatalf("job %s (%s) finishCalls = %d, want exactly 1", j.ID, j.Spec.Algo, j.FinishCalls())
-		}
-		if got := log.count(j.ID); got != 1 {
-			t.Fatalf("job %s observed %d OnTerminal callbacks, want exactly 1", j.ID, got)
 		}
 	}
 	if total := rep.Done + rep.Partial + rep.Failed + rep.Cancelled; total != len(admitted) {
@@ -238,72 +206,6 @@ func TestPropertyDrainLosesNoJob(t *testing.T) {
 	}
 }
 
-// TestPropertyDegenerateRetryDeterministic: the Degenerate runner counts
-// attempts off the documented reseed schedule, so a fault depth below the
-// budget of 3 attempts always heals at the same attempt, and a depth of 3
-// always exhausts — no flakes in either direction.
-func TestPropertyDegenerateRetryDeterministic(t *testing.T) {
-	for trial := 0; trial < 3; trial++ {
-		heal := jobs.New(jobs.Config{Workers: 1,
-			Runners: map[string]jobs.Runner{"degen": chaos.Degenerate(2)}})
-		j, _, err := heal.Submit(jobs.Spec{Algo: "degen", Points: points(), Seed: int64(trial * 10)})
-		if err != nil {
-			t.Fatalf("Submit: %v", err)
-		}
-		<-j.Done()
-		if j.State() != jobs.StateDone {
-			t.Fatalf("trial %d: depth 2: state %s, want done", trial, j.State())
-		}
-		if st := j.Status(); st.Attempts != 3 {
-			t.Fatalf("trial %d: attempts = %d, want 3 (2 degenerate + 1 success)", trial, st.Attempts)
-		}
-		drainOrDie(t, heal, 5*time.Second)
-
-		exhaust := jobs.New(jobs.Config{Workers: 1,
-			Runners: map[string]jobs.Runner{"degen": chaos.Degenerate(3)}})
-		j2, _, err := exhaust.Submit(jobs.Spec{Algo: "degen", Points: points(), Seed: int64(trial * 10)})
-		if err != nil {
-			t.Fatalf("Submit: %v", err)
-		}
-		<-j2.Done()
-		if j2.State() != jobs.StateFailed || !errors.Is(j2.Err(), core.ErrDegenerate) {
-			t.Fatalf("trial %d: depth 3: state %s err %v, want failed/ErrDegenerate",
-				trial, j2.State(), j2.Err())
-		}
-		drainOrDie(t, exhaust, 5*time.Second)
-	}
-}
-
-// TestDegenerateRetriesInJobMetrics: each degenerate attempt is one
-// engine attempt and one robust.degenerate_retries count in the job's own
-// metrics: depth 1 heals on attempt 2, depth 3 fails after the whole
-// budget.
-func TestDegenerateRetriesInJobMetrics(t *testing.T) {
-	for _, tc := range []struct {
-		depth, attempts int
-		state           jobs.State
-	}{
-		{1, 2, jobs.StateDone},
-		{3, 3, jobs.StateFailed},
-	} {
-		e := jobs.New(jobs.Config{Workers: 1,
-			Runners: map[string]jobs.Runner{"degen": chaos.Degenerate(tc.depth)}})
-		j, _, err := e.Submit(jobs.Spec{Algo: "degen", Points: points(), Seed: 4})
-		if err != nil {
-			t.Fatalf("Submit: %v", err)
-		}
-		<-j.Done()
-		st := j.Status()
-		if j.State() != tc.state || st.Attempts != tc.attempts {
-			t.Fatalf("depth %d: state %s attempts %d, want %s after %d", tc.depth, j.State(), st.Attempts, tc.state, tc.attempts)
-		}
-		if got := st.Metrics["robust.degenerate_retries"]; got != int64(tc.depth) {
-			t.Fatalf("depth %d: robust.degenerate_retries = %d in the job's metrics, want %d", tc.depth, got, tc.depth)
-		}
-		drainOrDie(t, e, 5*time.Second)
-	}
-}
-
 // TestPropertyFlakyVerdictReplayable: the Flaky runner's pass/fail verdict
 // is a pure function of the job seed, so the same battery submitted to two
 // engines produces identical terminal states job for job.
@@ -355,16 +257,11 @@ func TestTestRunnersBattery(t *testing.T) {
 		}
 	}
 	// The instant runner is the dispatch-overhead probe: label per point.
-	out, err := reg["chaos-instant"](context.Background(), jobs.Spec{Points: points()}, 0, nil)
+	out, err := reg["chaos-instant"](context.Background(), jobs.Spec{Points: points()})
 	if err != nil || len(out.Labels) != len(points()) {
 		t.Fatalf("chaos-instant: out=%+v err=%v", out, err)
 	}
-	// The degenerate runner follows the engine's seed schedule.
-	spec := jobs.Spec{Points: points(), Seed: 50}
-	if _, err := reg["chaos-degenerate"](context.Background(), spec, 50, nil); !errors.Is(err, core.ErrDegenerate) {
-		t.Fatalf("attempt 0 err = %v, want ErrDegenerate", err)
-	}
-	if out, err := reg["chaos-degenerate"](context.Background(), spec, 52, nil); err != nil || out == nil {
-		t.Fatalf("attempt 2: out=%v err=%v, want healed", out, err)
+	if _, err := reg["chaos-degenerate"](context.Background(), jobs.Spec{Points: points(), Seed: 50}); !errors.Is(err, core.ErrDegenerate) {
+		t.Fatalf("chaos-degenerate err = %v, want ErrDegenerate", err)
 	}
 }

@@ -50,10 +50,6 @@ type Config struct {
 	// (Spec.Stream jobs), the same seam Runners is for batch jobs. Nil
 	// entries delete a default.
 	Streams map[string]StreamFactory
-	// OnTerminal, when non-nil, observes every terminal transition
-	// (exactly one per admitted job). Used by the fault-injection suite
-	// and available for operational logging.
-	OnTerminal func(j *Job, s State)
 	// Log, when non-nil, receives one job.state JSONL line per lifecycle
 	// transition (queued, running, and the terminal state), carrying the
 	// job id, state, trace id and — on terminal lines — attempt count
@@ -634,9 +630,9 @@ func (e *Engine) resolveTimeout(ms int64) time.Duration {
 	return timeout
 }
 
-// tryStart moves the job to Running, installs its cancel hook and
-// returns the spec with its points attached, or reports false when the
-// job was cancelled while queued.
+// tryStart moves the job to Running, counts its one run, installs its
+// cancel hook and returns the spec with its points attached, or reports
+// false when the job was cancelled while queued.
 func (e *Engine) tryStart(j *Job, cancel func()) (Spec, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -644,16 +640,16 @@ func (e *Engine) tryStart(j *Job, cancel func()) (Spec, bool) {
 		return Spec{}, false
 	}
 	j.state = StateRunning
+	j.attempts = 1
 	j.cancel = cancel
 	spec := j.Spec
 	spec.Points = j.points
 	return spec, true
 }
 
-// execute runs one job to its terminal state. Panics cannot escape: every
-// attempt is wrapped in robust.RecoverTo, so a panicking runner fails the
-// job (ErrPanic) and the worker lives on. A degenerate attempt reruns on
-// the next seed of robust.Retry's three-attempt schedule.
+// execute runs one job to its terminal state with one call of its
+// runner. Panics cannot escape: the call is wrapped in robust.RecoverTo,
+// so a panicking runner fails the job (ErrPanic) and the worker lives on.
 func (e *Engine) execute(j *Job) {
 	timeout := e.resolveTimeout(j.Spec.TimeoutMS)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -669,9 +665,7 @@ func (e *Engine) execute(j *Job) {
 		// observes the other) settles the run to best-so-far immediately.
 		cancel()
 	}
-	wait := time.Since(j.enqueuedAt)
-	obs.Gauge(obs.Default(), "jobs.dispatch_wait_ns", float64(wait.Nanoseconds()))
-	obs.Histogram(obs.Default(), "jobs.queue_wait_seconds", wait.Seconds())
+	obs.Histogram(obs.Default(), "jobs.queue_wait_seconds", time.Since(j.enqueuedAt).Seconds())
 	tctx, tcancel := context.WithTimeout(ctx, timeout)
 	defer tcancel()
 	// The job's own collector is the context recorder: every counter and
@@ -682,25 +676,17 @@ func (e *Engine) execute(j *Job) {
 
 	runner := e.cfg.Runners[spec.Algo]
 	execStart := time.Now()
-	out, err := robust.Retry(tctx, spec.Seed,
-		func(seed int64) (o *Outcome, rerr error) {
-			defer robust.RecoverTo(&rerr)
-			j.mu.Lock()
-			j.attempts++
-			j.mu.Unlock()
-			attemptStart := time.Now()
-			defer func() {
-				obs.Histogram(obs.Default(), "jobs.attempt_seconds", time.Since(attemptStart).Seconds())
-			}()
-			// One jobs.run span per attempt, on the job's own collector,
-			// so the /v1/jobs/{id}/trace tree roots every algorithm phase
-			// under its attempt. The deferred end closes the span before
-			// the terminal transition, so every span of the job is in
-			// the collector by the time /trace becomes servable.
-			actx, end := obs.SpanCtx(tctx, j.col, "jobs.run")
-			defer end()
-			return runner(actx, spec, seed, j.col)
-		})
+	out, err := func() (o *Outcome, rerr error) {
+		defer robust.RecoverTo(&rerr)
+		// One jobs.run span on the job's own collector roots every
+		// algorithm phase of the /v1/jobs/{id}/trace tree. The deferred
+		// end closes the span before the terminal transition, so every
+		// span of the job is in the collector by the time /trace becomes
+		// servable.
+		rctx, end := obs.SpanCtx(tctx, j.col, "jobs.run")
+		defer end()
+		return runner(rctx, spec)
+	}()
 	obs.Histogram(obs.Default(), "jobs.exec_seconds", time.Since(execStart).Seconds())
 
 	j.mu.Lock()
@@ -754,9 +740,7 @@ func (e *Engine) executeChunk(j *Job) {
 		j.pending = j.pending[1:]
 		if j.state == StateQueued {
 			j.state = StateRunning
-			wait := time.Since(j.enqueuedAt)
-			obs.Gauge(obs.Default(), "jobs.dispatch_wait_ns", float64(wait.Nanoseconds()))
-			obs.Histogram(obs.Default(), "jobs.queue_wait_seconds", wait.Seconds())
+			obs.Histogram(obs.Default(), "jobs.queue_wait_seconds", time.Since(j.enqueuedAt).Seconds())
 			e.logState(j, StateRunning, 0, nil)
 		}
 		if j.userCancel {
@@ -880,8 +864,5 @@ func (e *Engine) finish(j *Job, s State, out *Outcome, err error) {
 		}
 	case StateCancelled:
 		obs.Count(rec, "jobs.cancelled", 1)
-	}
-	if e.cfg.OnTerminal != nil {
-		e.cfg.OnTerminal(j, s)
 	}
 }

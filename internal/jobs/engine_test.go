@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,7 +16,7 @@ import (
 // battery lives in the chaos subpackage (which imports jobs and therefore
 // cannot be imported from here).
 
-func instantRunner(_ context.Context, spec Spec, _ int64, _ obs.Recorder) (*Outcome, error) {
+func instantRunner(_ context.Context, spec Spec) (*Outcome, error) {
 	return &Outcome{Labels: make([]int, len(spec.Points)), K: 1}, nil
 }
 
@@ -23,7 +24,7 @@ func instantRunner(_ context.Context, spec Spec, _ int64, _ obs.Recorder) (*Outc
 // cut, then returns a best-so-far outcome wrapped in ErrInterrupted like the
 // facade algorithms do.
 func slowRunner(started chan<- struct{}) Runner {
-	return func(ctx context.Context, spec Spec, _ int64, _ obs.Recorder) (*Outcome, error) {
+	return func(ctx context.Context, spec Spec) (*Outcome, error) {
 		if started != nil {
 			started <- struct{}{}
 		}
@@ -33,16 +34,7 @@ func slowRunner(started chan<- struct{}) Runner {
 	}
 }
 
-func degenerateRunner(n int) Runner {
-	return func(_ context.Context, spec Spec, seed int64, _ obs.Recorder) (*Outcome, error) {
-		if int(seed-spec.Seed) < n {
-			return nil, fmt.Errorf("degenerate: %w", core.ErrDegenerate)
-		}
-		return &Outcome{Labels: make([]int, len(spec.Points)), K: 1}, nil
-	}
-}
-
-func panickyRunner(context.Context, Spec, int64, obs.Recorder) (*Outcome, error) {
+func panickyRunner(context.Context, Spec) (*Outcome, error) {
 	panic("injected")
 }
 
@@ -218,43 +210,6 @@ func TestIdempotencyKeyDeduplicates(t *testing.T) {
 	}
 }
 
-func TestDegenerateRetryWithinBudget(t *testing.T) {
-	e := newTestEngine(t, Config{
-		Workers: 1,
-		Runners: map[string]Runner{"degen": degenerateRunner(2)},
-	})
-	j, _, err := e.Submit(Spec{Algo: "degen", Points: testPoints(), Seed: 10})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	waitTerminal(t, j)
-	if j.State() != StateDone {
-		t.Fatalf("state = %s, want done after retries (err %v)", j.State(), j.Err())
-	}
-	if st := j.Status(); st.Attempts != 3 {
-		t.Fatalf("attempts = %d, want 3", st.Attempts)
-	}
-}
-
-func TestDegenerateBudgetExhaustionFails(t *testing.T) {
-	e := newTestEngine(t, Config{Workers: 1,
-		Runners: map[string]Runner{"degen": degenerateRunner(100)}})
-	j, _, err := e.Submit(Spec{Algo: "degen", Points: testPoints(), Seed: 5})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	waitTerminal(t, j)
-	if j.State() != StateFailed {
-		t.Fatalf("state = %s, want failed", j.State())
-	}
-	if !errors.Is(j.Err(), core.ErrDegenerate) {
-		t.Fatalf("err = %v, want ErrDegenerate", j.Err())
-	}
-	if st := j.Status(); st.Attempts != 3 {
-		t.Fatalf("attempts = %d, want the whole budget of 3", st.Attempts)
-	}
-}
-
 func TestPanicContainedWorkerSurvives(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 1, Runners: map[string]Runner{
 		"boom":    panickyRunner,
@@ -383,8 +338,8 @@ func TestDrainDeadlineCutsSlowJobsToBestSoFar(t *testing.T) {
 func TestPerJobCollectorIsolation(t *testing.T) {
 	// Two concurrent jobs record into their own collectors; counters must
 	// not bleed between them.
-	rec := func(_ context.Context, spec Spec, _ int64, r obs.Recorder) (*Outcome, error) {
-		obs.Count(r, "test.work", int64(spec.K))
+	rec := func(ctx context.Context, spec Spec) (*Outcome, error) {
+		obs.Count(obs.From(ctx), "test.work", int64(spec.K))
 		return &Outcome{Labels: make([]int, len(spec.Points)), K: 1}, nil
 	}
 	e := newTestEngine(t, Config{Workers: 2, Runners: map[string]Runner{"rec": rec}})
@@ -447,5 +402,36 @@ func TestRealKMeansJobEndToEnd(t *testing.T) {
 	}
 	if r.Stats["sse"] < 0 || r.Stats["iterations"] < 1 {
 		t.Fatalf("stats %v implausible", r.Stats)
+	}
+}
+
+// TestRealDegenerateJobRunsOnce: a job whose algorithm collapses on every
+// seed is run once by the engine; the facade's reseed on seeds 7, 8 and 9
+// is the only retry, so the job's collector holds three fits and three
+// robust.degenerate_retries, and the error names one seed range.
+func TestRealDegenerateJobRunsOnce(t *testing.T) {
+	pts := [][]float64{{1e200, 1e200}, {-1e200, -1e200}, {1e200, -1e200}, {-1e200, 1e200}, {1e200, 1e200}, {-1e200, -1e200}}
+	e := newTestEngine(t, Config{Workers: 1})
+	for _, tc := range []struct{ algo, span string }{{"em", "em.fit"}, {"spectral", "spectral.run"}} {
+		algo, span := tc.algo, tc.span
+		j, _, err := e.Submit(Spec{Algo: algo, Points: pts, K: 2, Seed: 7})
+		if err != nil {
+			t.Fatalf("Submit %s: %v", algo, err)
+		}
+		waitTerminal(t, j)
+		if j.State() != StateFailed || !errors.Is(j.Err(), core.ErrDegenerate) {
+			t.Fatalf("%s: state %s err %v, want failed with ErrDegenerate", algo, j.State(), j.Err())
+		}
+		spans := j.col.Snapshot().Spans
+		st := j.Status()
+		if spans[span].Count != 3 || spans["jobs.run"].Count != 1 {
+			t.Errorf("%s: %d %s spans under %d jobs.run, want 3 under 1", algo, spans[span].Count, span, spans["jobs.run"].Count)
+		}
+		if got := st.Metrics["robust.degenerate_retries"]; got != 3 || st.Attempts != 1 {
+			t.Errorf("%s: robust.degenerate_retries %d attempts %d, want 3 and 1", algo, got, st.Attempts)
+		}
+		if msg := j.Err().Error(); strings.Count(msg, "seeds ") != 1 || !strings.Contains(msg, "seeds 7..9") {
+			t.Errorf("%s: err %q, want one seed range, 7..9", algo, msg)
+		}
 	}
 }

@@ -1,14 +1,14 @@
 // Package jobs is the resilience envelope that turns multiclust's one-shot
 // clustering substrate into a service: a multi-tenant async job engine with
-// a bounded queue, per-job deadlines, a three-attempt reseed retry on the
-// job's seed schedule, idempotency keys, cooperative cancellation, and
-// graceful drain.
+// a bounded queue, per-job deadlines, idempotency keys, cooperative
+// cancellation, and graceful drain.
 //
-// A job is one clustering run — dataset plus algorithm spec — executed by a
-// bounded worker pool through the facade's ...Context variants, so every
-// primitive the robust layer guarantees (validation gates, panic
-// containment, best-so-far on interrupt, degenerate-fit reseed) holds per
-// job. Each job records into one obs.Collector of its own, so nothing
+// A job is one clustering run — dataset plus algorithm spec — executed
+// once by a bounded worker pool through the facade's ...Context variants,
+// so every primitive the robust layer guarantees (validation gates, panic
+// containment, best-so-far on interrupt, the EM and spectral reseed on
+// seeds s, s+1, s+2) holds per job, and the facade is the only layer that
+// reseeds. Each job records into one obs.Collector of its own, so nothing
 // leaks between tenants: its aggregates serve Status.Metrics and /spans,
 // and /trace renders the newest 1024 span instances it keeps, so the
 // trace stays bounded however long a stream runs.

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"multiclust/internal/core"
-	"multiclust/internal/obs"
 )
 
 // trackedRows returns n×d rows cut from one flat array, the way the
@@ -270,9 +269,9 @@ func TestReleaseRetainedHeapPerJob(t *testing.T) {
 	}
 }
 
-// gateRunner finishes each attempt once gate is closed.
+// gateRunner finishes each run once gate is closed.
 func gateRunner(gate <-chan struct{}) Runner {
-	return func(_ context.Context, spec Spec, _ int64, _ obs.Recorder) (*Outcome, error) {
+	return func(_ context.Context, spec Spec) (*Outcome, error) {
 		<-gate
 		return &Outcome{Labels: make([]int, len(spec.Points)), K: 1}, nil
 	}

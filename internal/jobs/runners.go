@@ -6,20 +6,20 @@ import (
 	"sort"
 
 	"multiclust/internal/core"
-	"multiclust/internal/obs"
 	"multiclust/internal/registry"
 )
 
-// Runner executes one attempt of a job: the spec's dataset under the
-// spec's algorithm, with the attempt's seed (the engine walks the
-// deterministic schedule spec.Seed, spec.Seed+1, ... on degenerate fits,
-// so `seed - spec.Seed` is the attempt index). The context carries the
-// deadline, the drain signal and the per-job recorder; a runner that is
-// interrupted should return its best-so-far Outcome alongside an error
-// wrapping core.ErrInterrupted — that pair is what the engine serves as a
-// partial result. Runners are invoked under robust.RecoverTo, so a panic
-// fails the job without taking the worker down.
-type Runner func(ctx context.Context, spec Spec, seed int64, rec obs.Recorder) (*Outcome, error)
+// Runner executes a batch job: the spec's dataset under the spec's
+// algorithm and spec.Seed. The engine calls it once per job; reseeding a
+// degenerate fit is the algorithm's own business (the facade's EM and
+// spectral fit on spec.Seed, +1, +2). The context carries the deadline,
+// the drain signal and the job's recorder (obs.From), which the facade's
+// ...Context calls report into; a runner that is interrupted should return
+// its best-so-far Outcome alongside an error wrapping core.ErrInterrupted —
+// that pair is what the engine serves as a partial result. Runners are
+// invoked under robust.RecoverTo, so a panic fails the job without taking
+// the worker down.
+type Runner func(ctx context.Context, spec Spec) (*Outcome, error)
 
 // StreamHandle is one live incremental learner behind a streaming job
 // (Spec.Stream). The engine serializes calls — at most one PushChunk or
@@ -80,9 +80,9 @@ func sortedNames[V any](m map[string]V) []string {
 // MaxIter mean the same for a streaming learner as for its batch
 // counterpart (they configure the first-chunk batch solve);
 // NumSolutions is the streaming ensemble's base solutions per chunk.
-func params(spec Spec, seed int64) registry.Params {
+func params(spec Spec) registry.Params {
 	return registry.Params{
-		Points: spec.Points, K: spec.K, Seed: seed, Eps: spec.Eps, MinPts: spec.MinPts,
+		Points: spec.Points, K: spec.K, Seed: spec.Seed, Eps: spec.Eps, MinPts: spec.MinPts,
 		Restarts: spec.Restarts, MaxIter: spec.MaxIter,
 		NumSolutions: spec.NumSolutions, MetaClusters: spec.MetaClusters, Window: spec.Window,
 	}
@@ -106,11 +106,11 @@ func outcome(r *registry.Result) *Outcome {
 
 // batchRunner runs a registry algorithm, inheriting the facade's whole
 // robustness envelope: validation gates, panic recovery, degenerate-fit
-// detection, and best-so-far on interrupt. A run that yields no
-// clustering fails outright: it is not degenerate, so it is not retried.
+// reseeding, and best-so-far on interrupt. A run that yields no
+// clustering fails outright.
 func batchRunner(a registry.Algorithm) Runner {
-	return func(ctx context.Context, spec Spec, seed int64, _ obs.Recorder) (*Outcome, error) {
-		res, err := a.Run(ctx, params(spec, seed))
+	return func(ctx context.Context, spec Spec) (*Outcome, error) {
+		res, err := a.Run(ctx, params(spec))
 		if res != nil && len(res.Partitions) > 0 {
 			return outcome(res), err
 		}
@@ -124,7 +124,7 @@ func batchRunner(a registry.Algorithm) Runner {
 // streamFactory builds a registry algorithm's incremental learner.
 func streamFactory(a registry.Algorithm) StreamFactory {
 	return func(spec Spec) (StreamHandle, error) {
-		l, err := a.Stream(params(spec, spec.Seed))
+		l, err := a.Stream(params(spec))
 		if err != nil {
 			return nil, err
 		}

@@ -17,9 +17,9 @@ func (emptyLearner) Snapshot(context.Context) (*registry.Result, error) {
 	return &registry.Result{}, nil
 }
 
-// TestEmptyResults: a batch run that yields no clustering fails on its
-// first attempt — it is not degenerate, so the engine does not reseed —
-// while a streaming snapshot with no clustering reports ErrDegenerate.
+// TestEmptyResults: a batch run that yields no clustering fails, and not
+// as degenerate, while a streaming snapshot with no clustering reports
+// ErrDegenerate.
 func TestEmptyResults(t *testing.T) {
 	empty := registry.Algorithm{
 		Name: "empty",

@@ -197,8 +197,8 @@ var algorithms = []Algorithm{
 	},
 	{Name: "dbscan", Served: true,
 		Run: func(ctx context.Context, p Params) (*Result, error) {
-			// Deterministic without a seed: the service's retry schedule
-			// cannot change its outcome.
+			// Deterministic without a seed: a reseed could not change its
+			// outcome, so none is tried.
 			c, err := multiclust.DBSCANContext(ctx, p.Points, multiclust.DBSCANConfig{Eps: p.Eps, MinPts: p.MinPts})
 			return one(c, nil), err
 		},

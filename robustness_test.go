@@ -1,8 +1,10 @@
 package multiclust
 
 import (
+	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -284,5 +286,43 @@ func TestRobustnessMetricsDegenerate(t *testing.T) {
 	}
 	if got := SSE(pts, NewClustering(allNoise)); got != 0 {
 		t.Errorf("SSE of all-noise = %v", got)
+	}
+}
+
+// TestRobustnessReseedSchedule forces EM and spectral clustering to
+// collapse: squared distances between rows of ±1e200 overflow to +Inf.
+// The facade is the one owner of reseeding, so each must fit exactly on
+// the documented seeds s, s+1, s+2, count one robust.degenerate_retries
+// per collapsed fit, and fail with ErrDegenerate naming that one range.
+func TestRobustnessReseedSchedule(t *testing.T) {
+	pts := [][]float64{{1e200, 1e200}, {-1e200, -1e200}, {1e200, -1e200}, {-1e200, 1e200}, {1e200, 1e200}, {-1e200, -1e200}}
+	for _, tc := range []struct {
+		span string
+		run  func(context.Context) error
+	}{
+		{"em.fit", func(ctx context.Context) error {
+			_, err := EMContext(ctx, pts, EMConfig{K: 2, Seed: 7})
+			return err
+		}},
+		{"spectral.run", func(ctx context.Context) error {
+			_, err := SpectralContext(ctx, pts, SpectralConfig{K: 2, Seed: 7})
+			return err
+		}},
+	} {
+		col := NewCollector()
+		err := tc.run(WithRecorder(context.Background(), col))
+		if !errors.Is(err, ErrDegenerate) {
+			t.Fatalf("%s: err = %v, want ErrDegenerate", tc.span, err)
+		}
+		snap := col.Snapshot()
+		if got := snap.Spans[tc.span].Count; got != 3 {
+			t.Errorf("%s: %d fits, want 3", tc.span, got)
+		}
+		if got := snap.Counters["robust.degenerate_retries"]; got != 3 {
+			t.Errorf("%s: robust.degenerate_retries = %d, want 3", tc.span, got)
+		}
+		if got := strings.Count(err.Error(), "seeds "); got != 1 || !strings.Contains(err.Error(), "seeds 7..9") {
+			t.Errorf("%s: err = %q, want one seed range, 7..9", tc.span, err)
+		}
 	}
 }

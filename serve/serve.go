@@ -1,8 +1,9 @@
 // Package serve is the public surface of multiclust's clustering service:
-// the async job engine (bounded queue, per-job deadlines, deterministic
-// reseed retry, idempotency keys, graceful drain) and its HTTP API,
-// re-exported from internal/jobs so programs can embed the service without
-// reaching into internal packages.
+// the async job engine (bounded queue, per-job deadlines, idempotency keys,
+// graceful drain; each job runs once, and only the EM and spectral fits
+// reseed, inside the facade) and its HTTP API, re-exported from
+// internal/jobs so programs can embed the service without reaching into
+// internal packages.
 //
 // Minimal embedding:
 //
@@ -43,7 +44,7 @@ type (
 	Status = jobs.Status
 	// Outcome is the flat result surface of a finished job.
 	Outcome = jobs.Outcome
-	// Runner executes one attempt of a job; override via Config.Runners.
+	// Runner executes a batch job once; override via Config.Runners.
 	Runner = jobs.Runner
 	// StreamHandle is the live incremental learner behind one streaming
 	// job ("stream": true); custom implementations plug in via

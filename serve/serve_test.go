@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"multiclust"
 	"multiclust/serve"
 )
 
@@ -59,10 +58,10 @@ func TestPublicSurfaceEndToEnd(t *testing.T) {
 	}
 }
 
-func TestCustomRunnerThroughFacadeAlias(t *testing.T) {
-	// An embedder outside the module can only name the recorder through the
-	// facade alias; this pins that the seam stays implementable.
-	custom := func(_ context.Context, spec serve.Spec, _ int64, _ multiclust.Recorder) (*serve.Outcome, error) {
+func TestCustomRunnerThroughFacade(t *testing.T) {
+	// An embedder outside the module implements a runner with serve's
+	// types alone; this pins that the seam stays implementable.
+	custom := func(_ context.Context, spec serve.Spec) (*serve.Outcome, error) {
 		return &serve.Outcome{Labels: make([]int, len(spec.Points)), K: 1}, nil
 	}
 	eng := serve.New(serve.Config{Workers: 1, Runners: map[string]serve.Runner{"custom": custom}})
