@@ -21,7 +21,6 @@ var testOnlyExportsAllowed = map[string]string{
 	"internal/em.BIC":                     "ROADMAP item 6's view-independence test is its next consumer",
 	"internal/jobs/chaos.StreamFaults":    "test seam: the streaming fault battery the job engine's chaos suite mounts",
 	"internal/obs.HistogramBounds":        "TestHistogramBucketWalk reads the production bucket bounds through it from package obs_test",
-	"internal/obs.Span":                   "the spanend and obsnil rules recognize it, and their fixtures call it",
 	"internal/obs.StartRuntimePollerTick": "test seam: runs the runtime poller on a short tick",
 	"internal/obs.ValidateLogLine":        "make logs-check validates production log lines with it",
 	"internal/stats.DiagGaussianLogPDF":   "reference: TestEStepEqualsReference and CAMI's E-step oracle pin stats.DiagMixture to it",

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func chdir(t testing.TB, dir string) {
@@ -23,19 +24,23 @@ func chdir(t testing.TB, dir string) {
 
 // The linter must self-host: the whole repository, analyzers included, is
 // clean under its own rules. This is the acceptance gate every future PR
-// runs through make lint / CI.
+// runs through make lint / CI. The same run pins lintRepoBudget, so a
+// lint-engine slowdown fails CI even though nobody runs benchmarks there;
+// -short skips only that timing check.
 func TestSelfHostRepoClean(t *testing.T) {
-	root, err := filepath.Abs("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	chdir(t, root)
+	chdir(t, repoRoot(t))
 	var out, errOut strings.Builder
-	if code := run([]string{"./..."}, &out, &errOut); code != 0 {
+	start := time.Now()
+	code := run([]string{"./..."}, &out, &errOut)
+	elapsed := time.Since(start)
+	if code != 0 {
 		t.Fatalf("multiclust-lint ./... exited %d\nstdout:\n%s\nstderr:\n%s", code, out.String(), errOut.String())
 	}
 	if out.String() != "" {
 		t.Fatalf("expected no findings, got:\n%s", out.String())
+	}
+	if !testing.Short() && elapsed > lintRepoBudget {
+		t.Fatalf("full-repo lint took %v, budget is %v — profile with go test -bench LintRepo", elapsed, lintRepoBudget)
 	}
 }
 

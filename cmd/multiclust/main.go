@@ -61,7 +61,7 @@ func main() {
 		metricsOut = flag.String("metrics-out", "", "write the Prometheus dump to this file instead of stdout, keeping clustering output clean (implies -metrics)")
 		chromeF    = flag.String("chrome", "", "additionally convert the -trace JSONL into a Chrome trace-event file at this path (open in chrome://tracing); requires -trace")
 		serveAddr  = flag.String("serve", "", "serve live ops endpoints (/metrics, /spans, /healthz, /readyz, /debug/pprof/) and the async job API (/v1/jobs) on this host:port during the run, then block until interrupted")
-		jobWorkers = flag.Int("jobs-workers", 0, "worker goroutines for the /v1/jobs engine (0 = MULTICLUST_WORKERS env, then GOMAXPROCS)")
+		jobWorkers = flag.Int("jobs-workers", 0, "worker goroutines for the /v1/jobs engine (0 = the -workers value, then MULTICLUST_WORKERS env, then GOMAXPROCS; not capped at GOMAXPROCS)")
 		jobQueue   = flag.Int("jobs-queue", 0, "bounded admission queue for /v1/jobs (0 = default 64); a full queue answers 429")
 		drainTO    = flag.Duration("drain-timeout", 10*time.Second, "on SIGINT/SIGTERM, wait this long for running jobs before cutting them to best-so-far")
 		streamMode = flag.Bool("stream", false, "replay the dataset through the incremental layer chunk by chunk (-algo "+streamNames+")")

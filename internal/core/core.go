@@ -283,8 +283,9 @@ var (
 	ErrInterrupted = errors.New("core: interrupted")
 
 	// ErrDegenerate marks a run that completed but produced an unusable
-	// result (singular covariance, non-converged eigensolve). robust.Retry
-	// re-runs such outcomes on a deterministic seed schedule.
+	// result (a non-finite EM log-likelihood or spectral embedding).
+	// robust.Retry re-runs such outcomes on a deterministic seed schedule
+	// where a seed can change them: the facade's EM is its only caller.
 	ErrDegenerate = errors.New("core: degenerate result")
 
 	// ErrPanic marks a panic captured at the facade boundary and converted

@@ -27,9 +27,11 @@ import (
 // instead of unbounded memory or latency.
 type Config struct {
 	// Workers is the number of concurrent job executors; <=0 resolves via
-	// the shared parallel-layer knob (MULTICLUST_WORKERS, then
-	// GOMAXPROCS). This bounds service concurrency; the parallelism
-	// *inside* one job is still governed by multiclust.SetWorkers.
+	// parallel.Workers(0): the process-wide default (multiclust.SetWorkers,
+	// the CLI's -workers), then MULTICLUST_WORKERS, then GOMAXPROCS, and
+	// a count set either way is not capped at GOMAXPROCS. This bounds
+	// service concurrency; the parallelism *inside* one job is still
+	// governed by multiclust.SetWorkers.
 	Workers int
 	// QueueSize bounds the admission queue (default 64). Submit fails
 	// with ErrQueueFull — never blocks, never grows — once it is full.

@@ -405,14 +405,23 @@ func TestRealKMeansJobEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRealDegenerateJobRunsOnce: a job whose algorithm collapses on every
-// seed is run once by the engine; the facade's reseed on seeds 7, 8 and 9
-// is the only retry, so the job's collector holds three fits and three
-// robust.degenerate_retries, and the error names one seed range.
+// TestRealDegenerateJobRunsOnce: a job whose algorithm collapses is run
+// once by the engine. EM's reseed on seeds 7, 8 and 9 is the only retry,
+// so an em job's collector holds three fits and three
+// robust.degenerate_retries, and the error names one seed range. A
+// spectral job's embedding does not depend on the seed: it fails after
+// one fit with no k-means, no retry and no seed range.
 func TestRealDegenerateJobRunsOnce(t *testing.T) {
 	pts := [][]float64{{1e200, 1e200}, {-1e200, -1e200}, {1e200, -1e200}, {-1e200, 1e200}, {1e200, 1e200}, {-1e200, -1e200}}
 	e := newTestEngine(t, Config{Workers: 1})
-	for _, tc := range []struct{ algo, span string }{{"em", "em.fit"}, {"spectral", "spectral.run"}} {
+	for _, tc := range []struct {
+		algo, span  string
+		fits, retry int64
+		seeds       string // the one seed range the error names; "" for none
+	}{
+		{"em", "em.fit", 3, 3, "seeds 7..9"},
+		{"spectral", "spectral.run", 1, 0, ""},
+	} {
 		algo, span := tc.algo, tc.span
 		j, _, err := e.Submit(Spec{Algo: algo, Points: pts, K: 2, Seed: 7})
 		if err != nil {
@@ -424,14 +433,21 @@ func TestRealDegenerateJobRunsOnce(t *testing.T) {
 		}
 		spans := j.col.Snapshot().Spans
 		st := j.Status()
-		if spans[span].Count != 3 || spans["jobs.run"].Count != 1 {
-			t.Errorf("%s: %d %s spans under %d jobs.run, want 3 under 1", algo, spans[span].Count, span, spans["jobs.run"].Count)
+		if spans[span].Count != tc.fits || spans["jobs.run"].Count != 1 {
+			t.Errorf("%s: %d %s spans under %d jobs.run, want %d under 1", algo, spans[span].Count, span, spans["jobs.run"].Count, tc.fits)
 		}
-		if got := st.Metrics["robust.degenerate_retries"]; got != 3 || st.Attempts != 1 {
-			t.Errorf("%s: robust.degenerate_retries %d attempts %d, want 3 and 1", algo, got, st.Attempts)
+		if got := spans["kmeans.run"].Count; algo == "spectral" && got != 0 {
+			t.Errorf("%s: %d kmeans.run spans, want none on a non-finite embedding", algo, got)
 		}
-		if msg := j.Err().Error(); strings.Count(msg, "seeds ") != 1 || !strings.Contains(msg, "seeds 7..9") {
-			t.Errorf("%s: err %q, want one seed range, 7..9", algo, msg)
+		if got := st.Metrics["robust.degenerate_retries"]; got != tc.retry || st.Attempts != 1 {
+			t.Errorf("%s: robust.degenerate_retries %d attempts %d, want %d and 1", algo, got, st.Attempts, tc.retry)
+		}
+		want := 0
+		if tc.seeds != "" {
+			want = 1
+		}
+		if msg := j.Err().Error(); strings.Count(msg, "seeds ") != want || !strings.Contains(msg, tc.seeds) {
+			t.Errorf("%s: err %q, want %d seed range %q", algo, msg, want, tc.seeds)
 		}
 	}
 }

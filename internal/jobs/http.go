@@ -120,17 +120,8 @@ func (e *Engine) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// context; the job carries it for its whole async lifetime.
 	j, duplicate, err := e.SubmitTraced(spec, obs.TraceIDFrom(r.Context()))
 	switch {
-	case errors.Is(err, ErrQueueFull):
-		// A saturated queue drains at worker speed; one second is a
-		// deliberately conservative static hint (no clock consulted).
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, err.Error())
-	case errors.Is(err, ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, err.Error())
-	case errors.Is(err, ErrConflict):
-		writeError(w, http.StatusConflict, err.Error())
 	case err != nil:
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeErr(w, err)
 	case duplicate:
 		// A deduplicated submission reports the original job's trace id —
 		// that is the one its telemetry carries.
@@ -147,7 +138,7 @@ func (e *Engine) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (e *Engine) handleGet(w http.ResponseWriter, id string) {
 	j, err := e.Get(id)
 	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, j.Status())
@@ -159,24 +150,14 @@ func (e *Engine) handleAppend(w http.ResponseWriter, r *http.Request, id string)
 		return
 	}
 	j, err := e.Append(id, req.Points, req.Final)
-	switch {
-	case errors.Is(err, ErrNotFound):
-		writeError(w, http.StatusNotFound, err.Error())
-	case errors.Is(err, ErrConflict):
-		writeError(w, http.StatusConflict, err.Error())
-	case errors.Is(err, ErrQueueFull):
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, err.Error())
-	case errors.Is(err, ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, err.Error())
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err.Error())
-	default:
-		st := j.Status()
-		writeJSON(w, http.StatusAccepted, appendResponse{
-			ID: j.ID, State: st.State, ChunksAcked: st.ChunksAcked, RowsAcked: st.RowsAcked,
-		})
+	if err != nil {
+		writeErr(w, err)
+		return
 	}
+	st := j.Status()
+	writeJSON(w, http.StatusAccepted, appendResponse{
+		ID: j.ID, State: st.State, ChunksAcked: st.ChunksAcked, RowsAcked: st.RowsAcked,
+	})
 }
 
 // handleSpans serves the job's recorded span tree as indented text,
@@ -186,7 +167,7 @@ func (e *Engine) handleAppend(w http.ResponseWriter, r *http.Request, id string)
 func (e *Engine) handleSpans(w http.ResponseWriter, id string) {
 	j, err := e.Get(id)
 	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
+		writeErr(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -204,7 +185,7 @@ func (e *Engine) handleSpans(w http.ResponseWriter, id string) {
 func (e *Engine) handleTrace(w http.ResponseWriter, id string) {
 	j, err := e.Get(id)
 	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
+		writeErr(w, err)
 		return
 	}
 	if !j.State().Terminal() {
@@ -221,10 +202,30 @@ func (e *Engine) handleTrace(w http.ResponseWriter, id string) {
 func (e *Engine) handleCancel(w http.ResponseWriter, id string) {
 	state, err := e.Cancel(id)
 	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, submitResponse{ID: id, State: state.String()})
+}
+
+// writeErr writes err as the error response under the status its typed
+// error maps to; any other error, such as ErrBadSpec, is a 400.
+func writeErr(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	switch {
+	case errors.Is(err, ErrNotFound):
+		status = http.StatusNotFound
+	case errors.Is(err, ErrConflict):
+		status = http.StatusConflict
+	case errors.Is(err, ErrQueueFull):
+		// A saturated queue drains at worker speed; one second is a
+		// deliberately conservative static hint (no clock consulted).
+		w.Header().Set("Retry-After", "1")
+		status = http.StatusTooManyRequests
+	case errors.Is(err, ErrDraining):
+		status = http.StatusServiceUnavailable
+	}
+	writeError(w, status, err.Error())
 }
 
 // maxErrorBytes bounds the message of an error response: a message can

@@ -6,12 +6,12 @@
 // A job is one clustering run — dataset plus algorithm spec — executed
 // once by a bounded worker pool through the facade's ...Context variants,
 // so every primitive the robust layer guarantees (validation gates, panic
-// containment, best-so-far on interrupt, the EM and spectral reseed on
-// seeds s, s+1, s+2) holds per job, and the facade is the only layer that
-// reseeds. Each job records into one obs.Collector of its own, so nothing
-// leaks between tenants: its aggregates serve Status.Metrics and /spans,
-// and /trace renders the newest 1024 span instances it keeps, so the
-// trace stays bounded however long a stream runs.
+// containment, best-so-far on interrupt, EM's reseed on seeds s, s+1,
+// s+2) holds per job, and the facade is the only layer that reseeds. Each
+// job records into one obs.Collector of its own, so nothing leaks between
+// tenants: its aggregates serve Status.Metrics and /spans, and /trace
+// renders the newest 1024 span instances it keeps, so the trace stays
+// bounded however long a stream runs.
 //
 // Lifecycle (exactly one terminal state per admitted job):
 //
@@ -39,7 +39,7 @@ import (
 )
 
 // Typed admission and lookup errors; the HTTP layer maps them to status
-// codes (429, 503, 404, 400).
+// codes (429, 503, 404, 409, 400) in one place, writeErr.
 var (
 	// ErrQueueFull rejects a Submit while the bounded queue is at
 	// capacity. Maps to 429 Too Many Requests with a Retry-After hint.

@@ -11,8 +11,9 @@ import (
 
 // Runner executes a batch job: the spec's dataset under the spec's
 // algorithm and spec.Seed. The engine calls it once per job; reseeding a
-// degenerate fit is the algorithm's own business (the facade's EM and
-// spectral fit on spec.Seed, +1, +2). The context carries the deadline,
+// degenerate fit is the algorithm's own business (the facade's EM fits on
+// spec.Seed, +1, +2; spectral clustering fails at once, since no seed
+// changes its embedding). The context carries the deadline,
 // the drain signal and the job's recorder (obs.From), which the facade's
 // ...Context calls report into; a runner that is interrupted should return
 // its best-so-far Outcome alongside an error wrapping core.ErrInterrupted —

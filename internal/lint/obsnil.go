@@ -10,13 +10,12 @@ import (
 // obs.Recorder interface anywhere but internal/obs itself. The
 // observability layer's zero-cost-when-disabled guarantee rests on one
 // convention: instrumented code goes through the nil-guarded package
-// helpers (obs.Count, obs.Gauge, obs.Observe, obs.Histogram, obs.Span),
-// which compile to
-// a single pointer test when no recorder is installed. A direct
-// rec.Count(...) call panics on a nil interface and, worse, normalizes a
-// second calling convention that silently skips the guard. Calls on
-// concrete sink types (*obs.Collector, *obs.TraceWriter) are fine — those
-// values are provably non-nil at the call site.
+// helpers (obs.Count, obs.Gauge, obs.Observe, obs.Histogram, obs.SpanCtx),
+// which compile to a single pointer test when no recorder is installed.
+// A direct rec.Count(...) call panics on a nil interface and, worse,
+// normalizes a second calling convention that silently skips the guard.
+// Calls on concrete sink types (*obs.Collector, *obs.TraceWriter) are
+// fine — those values are provably non-nil at the call site.
 func ObsNil() *Analyzer {
 	return &Analyzer{
 		Name: "obsnil",
@@ -81,8 +80,8 @@ func helperFor(method string) string {
 	case "Count", "Gauge", "Observe", "Histogram":
 		return method
 	case "StartSpan":
-		return "Span"
+		return "SpanCtx"
 	default:
-		return "Count/Gauge/Observe/Histogram/Span"
+		return "Count/Gauge/Observe/Histogram/SpanCtx"
 	}
 }

@@ -8,18 +8,18 @@ import (
 )
 
 // SpanEnd flags span-open calls whose end function can leak: the span
-// helpers (obs.Span, obs.SpanCtx, multiclust.StartSpan, and the
-// Recorder/sink StartSpan methods) return a close function that MUST run
-// exactly once, or the collector's active-span table and the trace keep
-// the span open forever and every child span re-roots under a stale
-// parent. The safe idiom is to defer it at the open site:
+// helpers (obs.SpanCtx, multiclust.StartSpan, and the Recorder/sink
+// StartSpan methods) return a close function that MUST run exactly once,
+// or the collector's active-span table and the trace keep the span open
+// forever and every child span re-roots under a stale parent. The safe
+// idiom is to defer it at the open site:
 //
-//	defer obs.Span(rec, "algo.phase")()
 //	ctx, end := obs.SpanCtx(ctx, rec, "algo.phase")
 //	defer end()
+//	defer col.StartSpan("algo.phase", obs.NewSpanID(), 0)()
 //
 // A finding is reported when the end function is discarded (statement
-// call, blank assignment, `defer obs.Span(...)` without invoking the
+// call, blank assignment, `defer col.StartSpan(...)` without invoking the
 // result) or when it is bound to a variable that is neither deferred nor
 // plainly called on every path of the function's CFG from the open to the
 // exit — a return, a panic, or falling off the end of the body. An end
@@ -57,10 +57,9 @@ func runSpanEnd(p *Package) []Finding {
 }
 
 // spanOpenCall matches a call that opens a span, returning the name of
-// the opener and the index of the end function in its results:
-// obs.Span / StartSpan methods return the end function directly (index
-// 0); obs.SpanCtx and the facade's multiclust.StartSpan return
-// (context, end) (index 1).
+// the opener and the index of the end function in its results: StartSpan
+// methods return the end function directly (index 0); obs.SpanCtx and the
+// facade's multiclust.StartSpan return (context, end) (index 1).
 func spanOpenCall(p *Package, call *ast.CallExpr) (opener string, endIdx int, ok bool) {
 	sel, selOK := call.Fun.(*ast.SelectorExpr)
 	if !selOK {
@@ -68,8 +67,6 @@ func spanOpenCall(p *Package, call *ast.CallExpr) (opener string, endIdx int, ok
 	}
 	if base, baseOK := sel.X.(*ast.Ident); baseOK {
 		switch path := pkgName(p.Info, base); {
-		case strings.HasSuffix(path, "internal/obs") && sel.Sel.Name == "Span":
-			return "obs.Span", 0, true
 		case strings.HasSuffix(path, "internal/obs") && sel.Sel.Name == "SpanCtx":
 			return "obs.SpanCtx", 1, true
 		case path == "multiclust" && sel.Sel.Name == "StartSpan":
@@ -128,13 +125,13 @@ func classifySpanOpen(p *Package, body *ast.BlockStmt, call *ast.CallExpr, opene
 	}
 	switch parent := stack[len(stack)-1].(type) {
 	case *ast.CallExpr:
-		// obs.Span(...)() — invoked on the spot (usually under defer) — or
-		// the span call passed as an argument, which escapes.
+		// col.StartSpan(...)() — invoked on the spot (usually under
+		// defer) — or the span call passed as an argument, which escapes.
 		return Finding{}, false
 	case *ast.DeferStmt:
 		if parent.Call == call {
-			// defer obs.Span(...) defers the OPEN, so the end function
-			// is produced at function exit and dropped.
+			// defer col.StartSpan(...) defers the OPEN, so the end
+			// function is produced at function exit and dropped.
 			return p.finding("spanend", call.Pos(),
 				"defer %s(...) discards the span end function — invoke it: defer %s(...)()", opener, opener), true
 		}

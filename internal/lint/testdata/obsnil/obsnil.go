@@ -3,6 +3,7 @@
 package fixture
 
 import (
+	"context"
 	"os"
 
 	"multiclust/internal/obs"
@@ -16,18 +17,19 @@ func direct(rec obs.Recorder, n int) {
 	rec.Histogram("fixture.wait", 0.001) // want `direct Histogram call on an obs.Recorder`
 	if rec != nil {
 		rec.Observe("fixture.err", 1, 0.25)                     // want `direct Observe call on an obs.Recorder`
-		done := rec.StartSpan("fixture.op", obs.NewSpanID(), 0) // want `direct StartSpan call on an obs.Recorder`
+		done := rec.StartSpan("fixture.op", obs.NewSpanID(), 0) // want `direct StartSpan call on an obs.Recorder; use the nil-guarded obs.SpanCtx helper`
 		defer done()
 	}
 }
 
 // The nil-guarded helpers are the approved route.
-func guarded(rec obs.Recorder, n int) {
+func guarded(ctx context.Context, rec obs.Recorder, n int) {
 	obs.Count(rec, "fixture.items", int64(n))
 	obs.Gauge(rec, "fixture.load", 0.5)
 	obs.Observe(rec, "fixture.err", 1, 0.25)
 	obs.Histogram(rec, "fixture.wait", 0.001)
-	defer obs.Span(rec, "fixture.op")()
+	_, end := obs.SpanCtx(ctx, rec, "fixture.op")
+	defer end()
 }
 
 // Resolving through context or the process default still ends in helpers.

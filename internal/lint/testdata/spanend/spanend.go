@@ -11,8 +11,8 @@ import (
 
 // ---- clean idioms the rule must accept ----
 
-func deferredImmediately(rec obs.Recorder) {
-	defer obs.Span(rec, "fixture.op")()
+func deferredImmediately(c *obs.Collector) {
+	defer c.StartSpan("fixture.op", obs.NewSpanID(), 0)()
 }
 
 func deferredVariable(ctx context.Context, rec obs.Recorder) {
@@ -20,12 +20,12 @@ func deferredVariable(ctx context.Context, rec obs.Recorder) {
 	defer end()
 }
 
-func immediateInvoke(rec obs.Recorder) {
-	obs.Span(rec, "fixture.op")() // opens and closes on the spot
+func immediateInvoke(c *obs.Collector) {
+	c.StartSpan("fixture.op", obs.NewSpanID(), 0)() // opens and closes on the spot
 }
 
-func calledOnEveryPath(rec obs.Recorder, fail bool) error {
-	end := obs.Span(rec, "fixture.op")
+func calledOnEveryPath(c *obs.Collector, fail bool) error {
+	end := c.StartSpan("fixture.op", obs.NewSpanID(), 0)
 	if fail {
 		end()
 		return errors.New("fixture")
@@ -34,35 +34,31 @@ func calledOnEveryPath(rec obs.Recorder, fail bool) error {
 	return nil
 }
 
-func calledBeforeFallOff(rec obs.Recorder) {
-	end := obs.Span(rec, "fixture.op")
+func calledBeforeFallOff(c *obs.Collector) {
+	end := c.StartSpan("fixture.op", obs.NewSpanID(), 0)
 	end()
 }
 
 // Escapes are assumed managed by the receiver.
-func escapeAsReturn(rec obs.Recorder) func() {
-	return obs.Span(rec, "fixture.op")
+func escapeAsReturn(c *obs.Collector) func() {
+	return c.StartSpan("fixture.op", obs.NewSpanID(), 0)
 }
 
-func escapeAsArg(rec obs.Recorder) {
-	runThenEnd(obs.Span(rec, "fixture.op"))
+func escapeAsArg(c *obs.Collector) {
+	runThenEnd(c.StartSpan("fixture.op", obs.NewSpanID(), 0))
 }
 
 func runThenEnd(end func()) { end() }
 
-func escapeViaClosure(rec obs.Recorder) func() {
-	end := obs.Span(rec, "fixture.op")
+func escapeViaClosure(c *obs.Collector) func() {
+	end := c.StartSpan("fixture.op", obs.NewSpanID(), 0)
 	return func() { end() }
-}
-
-func sinkDeferred(c *obs.Collector) {
-	defer c.StartSpan("fixture.op", obs.NewSpanID(), 0)()
 }
 
 // ---- leaks the rule must flag ----
 
-func statementDiscard(rec obs.Recorder) {
-	obs.Span(rec, "fixture.op") // want `result of obs.Span is discarded`
+func statementDiscard(c *obs.Collector) {
+	c.StartSpan("fixture.op", obs.NewSpanID(), 0) // want `result of Collector.StartSpan is discarded`
 }
 
 func blankAssign(ctx context.Context, rec obs.Recorder) context.Context {
@@ -70,17 +66,17 @@ func blankAssign(ctx context.Context, rec obs.Recorder) context.Context {
 	return lctx
 }
 
-func deferOpenNotEnd(rec obs.Recorder) {
-	defer obs.Span(rec, "fixture.op") // want `defer obs.Span\(\.\.\.\) discards the span end function`
+func deferOpenNotEnd(c *obs.Collector) {
+	defer c.StartSpan("fixture.op", obs.NewSpanID(), 0) // want `defer Collector.StartSpan\(\.\.\.\) discards the span end function`
 }
 
-func neverCalled(rec obs.Recorder) {
-	end := obs.Span(rec, "fixture.op") // want `end function "end" of obs.Span is never deferred or called`
-	_ = end                            // blank re-assignment is not a close
+func neverCalled(c *obs.Collector) {
+	end := c.StartSpan("fixture.op", obs.NewSpanID(), 0) // want `end function "end" of Collector.StartSpan is never deferred or called`
+	_ = end                                              // blank re-assignment is not a close
 }
 
-func missingReturnPath(rec obs.Recorder, fail bool) error {
-	end := obs.Span(rec, "fixture.op") // want `not called on every return path \(the path through line 85 leaks the span\)`
+func missingReturnPath(c *obs.Collector, fail bool) error {
+	end := c.StartSpan("fixture.op", obs.NewSpanID(), 0) // want `not called on every return path \(the path through line 81 leaks the span\)`
 	if fail {
 		return errors.New("fixture") // leaks the span
 	}
@@ -88,8 +84,8 @@ func missingReturnPath(rec obs.Recorder, fail bool) error {
 	return nil
 }
 
-func conditionalFallOff(rec obs.Recorder, fail bool) {
-	end := obs.Span(rec, "fixture.op") // want `not called on every return path \(the path through line 96 leaks the span\)`
+func conditionalFallOff(c *obs.Collector, fail bool) {
+	end := c.StartSpan("fixture.op", obs.NewSpanID(), 0) // want `not called on every return path \(the path through line 92 leaks the span\)`
 	if !fail {
 		end()
 	} // falling off the end with fail=true leaks the span
@@ -102,8 +98,8 @@ func methodDiscard(rec obs.Recorder) {
 // ---- shapes decided on the CFG's paths ----
 
 // Both arms of an if/else close the span: every path is covered.
-func calledInBothBranches(rec obs.Recorder, fail bool) (n int) {
-	end := obs.Span(rec, "fixture.op")
+func calledInBothBranches(c *obs.Collector, fail bool) (n int) {
+	end := c.StartSpan("fixture.op", obs.NewSpanID(), 0)
 	if fail {
 		n = 1
 		end()
@@ -114,8 +110,8 @@ func calledInBothBranches(rec obs.Recorder, fail bool) (n int) {
 }
 
 // Every case of a switch with a default closes the span.
-func calledInEveryCase(rec obs.Recorder, mode int) int {
-	end := obs.Span(rec, "fixture.op")
+func calledInEveryCase(c *obs.Collector, mode int) int {
+	end := c.StartSpan("fixture.op", obs.NewSpanID(), 0)
 	switch mode {
 	case 0:
 		end()
@@ -129,8 +125,8 @@ func calledInEveryCase(rec obs.Recorder, mode int) int {
 }
 
 // A panic between the open and the close leaves without closing the span.
-func panicPath(rec obs.Recorder, bad bool) {
-	end := obs.Span(rec, "fixture.op") // want `not called on every return path \(the path through line 135 leaks the span\)`
+func panicPath(c *obs.Collector, bad bool) {
+	end := c.StartSpan("fixture.op", obs.NewSpanID(), 0) // want `not called on every return path \(the path through line 131 leaks the span\)`
 	if bad {
 		panic("fixture")
 	}

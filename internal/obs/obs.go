@@ -4,13 +4,14 @@
 //
 // The design contract is zero cost when disabled. Algorithms never call
 // Recorder methods directly; they go through the package-level helpers
-// (Count, Gauge, Observe, Span), which compile to a nil check and return
-// when no recorder is installed. The helpers take only concrete argument
-// types, so the disabled path performs no interface boxing and no
-// allocation — pinned by TestNilRecorderPathDoesNotAllocate and the
-// obs_bench_test.go benchmarks at the repository root. The obsnil lint
-// rule (internal/lint) flags any direct method call on a Recorder-typed
-// value outside this package, so the guarantee cannot erode silently.
+// (Count, Gauge, Observe, Histogram, SpanCtx), which compile to a nil
+// check and return when no recorder is installed. The helpers take only
+// concrete argument types, so the disabled path performs no interface
+// boxing and no allocation — pinned by TestNilRecorderPathDoesNotAllocate
+// and the obs_bench_test.go benchmarks at the repository root. The obsnil
+// lint rule (internal/lint) flags any direct method call on a
+// Recorder-typed value outside this package, so the guarantee cannot
+// erode silently.
 //
 // Determinism: counters are additive and series entries carry their own
 // iteration index, so the recorded totals are scheduling-independent even
@@ -64,8 +65,8 @@ type Recorder interface {
 	// identifies this span instance (0 when the caller does not track
 	// identity) and parent is the id of the enclosing span (0 for a
 	// root), letting implementations reconstruct the span tree. Callers
-	// outside this package use the Span/SpanCtx helpers, which allocate
-	// ids from NewSpanID.
+	// outside this package use the SpanCtx helper, which allocates ids
+	// from NewSpanID.
 	StartSpan(name string, id, parent SpanID) func()
 }
 
@@ -81,7 +82,7 @@ var spanIDs atomic.Uint64
 func NewSpanID() SpanID { return SpanID(spanIDs.Add(1)) }
 
 // noopEnd is the shared span terminator for the disabled path, so
-// Span(nil, ...) never allocates a closure.
+// SpanCtx(ctx, nil, ...) never allocates a closure.
 var noopEnd = func() {}
 
 // Count adds delta to rec's named counter; no-op when rec is nil.
@@ -113,17 +114,6 @@ func Histogram(rec Recorder, name string, seconds float64) {
 	if rec != nil {
 		rec.Histogram(name, seconds)
 	}
-}
-
-// Span opens a timed root region on rec and returns its end function.
-// When rec is nil it returns a shared no-op, so the disabled path
-// allocates nothing. Use SpanCtx instead when the span should nest under
-// an enclosing one or when pprof attribution is wanted.
-func Span(rec Recorder, name string) func() {
-	if rec == nil {
-		return noopEnd
-	}
-	return rec.StartSpan(name, NewSpanID(), 0)
 }
 
 // spanKey is the context key carrying the current span's id.

@@ -14,9 +14,13 @@ func TestHelpersNilRecorderAreNoOps(t *testing.T) {
 	Gauge(nil, "x", 1.5)
 	Observe(nil, "x", 0, 2.5)
 	Histogram(nil, "x", 0.001)
-	end := Span(nil, "x")
+	ctx := context.Background()
+	got, end := SpanCtx(ctx, nil, "x")
 	if end == nil {
-		t.Fatal("Span(nil) returned nil end func")
+		t.Fatal("SpanCtx(ctx, nil) returned nil end func")
+	}
+	if got != ctx {
+		t.Fatal("SpanCtx(ctx, nil) derived a new context")
 	}
 	end()
 }
@@ -30,7 +34,6 @@ func TestNilRecorderPathDoesNotAllocate(t *testing.T) {
 		"gauge":     func() { Gauge(nil, "metaclust.mean_pairwise", 0.5) },
 		"observe":   func() { Observe(nil, "kmeans.sse", 3, 12.5) },
 		"histogram": func() { Histogram(nil, "jobs.exec_seconds", 0.004) },
-		"span":      func() { Span(nil, "kmeans.run")() },
 		"spanctx": func() {
 			_, end := SpanCtx(ctx, nil, "kmeans.run")
 			end()

@@ -187,6 +187,8 @@ var algorithms = []Algorithm{
 				return nil, err
 			}
 			return learner[multiclust.StreamKMeansSnapshot]{m.PushContext, m.SnapshotContext, func(s *multiclust.StreamKMeansSnapshot) *Result {
+				// reseeds counts the reseed draws, one moving nothing
+				// included; the counter stream.reseeds counts the moves.
 				r := one(multiclust.NewClustering(s.LastLabels), stats{
 					"sse": s.LastSSE, "rows_seen": float64(s.RowsSeen), "chunks": float64(s.Chunks), "reseeds": float64(s.Reseeds),
 				})

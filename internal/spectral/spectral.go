@@ -164,6 +164,9 @@ func RunAffinity(w *linalg.Matrix, k int, seed int64, sigma float64) (*Result, e
 }
 
 // RunAffinityContext is RunAffinity with cancellation; see RunContext.
+// An embedding with a NaN or Inf coordinate is an error wrapping
+// core.ErrDegenerate, returned before any k-means runs: the embedding
+// depends only on w and k, so no seed can repair it.
 func RunAffinityContext(ctx context.Context, w *linalg.Matrix, k int, seed int64, sigma float64) (*Result, error) {
 	rec := obs.From(ctx)
 	ctx, endSpan := obs.SpanCtx(ctx, rec, "spectral.run")
@@ -172,6 +175,11 @@ func RunAffinityContext(ctx context.Context, w *linalg.Matrix, k int, seed int64
 	emb, eerr := EmbedContext(ctx, w, k)
 	if emb == nil {
 		return nil, eerr
+	}
+	for _, v := range emb.Data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("spectral: non-finite embedding: %w", core.ErrDegenerate)
+		}
 	}
 	rows := make([][]float64, emb.Rows)
 	for i := range rows {

@@ -36,9 +36,8 @@ func (cfg EnsembleConfig) withDefaults() EnsembleConfig {
 }
 
 // metaCfg is the metaclust configuration for one chunk's generation. Chunk
-// c seeds at Seed+c — the robust.Retry-style schedule — so chunk 0 uses
-// the configured seed exactly and a single-chunk stream reproduces the
-// batch metaclust run byte for byte.
+// c seeds at Seed+c, so chunk 0 uses the configured seed exactly and a
+// single-chunk stream reproduces the batch metaclust run byte for byte.
 func (cfg EnsembleConfig) metaCfg(chunk int) metaclust.Config {
 	return metaclust.Config{
 		K: cfg.K, NumSolutions: cfg.PerChunk, MetaClusters: cfg.MetaClusters,

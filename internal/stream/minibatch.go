@@ -8,7 +8,6 @@ import (
 	"multiclust/internal/core"
 	"multiclust/internal/kmeans"
 	"multiclust/internal/obs"
-	"multiclust/internal/robust"
 )
 
 // MiniBatchConfig controls a mini-batch k-means stream.
@@ -42,7 +41,11 @@ type KMeansSnapshot struct {
 	LastSSE    float64     // SSE of the most recent chunk against its assignment
 	RowsSeen   int64
 	Chunks     int
-	Reseeds    int64 // starved centroids reseeded so far
+	// Reseeds counts reseed draws: one per centroid that reached
+	// StarveAfter starved chunks, a draw that found no row at a positive
+	// distance and moved nothing included (the counter stream.reseeds
+	// counts only moves). Draw r is seeded Seed+r.
+	Reseeds int64
 }
 
 // MiniBatch is incremental k-means over a chunked row stream (Sculley
@@ -52,9 +55,9 @@ type KMeansSnapshot struct {
 // and every later chunk is assigned with the Hamerly-style pruned
 // kmeans.AssignPruned scan, then folded into the centroids with
 // per-centroid decaying learning rates η_c = 1/count_c. Centroids starved
-// for StarveAfter consecutive chunks are reseeded deterministically on the
-// robust.Retry seed schedule with a D²-weighted draw from the current
-// chunk. Not safe for concurrent use; the job engine serializes pushes.
+// for StarveAfter consecutive chunks are reseeded deterministically with
+// one D²-weighted draw from the current chunk, seeded Seed+Reseeds. Not
+// safe for concurrent use; the job engine serializes pushes.
 type MiniBatch struct {
 	cfg MiniBatchConfig
 
@@ -142,7 +145,7 @@ func (m *MiniBatch) PushContext(ctx context.Context, rows [][]float64) error {
 		}
 		sse += sqd[i]
 	}
-	m.reseedStarved(ctx, rec, perChunk, rows, sqd)
+	m.reseedStarved(rec, perChunk, rows, sqd)
 	m.lastLabels = labels
 	m.lastSSE = sse
 	m.rowsSeen += int64(len(rows))
@@ -153,15 +156,11 @@ func (m *MiniBatch) PushContext(ctx context.Context, rows [][]float64) error {
 
 // reseedStarved advances the starvation counters from the chunk's
 // per-centroid assignment mass and relocates any centroid starved for
-// StarveAfter consecutive chunks. The replacement row is a D²-weighted
-// draw from the current chunk on the robust.Retry seed schedule
-// (Seed+reseeds, Seed+reseeds+1, Seed+reseeds+2): a draw that lands on a
-// row already sitting on its centroid is a degenerate fit and retries with
-// the next seed. A chunk with zero total distance mass has nothing to
-// offer; the centroid stays starved and the next chunk tries again. The
-// draw runs under ctx without its cancellation, so it is never cut short
-// and its retries count on ctx's recorder.
-func (m *MiniBatch) reseedStarved(ctx context.Context, rec obs.Recorder, perChunk []int64, rows [][]float64, sqd []float64) {
+// StarveAfter consecutive chunks to one D²-weighted draw from the current
+// chunk, seeded Seed+reseeds. The draw is not retried: weightedPick fails
+// only when no row of the chunk lies at a positive distance, whatever the
+// seed, so the centroid stays starved and the next chunk tries again.
+func (m *MiniBatch) reseedStarved(rec obs.Recorder, perChunk []int64, rows [][]float64, sqd []float64) {
 	for c := range perChunk {
 		if perChunk[c] > 0 {
 			m.starved[c] = 0
@@ -171,16 +170,9 @@ func (m *MiniBatch) reseedStarved(ctx context.Context, rec obs.Recorder, perChun
 		if m.starved[c] < m.cfg.StarveAfter {
 			continue
 		}
-		idx, err := robust.Retry(context.WithoutCancel(ctx), m.cfg.Seed+m.reseeds, func(seed int64) (int, error) {
-			rng := rand.New(rand.NewSource(seed))
-			i := weightedPick(rng, sqd)
-			if i < 0 || sqd[i] == 0 {
-				return -1, fmt.Errorf("stream: reseed draw landed on a zero-distance row: %w", core.ErrDegenerate)
-			}
-			return i, nil
-		})
+		idx := weightedPick(rand.New(rand.NewSource(m.cfg.Seed+m.reseeds)), sqd)
 		m.reseeds++
-		if err != nil {
+		if idx < 0 {
 			continue
 		}
 		copy(m.centers[c], rows[idx])
@@ -191,7 +183,9 @@ func (m *MiniBatch) reseedStarved(ctx context.Context, rec obs.Recorder, perChun
 }
 
 // weightedPick draws an index with probability proportional to the weights
-// (the kmeans++ D² rule). Returns -1 when all weights are zero.
+// (the kmeans++ D² rule). For weights that are not negative, as squared
+// distances are not, it never returns an index whose weight is not > 0 and
+// it returns -1 exactly when no weight is > 0, whatever the rng.
 func weightedPick(rng *rand.Rand, weights []float64) int {
 	var total float64
 	for _, w := range weights {

@@ -3,7 +3,9 @@ package stream
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"multiclust/internal/core"
@@ -160,6 +162,69 @@ func TestMiniBatchReseedsStarvedCentroid(t *testing.T) {
 	// should be small rather than the ~100 of a 10-away dead centroid.
 	if snap.LastSSE/10 > 50 {
 		t.Fatalf("reseed did not move the dead centroid: per-row SSE %v", snap.LastSSE/10)
+	}
+}
+
+// A starved centroid whose chunks hold only rows at distance 0 has no row
+// to draw: each draw fails whatever its seed, so it is made once, counted
+// in Reseeds, moves nothing and counts no retry.
+func TestMiniBatchStarvedDrawFindsNoRow(t *testing.T) {
+	col := obs.NewCollector()
+	ctx := obs.NewContext(context.Background(), col)
+	m, _ := NewMiniBatch(MiniBatchConfig{K: 2, Seed: 7, StarveAfter: 1})
+	first := [][]float64{{0, 0}, {0, 0}, {0, 0}, {10, 10}, {10, 10}, {10, 10}}
+	if err := m.PushContext(ctx, first); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := m.Snapshot()
+	for i := 0; i < 3; i++ {
+		if err := m.PushContext(ctx, [][]float64{{0, 0}, {0, 0}, {0, 0}, {0, 0}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := m.SnapshotContext(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Reseeds != 3 {
+		t.Errorf("Reseeds = %d, want 3 draws", snap.Reseeds)
+	}
+	if got := col.Counter("stream.reseeds"); got != 0 {
+		t.Errorf("stream.reseeds = %d, want 0: no draw found a row", got)
+	}
+	if got := col.Counter("robust.degenerate_retries"); got != 0 {
+		t.Errorf("robust.degenerate_retries = %d, want 0: no seed can change a failed draw", got)
+	}
+	if !reflect.DeepEqual(snap.Centers, before.Centers) {
+		t.Errorf("centers moved: %v, want %v", snap.Centers, before.Centers)
+	}
+}
+
+// TestWeightedPickSeedIndependentFailure pins what lets the reseed draw
+// go without retries: over weights that are not negative, including
+// signed zeros, tiny, huge, infinite and NaN entries, weightedPick never
+// picks a weight that is not > 0, fails (-1) exactly when no weight is
+// > 0, and so fails or succeeds alike on seeds s, s+1 and s+2.
+func TestWeightedPickSeedIndependentFailure(t *testing.T) {
+	values := []float64{0, math.Copysign(0, -1), 1e-300, 1, 1e308, math.Inf(1), math.NaN()}
+	gen := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 5000; trial++ {
+		w := make([]float64, 1+gen.Intn(8))
+		positive := false
+		for i := range w {
+			w[i] = values[gen.Intn(len(values))]
+			positive = positive || w[i] > 0
+		}
+		s := gen.Int63()
+		for a := int64(0); a < 3; a++ {
+			i := weightedPick(rand.New(rand.NewSource(s+a)), w)
+			if i >= 0 && !(w[i] > 0) {
+				t.Fatalf("weights %v seed %d: picked index %d of weight %v", w, s+a, i, w[i])
+			}
+			if (i < 0) == positive {
+				t.Fatalf("weights %v seed %d: pick %d, but a weight > 0 exists: %v", w, s+a, i, positive)
+			}
+		}
 	}
 }
 

@@ -189,8 +189,11 @@ var (
 	// ErrInterrupted marks context cancellation; the accompanying result is
 	// the valid best-so-far state at the last iteration boundary.
 	ErrInterrupted = core.ErrInterrupted
-	// ErrDegenerate marks numerically collapsed outcomes (e.g. a non-finite
-	// EM log-likelihood) after the retry budget is exhausted.
+	// ErrDegenerate marks numerically collapsed outcomes. EM, the one fit
+	// that reseeds, returns it once its fits on Seed, Seed+1 and Seed+2
+	// all end in a non-finite log-likelihood; spectral clustering (Spectral,
+	// MSC, TwoViewSpectral) returns it at once for a non-finite embedding,
+	// which no seed can change.
 	ErrDegenerate = core.ErrDegenerate
 	// ErrPanic marks an internal panic converted to an error at the facade.
 	ErrPanic = core.ErrPanic
@@ -382,7 +385,10 @@ type (
 
 // EM fits a diagonal-covariance Gaussian mixture. A fit that collapses to a
 // non-finite log-likelihood is retried on the deterministic seed schedule
-// Seed+1, Seed+2; exhaustion returns an error wrapping ErrDegenerate.
+// Seed+1, Seed+2, since the fit starts from a seeded k-means and a collapse
+// can depend on the seed; exhaustion returns an error wrapping
+// ErrDegenerate. EM is the only fit in this package that retries a
+// degenerate result.
 func EM(points [][]float64, cfg EMConfig) (*EMResult, error) {
 	return EMContext(context.Background(), points, cfg)
 }
@@ -415,8 +421,10 @@ type (
 )
 
 // Spectral runs normalized spectral clustering (Ng, Jordan & Weiss 2001).
-// A run whose embedding degenerates to non-finite coordinates is retried on
-// the deterministic seed schedule Seed+1, Seed+2.
+// An embedding that degenerates to non-finite coordinates fails at once
+// with an error wrapping ErrDegenerate: the affinity and the embedding do
+// not depend on Seed, which seeds only the final k-means, so no reseed
+// could change the outcome.
 func Spectral(points [][]float64, cfg SpectralConfig) (*SpectralResult, error) {
 	return SpectralContext(context.Background(), points, cfg)
 }
@@ -426,22 +434,7 @@ func Spectral(points [][]float64, cfg SpectralConfig) (*SpectralResult, error) {
 // partial result is returned wrapped in ErrInterrupted.
 func SpectralContext(ctx context.Context, points [][]float64, cfg SpectralConfig) (res *SpectralResult, err error) {
 	return gate(func() (*SpectralResult, error) {
-		return robust.Retry(ctx, cfg.Seed, func(seed int64) (*SpectralResult, error) {
-			c := cfg
-			c.Seed = seed
-			r, ferr := spectral.RunContext(ctx, points, c)
-			if ferr != nil || r == nil {
-				return r, ferr
-			}
-			if r.Embedding != nil {
-				for _, v := range r.Embedding.Data {
-					if math.IsNaN(v) || math.IsInf(v, 0) {
-						return nil, fmt.Errorf("multiclust: spectral seed %d: non-finite embedding: %w", seed, core.ErrDegenerate)
-					}
-				}
-			}
-			return r, nil
-		})
+		return spectral.RunContext(ctx, points, cfg)
 	}, robust.ValidateDataset(points))
 }
 

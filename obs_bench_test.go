@@ -104,7 +104,7 @@ func TestDisabledRecorderHotPathDoesNotAllocate(t *testing.T) {
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(1000, func() {
 		rec := obs.From(ctx)
-		end := obs.Span(rec, "kmeans.run")
+		_, end := obs.SpanCtx(ctx, rec, "kmeans.run")
 		for iter := 0; iter < 8; iter++ {
 			obs.Count(rec, "kmeans.iterations", 1)
 			obs.Count(rec, "kmeans.reassignments", 17)

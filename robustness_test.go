@@ -291,38 +291,61 @@ func TestRobustnessMetricsDegenerate(t *testing.T) {
 
 // TestRobustnessReseedSchedule forces EM and spectral clustering to
 // collapse: squared distances between rows of ±1e200 overflow to +Inf.
-// The facade is the one owner of reseeding, so each must fit exactly on
-// the documented seeds s, s+1, s+2, count one robust.degenerate_retries
-// per collapsed fit, and fail with ErrDegenerate naming that one range.
+// Only EM reseeds, since its fit starts from a seeded k-means: it fits
+// exactly on the documented seeds s, s+1, s+2, counts one
+// robust.degenerate_retries per collapsed fit, and fails with
+// ErrDegenerate naming that one range. Spectral clustering's embedding
+// does not depend on the seed, so it fails at once, before any k-means,
+// and so do MSC and TwoViewSpectral, which run the same pipeline.
 func TestRobustnessReseedSchedule(t *testing.T) {
 	pts := [][]float64{{1e200, 1e200}, {-1e200, -1e200}, {1e200, -1e200}, {-1e200, 1e200}, {1e200, 1e200}, {-1e200, -1e200}}
 	for _, tc := range []struct {
-		span string
-		run  func(context.Context) error
+		name    string
+		span    string // the fit's span; "" when the call takes no ctx to record on
+		fits    int64
+		retries int64
+		seeds   string // the one seed range the error names; "" for none
+		run     func(context.Context) error
 	}{
-		{"em.fit", func(ctx context.Context) error {
+		{"EM", "em.fit", 3, 3, "seeds 7..9", func(ctx context.Context) error {
 			_, err := EMContext(ctx, pts, EMConfig{K: 2, Seed: 7})
 			return err
 		}},
-		{"spectral.run", func(ctx context.Context) error {
+		{"Spectral", "spectral.run", 1, 0, "", func(ctx context.Context) error {
 			_, err := SpectralContext(ctx, pts, SpectralConfig{K: 2, Seed: 7})
+			return err
+		}},
+		{"MSC", "", 0, 0, "", func(context.Context) error {
+			_, err := MSC(pts, MSCConfig{K: 2, Seed: 7})
+			return err
+		}},
+		{"TwoViewSpectral", "", 0, 0, "", func(context.Context) error {
+			_, err := TwoViewSpectral(pts, pts, 2, 7)
 			return err
 		}},
 	} {
 		col := NewCollector()
 		err := tc.run(WithRecorder(context.Background(), col))
 		if !errors.Is(err, ErrDegenerate) {
-			t.Fatalf("%s: err = %v, want ErrDegenerate", tc.span, err)
+			t.Errorf("%s: err = %v, want ErrDegenerate", tc.name, err)
+			continue
 		}
 		snap := col.Snapshot()
-		if got := snap.Spans[tc.span].Count; got != 3 {
-			t.Errorf("%s: %d fits, want 3", tc.span, got)
+		if got := snap.Spans[tc.span].Count; tc.span != "" && got != tc.fits {
+			t.Errorf("%s: %d %s spans, want %d", tc.name, got, tc.span, tc.fits)
 		}
-		if got := snap.Counters["robust.degenerate_retries"]; got != 3 {
-			t.Errorf("%s: robust.degenerate_retries = %d, want 3", tc.span, got)
+		if got := snap.Spans["kmeans.run"].Count; tc.span == "spectral.run" && got != 0 {
+			t.Errorf("%s: %d kmeans.run spans, want none on a non-finite embedding", tc.name, got)
 		}
-		if got := strings.Count(err.Error(), "seeds "); got != 1 || !strings.Contains(err.Error(), "seeds 7..9") {
-			t.Errorf("%s: err = %q, want one seed range, 7..9", tc.span, err)
+		if got := snap.Counters["robust.degenerate_retries"]; got != tc.retries {
+			t.Errorf("%s: robust.degenerate_retries = %d, want %d", tc.name, got, tc.retries)
+		}
+		want := 0
+		if tc.seeds != "" {
+			want = 1
+		}
+		if got := strings.Count(err.Error(), "seeds "); got != want || !strings.Contains(err.Error(), tc.seeds) {
+			t.Errorf("%s: err = %q, want %d seed range %q", tc.name, err, want, tc.seeds)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package serve is the public surface of multiclust's clustering service:
 // the async job engine (bounded queue, per-job deadlines, idempotency keys,
-// graceful drain; each job runs once, and only the EM and spectral fits
-// reseed, inside the facade) and its HTTP API, re-exported from
+// graceful drain; each job runs once, and only the EM fit reseeds, inside
+// the facade) and its HTTP API, re-exported from
 // internal/jobs so programs can embed the service without reaching into
 // internal packages.
 //
