@@ -56,10 +56,9 @@ func main() {
 		xi         = flag.Int("xi", 10, "grid intervals per dimension")
 		tau        = flag.Float64("tau", 0.1, "grid density threshold / significance")
 		workers    = flag.Int("workers", 0, "worker goroutines for parallel hot paths (0 = MULTICLUST_WORKERS env, then GOMAXPROCS); results are identical for any value")
-		traceF     = flag.String("trace", "", "write a JSONL instrumentation trace of the run to this file (one JSON event per line)")
+		traceF     = flag.String("trace", "", "after the run, write its spans to this file as Chrome trace-event JSON (open in chrome://tracing or Perfetto); the newest 1024 spans are kept")
 		metrics    = flag.Bool("metrics", false, "after the run, dump recorded counters/series in Prometheus text format to stdout")
 		metricsOut = flag.String("metrics-out", "", "write the Prometheus dump to this file instead of stdout, keeping clustering output clean (implies -metrics)")
-		chromeF    = flag.String("chrome", "", "additionally convert the -trace JSONL into a Chrome trace-event file at this path (open in chrome://tracing); requires -trace")
 		serveAddr  = flag.String("serve", "", "serve live ops endpoints (/metrics, /spans, /healthz, /readyz, /debug/pprof/) and the async job API (/v1/jobs) on this host:port during the run, then block until interrupted")
 		jobWorkers = flag.Int("jobs-workers", 0, "worker goroutines for the /v1/jobs engine (0 = the -workers value, then MULTICLUST_WORKERS env, then GOMAXPROCS; not capped at GOMAXPROCS)")
 		jobQueue   = flag.Int("jobs-queue", 0, "bounded admission queue for /v1/jobs (0 = default 64); a full queue answers 429")
@@ -72,16 +71,13 @@ func main() {
 	flag.Parse()
 	multiclust.SetWorkers(*workers)
 
-	if *chromeF != "" && *traceF == "" {
-		fmt.Fprintln(os.Stderr, "multiclust: -chrome requires -trace")
-		os.Exit(1)
+	// With no flag asking for telemetry the recorder stays nil and the
+	// instrumented hot paths pay only their nil checks.
+	var collector *multiclust.Collector
+	if *metrics || *metricsOut != "" || *serveAddr != "" || *traceF != "" {
+		collector = multiclust.NewCollector()
 	}
-	wantCollector := *metrics || *metricsOut != "" || *serveAddr != ""
-	cleanup, collector, err := setupObservability(*traceF, wantCollector)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "multiclust:", err)
-		os.Exit(1)
-	}
+	multiclust.SetRecorder(collector)
 	logger, logClose, err := setupLogger(*logF, *logLevel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "multiclust:", err)
@@ -132,11 +128,11 @@ func main() {
 			K: *k, Seed: *seed, Eps: *eps, MinPts: *minPts, Xi: *xi, Tau: *tau, Restarts: 5,
 		})
 	}
-	if cerr := cleanup(); err == nil {
-		err = cerr
-	}
-	if err == nil && *chromeF != "" {
-		err = writeChrome(*traceF, *chromeF)
+	if *traceF != "" {
+		terr := writeFile(*traceF, func(w io.Writer) error { return collector.WriteChromeTrace(w, "") })
+		if err == nil {
+			err = terr
+		}
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "multiclust:", err)
@@ -203,21 +199,13 @@ func setupLogger(path, level string) (*serve.Logger, func() error, error) {
 
 // dumpMetrics renders the collector after the run: to the -metrics-out
 // file when given, else to stdout when -metrics was passed (the historic
-// behaviour). A collector created only for -serve dumps nowhere.
+// behaviour). A collector created only for -serve or -trace dumps nowhere.
 func dumpMetrics(collector *multiclust.Collector, toStdout bool, outFile string) error {
 	if collector == nil {
 		return nil
 	}
 	if outFile != "" {
-		f, err := os.Create(outFile)
-		if err != nil {
-			return err
-		}
-		if err := collector.WriteProm(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
+		return writeFile(outFile, collector.WriteProm)
 	}
 	if !toStdout {
 		return nil
@@ -226,59 +214,17 @@ func dumpMetrics(collector *multiclust.Collector, toStdout bool, outFile string)
 	return collector.WriteProm(os.Stdout)
 }
 
-// writeChrome converts the finished JSONL trace into the Chrome
-// trace-event format.
-func writeChrome(traceFile, chromeFile string) error {
-	in, err := os.Open(traceFile)
+// writeFile creates path and fills it with render's output.
+func writeFile(path string, render func(io.Writer) error) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer in.Close()
-	out, err := os.Create(chromeFile)
-	if err != nil {
+	if err := render(f); err != nil {
+		f.Close()
 		return err
 	}
-	if err := multiclust.WriteChromeTrace(in, out); err != nil {
-		out.Close()
-		return err
-	}
-	return out.Close()
-}
-
-// setupObservability installs the recorders requested by -trace/-metrics
-// and returns a cleanup that flushes the trace file and reports any sink
-// error. The returned Collector is non-nil only when -metrics was asked
-// for; with neither flag the recorder stays nil and the instrumented hot
-// paths pay only their nil checks.
-func setupObservability(traceF string, metrics bool) (cleanup func() error, collector *multiclust.Collector, err error) {
-	cleanup = func() error { return nil }
-	var recs []multiclust.Recorder
-	if metrics {
-		collector = multiclust.NewCollector()
-		recs = append(recs, collector)
-	}
-	if traceF != "" {
-		f, err := os.Create(traceF)
-		if err != nil {
-			return cleanup, nil, err
-		}
-		bw := bufio.NewWriter(f)
-		tw := multiclust.NewTraceWriter(bw)
-		recs = append(recs, tw)
-		cleanup = func() error {
-			if err := tw.Err(); err != nil {
-				f.Close()
-				return err
-			}
-			if err := bw.Flush(); err != nil {
-				f.Close()
-				return err
-			}
-			return f.Close()
-		}
-	}
-	multiclust.SetRecorder(multiclust.TeeRecorders(recs...))
-	return cleanup, collector, nil
+	return f.Close()
 }
 
 // The registry names, in table order, behind the -algo, -stream and -given

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -154,5 +156,67 @@ func TestRunDerivesGivenOnlyWhenConsumed(t *testing.T) {
 	}
 	if err := run("coala", dataPath, true, "", p); err == nil {
 		t.Error("coala -k 5 on 3 rows should fail deriving the given clustering")
+	}
+}
+
+// TestTraceAndMetricsOut runs the CLI on the built-in toy with -trace and
+// -metrics-out: the trace file is Chrome trace-event JSON holding one
+// metaclust.run root with its kmeans.run descendants on the root's track,
+// and the Prometheus file counts the run.
+func TestTraceAndMetricsOut(t *testing.T) {
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go tool not in PATH")
+	}
+	dir := t.TempDir()
+	tracePath, promPath := filepath.Join(dir, "t.json"), filepath.Join(dir, "m.prom")
+	cmd := exec.Command(goTool, "run", ".", "-algo", "meta", "-trace", tracePath, "-metrics-out", promPath)
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("multiclust -trace: %v\n%s", err, out)
+	}
+	raw, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Tid  uint64 `json:"tid"`
+			Args struct {
+				ID     uint64 `json:"id"`
+				Parent uint64 `json:"parent"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("trace is not Chrome trace JSON: %v\n%s", err, raw)
+	}
+	var root uint64
+	for _, ev := range doc.TraceEvents {
+		if ev.Name == "metaclust.run" {
+			if root != 0 || ev.Args.Parent != 0 || ev.Tid != ev.Args.ID {
+				t.Fatalf("metaclust.run is not one root on its own track:\n%s", raw)
+			}
+			root = ev.Args.ID
+		}
+	}
+	kids := 0
+	for _, ev := range doc.TraceEvents {
+		if ev.Name == "kmeans.run" {
+			kids++
+			if ev.Tid != root {
+				t.Errorf("kmeans.run %d on track %d, want the metaclust.run root %d", ev.Args.ID, ev.Tid, root)
+			}
+		}
+	}
+	if root == 0 || kids == 0 {
+		t.Fatalf("trace holds root %d and %d kmeans.run spans, want a metaclust.run root and its kmeans.run children:\n%s", root, kids, raw)
+	}
+	prom, err := os.ReadFile(promPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(prom), "multiclust_metaclust_run_count ") {
+		t.Errorf("-metrics-out file lacks multiclust_metaclust_run_count:\n%s", prom)
 	}
 }

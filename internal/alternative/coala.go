@@ -524,10 +524,10 @@ func CoalaContext(ctx context.Context, points [][]float64, given *core.Clusterin
 	}
 
 	if rec != nil {
-		obs.Count(rec, "coala.quality_merges", int64(res.QualityMerges))
-		obs.Count(rec, "coala.dissimilarity_merges", int64(res.DissimilarityMerges))
-		obs.Count(rec, "coala.candidate_pairs", pairsPushed)
-		obs.Count(rec, "coala.heap_stale_pops", stalePops)
+		rec.Count("coala.quality_merges", int64(res.QualityMerges))
+		rec.Count("coala.dissimilarity_merges", int64(res.DissimilarityMerges))
+		rec.Count("coala.candidate_pairs", pairsPushed)
+		rec.Count("coala.heap_stale_pops", stalePops)
 	}
 
 	// Flatten the live groups in ascending id order — identical to the

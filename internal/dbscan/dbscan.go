@@ -72,7 +72,7 @@ func contextNeighbors(ctx context.Context, points [][]float64, d dist.Func, cfg 
 	return precomputeNeighbors(rec, points, d, cfg.Eps, cfg.Workers)
 }
 
-func precomputeNeighbors(rec obs.Recorder, points [][]float64, d dist.Func, eps float64, workers int) NeighborFunc {
+func precomputeNeighbors(rec *obs.Collector, points [][]float64, d dist.Func, eps float64, workers int) NeighborFunc {
 	n := len(points)
 	nbs := make([][]int, n)
 	parallel.Each(n, workers, func(o int) {
@@ -86,7 +86,7 @@ func precomputeNeighbors(rec obs.Recorder, points [][]float64, d dist.Func, eps 
 	})
 	// One O(n)-cost region query ran per object; count them as a batch so
 	// the per-object fast path stays untouched.
-	obs.Count(rec, "dbscan.region_queries", int64(n))
+	rec.Count("dbscan.region_queries", int64(n))
 	return func(o int) []int { return nbs[o] }
 }
 
@@ -96,7 +96,7 @@ func precomputeNeighbors(rec obs.Recorder, points [][]float64, d dist.Func, eps 
 // recorder.
 func EpsNeighbors(points [][]float64, d dist.Func, eps float64) NeighborFunc {
 	return func(o int) []int {
-		obs.Count(obs.Default(), "dbscan.region_queries", 1)
+		obs.Default().Count("dbscan.region_queries", 1)
 		var out []int
 		for i, p := range points {
 			if d(points[o], p) <= eps {
@@ -182,9 +182,9 @@ func RunGenericContext(ctx context.Context, n int, neighbors NeighborFunc, minPt
 		clusterID++
 	}
 	if rec != nil {
-		obs.Count(rec, "dbscan.neighborhood_lookups", lookups)
-		obs.Count(rec, "dbscan.core_objects", coreObjects)
-		obs.Count(rec, "dbscan.clusters", int64(clusterID))
+		rec.Count("dbscan.neighborhood_lookups", lookups)
+		rec.Count("dbscan.core_objects", coreObjects)
+		rec.Count("dbscan.clusters", int64(clusterID))
 	}
 	if interrupted != nil {
 		for i := range labels {

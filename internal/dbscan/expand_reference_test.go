@@ -56,9 +56,9 @@ func runGenericReference(ctx context.Context, n int, neighbors NeighborFunc, min
 		}
 		clusterID++
 	}
-	obs.Count(rec, "dbscan.neighborhood_lookups", lookups)
-	obs.Count(rec, "dbscan.core_objects", coreObjects)
-	obs.Count(rec, "dbscan.clusters", int64(clusterID))
+	rec.Count("dbscan.neighborhood_lookups", lookups)
+	rec.Count("dbscan.core_objects", coreObjects)
+	rec.Count("dbscan.clusters", int64(clusterID))
 	return labels
 }
 

@@ -217,7 +217,7 @@ func (g *GridIndex) Neighbors(o int) []int {
 // through a uniform-grid index (Euclidean metric), falling back to the
 // linear scan when the grid declines the geometry. Counters land on rec,
 // the caller's per-run recorder.
-func PrecomputeGridNeighbors(rec obs.Recorder, points [][]float64, eps float64, workers int) NeighborFunc {
+func PrecomputeGridNeighbors(rec *obs.Collector, points [][]float64, eps float64, workers int) NeighborFunc {
 	g := NewGridIndex(points, eps)
 	if g == nil {
 		return precomputeNeighbors(rec, points, dist.Euclidean, eps, workers)
@@ -231,8 +231,8 @@ func PrecomputeGridNeighbors(rec obs.Recorder, points [][]float64, eps float64, 
 	// One region query ran per object, exactly as in the linear precompute —
 	// the counter tracks queries issued, not their internal cost, so the
 	// linear and grid paths stay comparable in the bench reports.
-	obs.Count(rec, "dbscan.region_queries", int64(len(points)))
-	obs.Count(rec, "dbscan.grid_indexes", 1)
+	rec.Count("dbscan.region_queries", int64(len(points)))
+	rec.Count("dbscan.grid_indexes", 1)
 	return func(o int) []int { return nbs[o] }
 }
 

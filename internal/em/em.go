@@ -112,8 +112,8 @@ func FitFromContext(ctx context.Context, points [][]float64, m *Model, cfg Confi
 		ll = EStep(points, m, post, cfg.MinVar, 1)
 		MStep(points, post, m, cfg.MinVar)
 		if rec != nil {
-			obs.Count(rec, "em.iterations", 1)
-			obs.Observe(rec, "em.loglik", iter, ll)
+			rec.Count("em.iterations", 1)
+			rec.Observe("em.loglik", iter, ll)
 		}
 		if math.Abs(ll-prev) <= cfg.Tol*(1+math.Abs(ll)) {
 			break

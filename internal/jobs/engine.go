@@ -214,7 +214,7 @@ func (e *Engine) SubmitTraced(spec Spec, traceID string) (*Job, bool, error) {
 	e.mu.Lock()
 	if e.draining {
 		e.mu.Unlock()
-		obs.Count(obs.Default(), "jobs.rejected_draining", 1)
+		obs.Default().Count("jobs.rejected_draining", 1)
 		return nil, false, ErrDraining
 	}
 	if spec.IdempotencyKey != "" {
@@ -227,10 +227,10 @@ func (e *Engine) SubmitTraced(spec Spec, traceID string) (*Job, bool, error) {
 				// Same key, different request: refusing loudly is the
 				// only safe answer — silent dedup would hand the caller
 				// a result for a spec it never sent.
-				obs.Count(obs.Default(), "jobs.key_conflicts", 1)
+				obs.Default().Count("jobs.key_conflicts", 1)
 				return nil, false, fmt.Errorf("%w: idempotency key %q was used with a different spec", ErrConflict, spec.IdempotencyKey)
 			}
-			obs.Count(obs.Default(), "jobs.duplicate_hits", 1)
+			obs.Default().Count("jobs.duplicate_hits", 1)
 			return j, true, nil
 		}
 	}
@@ -267,7 +267,7 @@ func (e *Engine) SubmitTraced(spec Spec, traceID string) (*Job, bool, error) {
 	if needToken && len(e.queue) == cap(e.queue) {
 		e.seq-- // nothing admitted; keep ids dense
 		e.mu.Unlock()
-		obs.Count(obs.Default(), "jobs.rejected_full", 1)
+		obs.Default().Count("jobs.rejected_full", 1)
 		return nil, false, ErrQueueFull
 	}
 	e.jobs[j.ID] = j
@@ -279,7 +279,7 @@ func (e *Engine) SubmitTraced(spec Spec, traceID string) (*Job, bool, error) {
 		e.queue <- j
 	}
 	e.mu.Unlock()
-	obs.Count(obs.Default(), "jobs.submitted", 1)
+	obs.Default().Count("jobs.submitted", 1)
 	return j, false, nil
 }
 
@@ -386,7 +386,7 @@ func (e *Engine) Append(id string, rows [][]float64, final bool) (*Job, error) {
 		// Admission stops with drain exactly like Submit; chunks already
 		// acknowledged still drain through the queue.
 		e.mu.Unlock()
-		obs.Count(obs.Default(), "jobs.rejected_draining", 1)
+		obs.Default().Count("jobs.rejected_draining", 1)
 		return nil, ErrDraining
 	}
 	j.mu.Lock()
@@ -411,13 +411,13 @@ func (e *Engine) Append(id string, rows [][]float64, final bool) (*Job, error) {
 		j.rowsAcked += int64(len(rows))
 		j.mu.Unlock()
 		e.mu.Unlock()
-		obs.Count(obs.Default(), "jobs.chunks_appended", 1)
+		obs.Default().Count("jobs.chunks_appended", 1)
 		return j, nil
 	default:
 		j.pending = j.pending[:len(j.pending)-1] // not acknowledged
 		j.mu.Unlock()
 		e.mu.Unlock()
-		obs.Count(obs.Default(), "jobs.rejected_full", 1)
+		obs.Default().Count("jobs.rejected_full", 1)
 		return nil, ErrQueueFull
 	}
 }
@@ -472,7 +472,7 @@ func (e *Engine) Cancel(id string) (State, error) {
 		// terminal path; the worker that later pulls the job sees a
 		// terminal state and skips it.
 		e.finish(j, StateCancelled, nil, context.Canceled)
-		obs.Count(obs.Default(), "jobs.cancelled_queued", 1)
+		obs.Default().Count("jobs.cancelled_queued", 1)
 	case j.state == StateRunning:
 		j.userCancel = true
 		cancel := j.cancel
@@ -582,7 +582,7 @@ func (e *Engine) Drain(ctx context.Context) DrainReport {
 	}
 	e.mu.Unlock()
 	if rep.Truncated {
-		obs.Count(obs.Default(), "jobs.drain_truncated", 1)
+		obs.Default().Count("jobs.drain_truncated", 1)
 	}
 	return rep
 }
@@ -667,7 +667,7 @@ func (e *Engine) execute(j *Job) {
 		// observes the other) settles the run to best-so-far immediately.
 		cancel()
 	}
-	obs.Histogram(obs.Default(), "jobs.queue_wait_seconds", time.Since(j.enqueuedAt).Seconds())
+	obs.Default().Histogram("jobs.queue_wait_seconds", time.Since(j.enqueuedAt).Seconds())
 	tctx, tcancel := context.WithTimeout(ctx, timeout)
 	defer tcancel()
 	// The job's own collector is the context recorder: every counter and
@@ -689,7 +689,7 @@ func (e *Engine) execute(j *Job) {
 		defer end()
 		return runner(rctx, spec)
 	}()
-	obs.Histogram(obs.Default(), "jobs.exec_seconds", time.Since(execStart).Seconds())
+	obs.Default().Histogram("jobs.exec_seconds", time.Since(execStart).Seconds())
 
 	j.mu.Lock()
 	userCancel := j.userCancel
@@ -742,7 +742,7 @@ func (e *Engine) executeChunk(j *Job) {
 		j.pending = j.pending[1:]
 		if j.state == StateQueued {
 			j.state = StateRunning
-			obs.Histogram(obs.Default(), "jobs.queue_wait_seconds", time.Since(j.enqueuedAt).Seconds())
+			obs.Default().Histogram("jobs.queue_wait_seconds", time.Since(j.enqueuedAt).Seconds())
 			e.logState(j, StateRunning, 0, nil)
 		}
 		if j.userCancel {
@@ -787,7 +787,7 @@ func (e *Engine) runChunk(j *Job, handle StreamHandle, chunk streamChunk) {
 			defer end()
 			perr = handle.PushChunk(pctx, chunk.rows)
 		}()
-		obs.Histogram(obs.Default(), "jobs.chunk_push_seconds", time.Since(pushStart).Seconds())
+		obs.Default().Histogram("jobs.chunk_push_seconds", time.Since(pushStart).Seconds())
 	}
 	// The snapshot reflects whatever the handle accepted, including a
 	// partial chunk cut by the deadline, so it runs on a fresh context:
@@ -856,15 +856,15 @@ func (e *Engine) finish(j *Job, s State, out *Outcome, err error) {
 	rec := obs.Default()
 	switch s {
 	case StateDone:
-		obs.Count(rec, "jobs.done", 1)
+		rec.Count("jobs.done", 1)
 	case StatePartial:
-		obs.Count(rec, "jobs.partial", 1)
+		rec.Count("jobs.partial", 1)
 	case StateFailed:
-		obs.Count(rec, "jobs.failed", 1)
+		rec.Count("jobs.failed", 1)
 		if errors.Is(err, core.ErrPanic) {
-			obs.Count(rec, "jobs.panics_contained", 1)
+			rec.Count("jobs.panics_contained", 1)
 		}
 	case StateCancelled:
-		obs.Count(rec, "jobs.cancelled", 1)
+		rec.Count("jobs.cancelled", 1)
 	}
 }

@@ -339,7 +339,7 @@ func TestPerJobCollectorIsolation(t *testing.T) {
 	// Two concurrent jobs record into their own collectors; counters must
 	// not bleed between them.
 	rec := func(ctx context.Context, spec Spec) (*Outcome, error) {
-		obs.Count(obs.From(ctx), "test.work", int64(spec.K))
+		obs.From(ctx).Count("test.work", int64(spec.K))
 		return &Outcome{Labels: make([]int, len(spec.Points)), K: 1}, nil
 	}
 	e := newTestEngine(t, Config{Workers: 2, Runners: map[string]Runner{"rec": rec}})

@@ -27,7 +27,7 @@ import (
 // The point loop is sharded over internal/parallel with per-slot writes
 // only, so labels and sq are identical for any worker count; only the
 // kmeans.distance_computations total reflects how much the pruning saved.
-func AssignPruned(points, centers [][]float64, workers int, rec obs.Recorder) (labels []int, sq []float64) {
+func AssignPruned(points, centers [][]float64, workers int, rec *obs.Collector) (labels []int, sq []float64) {
 	n, k := len(points), len(centers)
 	labels = make([]int, n)
 	sq = make([]float64, n)
@@ -72,6 +72,6 @@ func AssignPruned(points, centers [][]float64, workers int, rec obs.Recorder) (l
 			atomic.AddInt64(&nDist, dcount)
 		}
 	})
-	obs.Count(rec, "kmeans.distance_computations", nDist+int64(k)*int64(k-1)/2)
+	rec.Count("kmeans.distance_computations", nDist+int64(k)*int64(k-1)/2)
 	return labels, sq
 }

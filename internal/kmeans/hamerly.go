@@ -35,7 +35,7 @@ const boundSlack = 1 + 1e-12
 // SSE trajectory are byte-identical to the plain full-scan iteration, kept
 // as the test oracle runOnce (lloyd_test.go); only
 // kmeans.distance_computations differs — that counter is the point.
-func runOnceHamerly(ctx context.Context, points [][]float64, k, maxIter int, centers [][]float64, workers int, rec obs.Recorder) (*Result, error) {
+func runOnceHamerly(ctx context.Context, points [][]float64, k, maxIter int, centers [][]float64, workers int, rec *obs.Collector) (*Result, error) {
 	n, d := len(points), len(points[0])
 	labels := make([]int, n)
 	for i := range labels {
@@ -146,10 +146,10 @@ func runOnceHamerly(ctx context.Context, points [][]float64, k, maxIter int, cen
 			for _, dd := range nearest {
 				iterSSE += dd
 			}
-			obs.Count(rec, "kmeans.iterations", 1)
-			obs.Count(rec, "kmeans.reassignments", nChanged)
-			obs.Count(rec, "kmeans.distance_computations", nDist)
-			obs.Observe(rec, "kmeans.sse", iter, iterSSE)
+			rec.Count("kmeans.iterations", 1)
+			rec.Count("kmeans.reassignments", nChanged)
+			rec.Count("kmeans.distance_computations", nDist)
+			rec.Observe("kmeans.sse", iter, iterSSE)
 		}
 		if nChanged == 0 {
 			break

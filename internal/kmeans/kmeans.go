@@ -56,7 +56,7 @@ func RunContext(ctx context.Context, points [][]float64, cfg Config) (*Result, e
 // drive Lloyd's full-scan oracle through the same validation, seeding and
 // restart selection.
 func run(ctx context.Context, points [][]float64, cfg Config,
-	once func(ctx context.Context, points [][]float64, k, maxIter int, centers [][]float64, workers int, rec obs.Recorder) (*Result, error),
+	once func(ctx context.Context, points [][]float64, k, maxIter int, centers [][]float64, workers int, rec *obs.Collector) (*Result, error),
 ) (*Result, error) {
 	n := len(points)
 	if n == 0 {
@@ -86,7 +86,7 @@ func run(ctx context.Context, points [][]float64, cfg Config,
 	rec := obs.From(ctx)
 	ctx, endSpan := obs.SpanCtx(ctx, rec, "kmeans.run")
 	defer endSpan()
-	obs.Count(rec, "kmeans.restarts", int64(cfg.Restarts))
+	rec.Count("kmeans.restarts", int64(cfg.Restarts))
 	type restartOut struct {
 		res *Result
 		err error
@@ -121,7 +121,7 @@ func run(ctx context.Context, points [][]float64, cfg Config,
 // capacity-capped window onto it; every (center, column) sum still adds
 // its points in index order, so the means are bit-identical to per-center
 // accumulators.
-func recomputeCenters(points [][]float64, labels []int, k, d int, centers [][]float64, rec obs.Recorder) [][]float64 {
+func recomputeCenters(points [][]float64, labels []int, k, d int, centers [][]float64, rec *obs.Collector) [][]float64 {
 	counts := make([]int, k)
 	sums := make([]float64, k*d)
 	for i, p := range points {
@@ -137,7 +137,7 @@ func recomputeCenters(points [][]float64, labels []int, k, d int, centers [][]fl
 	for c := range next {
 		next[c] = sums[c*d : c*d+d : c*d+d]
 		if counts[c] == 0 {
-			obs.Count(rec, "kmeans.reseeds", 1)
+			rec.Count("kmeans.reseeds", 1)
 			if used == nil {
 				used = make([]bool, len(points))
 			}
@@ -171,7 +171,7 @@ func recomputeCenters(points [][]float64, labels []int, k, d int, centers [][]fl
 // kmeans.seed_distance_computations) instead of n·k(k-1)/2; a minimum is
 // exact and the total adds the same values in the same order, so the
 // centers and the RNG draws equal a full rescan's.
-func plusPlusSeeds(ctx context.Context, points [][]float64, k int, rng *rand.Rand, rec obs.Recorder) [][]float64 {
+func plusPlusSeeds(ctx context.Context, points [][]float64, k int, rng *rand.Rand, rec *obs.Collector) [][]float64 {
 	_, endSpan := obs.SpanCtx(ctx, rec, "kmeans.seed")
 	defer endSpan()
 	n := len(points)
@@ -209,6 +209,6 @@ func plusPlusSeeds(ctx context.Context, points [][]float64, k int, rng *rand.Ran
 		}
 		centers = append(centers, append([]float64(nil), points[idx]...))
 	}
-	obs.Count(rec, "kmeans.seed_distance_computations", nDist)
+	rec.Count("kmeans.seed_distance_computations", nDist)
 	return centers
 }

@@ -14,7 +14,7 @@ import (
 // runOnce is Lloyd's iteration with plain full scans (n*k exact distances
 // per iteration): the reference runOnceHamerly is pinned against. Drive it
 // as RunContext drives the pruned path with run(ctx, points, cfg, runOnce).
-func runOnce(ctx context.Context, points [][]float64, k, maxIter int, centers [][]float64, workers int, rec obs.Recorder) (*Result, error) {
+func runOnce(ctx context.Context, points [][]float64, k, maxIter int, centers [][]float64, workers int, rec *obs.Collector) (*Result, error) {
 	n, d := len(points), len(points[0])
 	labels := make([]int, n)
 	for i := range labels {
@@ -60,10 +60,10 @@ func runOnce(ctx context.Context, points [][]float64, k, maxIter int, centers []
 			for _, dd := range nearest {
 				iterSSE += dd
 			}
-			obs.Count(rec, "kmeans.iterations", 1)
-			obs.Count(rec, "kmeans.reassignments", nChanged)
-			obs.Count(rec, "kmeans.distance_computations", int64(n)*int64(len(centers)))
-			obs.Observe(rec, "kmeans.sse", iter, iterSSE)
+			rec.Count("kmeans.iterations", 1)
+			rec.Count("kmeans.reassignments", nChanged)
+			rec.Count("kmeans.distance_computations", int64(n)*int64(len(centers)))
+			rec.Observe("kmeans.sse", iter, iterSSE)
 		}
 		if nChanged == 0 {
 			break

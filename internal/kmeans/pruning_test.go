@@ -77,7 +77,7 @@ func TestHamerlyMatchesLloyd(t *testing.T) {
 // n*k per iteration.
 func TestHamerlyTelemetryMatchesLloyd(t *testing.T) {
 	pts := randomBlobPoints(11, 500, 3, 4)
-	snap := func(once func(context.Context, [][]float64, int, int, [][]float64, int, obs.Recorder) (*Result, error)) (obs.Snapshot, *Result) {
+	snap := func(once func(context.Context, [][]float64, int, int, [][]float64, int, *obs.Collector) (*Result, error)) (obs.Snapshot, *Result) {
 		col := obs.NewCollector()
 		ctx := obs.NewContext(context.Background(), col)
 		res, err := run(ctx, pts, Config{K: 4, Seed: 11}, once)

@@ -56,7 +56,7 @@ func plusPlusSeedsRef(points [][]float64, k int, rng *rand.Rand) [][]float64 {
 // recomputeCentersRef is the center update with one accumulator slice per
 // center that recomputeCenters replaced; the oracle of
 // TestRecomputeCentersMatchesReference.
-func recomputeCentersRef(points [][]float64, labels []int, k, d int, centers [][]float64, rec obs.Recorder) [][]float64 {
+func recomputeCentersRef(points [][]float64, labels []int, k, d int, centers [][]float64, rec *obs.Collector) [][]float64 {
 	counts := make([]int, k)
 	next := make([][]float64, k)
 	for c := range next {
@@ -72,7 +72,7 @@ func recomputeCentersRef(points [][]float64, labels []int, k, d int, centers [][
 	var used []bool
 	for c := range next {
 		if counts[c] == 0 {
-			obs.Count(rec, "kmeans.reseeds", 1)
+			rec.Count("kmeans.reseeds", 1)
 			if used == nil {
 				used = make([]bool, len(points))
 			}

@@ -51,7 +51,7 @@ func SymEigenContext(ctx context.Context, a *Matrix) (*Eigen, error) {
 			interrupted = err
 			break
 		}
-		obs.Count(rec, "linalg.eigen_sweeps", 1)
+		rec.Count("linalg.eigen_sweeps", 1)
 		// Sum of off-diagonal magnitudes; convergence criterion.
 		var off float64
 		for i := 0; i < n; i++ {

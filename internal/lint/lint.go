@@ -13,9 +13,7 @@
 //   - floatkey:   no float map keys, no exact float ==/!= comparisons
 //   - ctxpoll:    no looping function that takes a context.Context yet
 //     never consults it (cancellation it can't observe)
-//   - obsnil:     no direct obs.Recorder method calls outside internal/obs
-//     (the nil-guarded helpers are what keep disabled instrumentation free)
-//   - spanend:    no span-open (obs.SpanCtx/StartSpan) whose end
+//   - spanend:    no span-open (obs.SpanCtx/multiclust.StartSpan) whose end
 //     function is neither deferred nor called on every return path
 //   - ctxflow:    no call that drops an in-scope ctx when the callee has a
 //     ...Context-capable sibling (interprocedural over the module)
@@ -90,7 +88,6 @@ func All() []*Analyzer {
 		NakedGo(),
 		FloatKey(),
 		CtxPoll(),
-		ObsNil(),
 		SpanEnd(),
 		CtxFlow(),
 		GoLeak(),

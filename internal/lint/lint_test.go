@@ -134,7 +134,6 @@ func TestSharedRNGFixture(t *testing.T) { checkFixture(t, "sharedrng", SharedRNG
 func TestNakedGoFixture(t *testing.T)   { checkFixture(t, "nakedgo", NakedGo()) }
 func TestFloatKeyFixture(t *testing.T)  { checkFixture(t, "floatkey", FloatKey()) }
 func TestCtxPollFixture(t *testing.T)   { checkFixture(t, "ctxpoll", CtxPoll()) }
-func TestObsNilFixture(t *testing.T)    { checkFixture(t, "obsnil", ObsNil()) }
 func TestSpanEndFixture(t *testing.T)   { checkFixture(t, "spanend", SpanEnd()) }
 func TestCtxFlowFixture(t *testing.T)   { checkFixture(t, "ctxflow", CtxFlow()) }
 func TestGoLeakFixture(t *testing.T)    { checkFixture(t, "goleak", GoLeak()) }
@@ -208,19 +207,6 @@ func vetFindings(t *testing.T, out string) []Finding {
 				}
 			}
 		}
-	}
-}
-
-// internal/obs is the one package allowed to call Recorder methods
-// directly: its helpers and sinks ARE the guard. The real package must
-// load clean under the rule's exemption.
-func TestObsNilExemptsObsPackage(t *testing.T) {
-	pkg, err := loaderForTest(t).Load("internal/obs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if findings := Run(pkg, []*Analyzer{ObsNil()}); len(findings) != 0 {
-		t.Errorf("obsnil flagged the exempt internal/obs package: %v", findings)
 	}
 }
 

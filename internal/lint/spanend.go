@@ -8,19 +8,17 @@ import (
 )
 
 // SpanEnd flags span-open calls whose end function can leak: the span
-// helpers (obs.SpanCtx, multiclust.StartSpan, and the Recorder/sink
-// StartSpan methods) return a close function that MUST run exactly once,
-// or the collector's active-span table and the trace keep the span open
-// forever and every child span re-roots under a stale parent. The safe
-// idiom is to defer it at the open site:
+// openers (obs.SpanCtx and multiclust.StartSpan) return (context, end),
+// and end MUST run exactly once, or the collector's active-span table and
+// the trace keep the span open forever and every child span re-roots
+// under a stale parent. The safe idiom is to defer it at the open site:
 //
 //	ctx, end := obs.SpanCtx(ctx, rec, "algo.phase")
 //	defer end()
-//	defer col.StartSpan("algo.phase", obs.NewSpanID(), 0)()
 //
 // A finding is reported when the end function is discarded (statement
-// call, blank assignment, `defer col.StartSpan(...)` without invoking the
-// result) or when it is bound to a variable that is neither deferred nor
+// call, blank assignment, `defer obs.SpanCtx(...)`, which defers the open
+// itself) or when it is bound to a variable that is neither deferred nor
 // plainly called on every path of the function's CFG from the open to the
 // exit — a return, a panic, or falling off the end of the body. An end
 // value that escapes — returned, passed as an argument, captured by a
@@ -56,39 +54,24 @@ func runSpanEnd(p *Package) []Finding {
 	return out
 }
 
-// spanOpenCall matches a call that opens a span, returning the name of
-// the opener and the index of the end function in its results: StartSpan
-// methods return the end function directly (index 0); obs.SpanCtx and the
-// facade's multiclust.StartSpan return (context, end) (index 1).
-func spanOpenCall(p *Package, call *ast.CallExpr) (opener string, endIdx int, ok bool) {
-	sel, selOK := call.Fun.(*ast.SelectorExpr)
-	if !selOK {
-		return "", 0, false
+// spanOpenCall matches a call that opens a span and returns the opener's
+// name. Both openers return (context, end), so end is result index 1.
+func spanOpenCall(p *Package, call *ast.CallExpr) (opener string, ok bool) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", false
 	}
-	if base, baseOK := sel.X.(*ast.Ident); baseOK {
-		switch path := pkgName(p.Info, base); {
-		case strings.HasSuffix(path, "internal/obs") && sel.Sel.Name == "SpanCtx":
-			return "obs.SpanCtx", 1, true
-		case path == "multiclust" && sel.Sel.Name == "StartSpan":
-			return "multiclust.StartSpan", 1, true
-		}
+	base, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return "", false
 	}
-	selection := p.Info.Selections[sel]
-	if selection != nil && selection.Kind() == types.MethodVal && sel.Sel.Name == "StartSpan" {
-		if named, namedOK := deref(selection.Recv()).(*types.Named); namedOK {
-			if pkg := named.Obj().Pkg(); pkg != nil && strings.HasSuffix(pkg.Path(), "internal/obs") {
-				return named.Obj().Name() + ".StartSpan", 0, true
-			}
-		}
+	switch path := pkgName(p.Info, base); {
+	case strings.HasSuffix(path, "internal/obs") && sel.Sel.Name == "SpanCtx":
+		return "obs.SpanCtx", true
+	case path == "multiclust" && sel.Sel.Name == "StartSpan":
+		return "multiclust.StartSpan", true
 	}
-	return "", 0, false
-}
-
-func deref(t types.Type) types.Type {
-	if p, ok := t.(*types.Pointer); ok {
-		return p.Elem()
-	}
-	return t
+	return "", false
 }
 
 // spanEndScope analyzes one function body. Nested function literals are
@@ -105,11 +88,11 @@ func spanEndScope(p *Package, body *ast.BlockStmt) []Finding {
 		if !ok {
 			return true
 		}
-		opener, endIdx, ok := spanOpenCall(p, call)
+		opener, ok := spanOpenCall(p, call)
 		if !ok {
 			return true
 		}
-		if f, leaked := classifySpanOpen(p, body, call, opener, endIdx, stack); leaked {
+		if f, leaked := classifySpanOpen(p, body, call, opener, stack); leaked {
 			out = append(out, f)
 		}
 		return true
@@ -119,31 +102,27 @@ func spanEndScope(p *Package, body *ast.BlockStmt) []Finding {
 
 // classifySpanOpen decides whether one span-open call leaks its end
 // function, based on the syntactic context the call appears in.
-func classifySpanOpen(p *Package, body *ast.BlockStmt, call *ast.CallExpr, opener string, endIdx int, stack []ast.Node) (Finding, bool) {
+func classifySpanOpen(p *Package, body *ast.BlockStmt, call *ast.CallExpr, opener string, stack []ast.Node) (Finding, bool) {
 	if len(stack) == 0 {
 		return Finding{}, false
 	}
 	switch parent := stack[len(stack)-1].(type) {
-	case *ast.CallExpr:
-		// col.StartSpan(...)() — invoked on the spot (usually under
-		// defer) — or the span call passed as an argument, which escapes.
-		return Finding{}, false
 	case *ast.DeferStmt:
 		if parent.Call == call {
-			// defer col.StartSpan(...) defers the OPEN, so the end
+			// defer obs.SpanCtx(...) defers the OPEN, so the end
 			// function is produced at function exit and dropped.
 			return p.finding("spanend", call.Pos(),
-				"defer %s(...) discards the span end function — invoke it: defer %s(...)()", opener, opener), true
+				"defer %s(...) discards the span end function — open the span first: ctx, end := %s(...); defer end()", opener, opener), true
 		}
 		return Finding{}, false
 	case *ast.ExprStmt:
 		return p.finding("spanend", call.Pos(),
 			"result of %s is discarded; the span never closes — defer the returned end function", opener), true
 	case *ast.AssignStmt:
-		if len(parent.Rhs) != 1 || parent.Rhs[0] != call || endIdx >= len(parent.Lhs) {
+		if len(parent.Rhs) != 1 || parent.Rhs[0] != call || len(parent.Lhs) != 2 {
 			return Finding{}, false
 		}
-		endID, ok := parent.Lhs[endIdx].(*ast.Ident)
+		endID, ok := parent.Lhs[1].(*ast.Ident)
 		if !ok {
 			return Finding{}, false // stored through an index/selector: escapes
 		}
@@ -157,7 +136,7 @@ func classifySpanOpen(p *Package, body *ast.BlockStmt, call *ast.CallExpr, opene
 		}
 		return spanEndUsage(p, body, call, opener, endID, obj)
 	default:
-		return Finding{}, false // return statement, composite literal, ...: escapes
+		return Finding{}, false // argument, return statement, ...: escapes
 	}
 }
 

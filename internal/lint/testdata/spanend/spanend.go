@@ -6,26 +6,25 @@ import (
 	"context"
 	"errors"
 
+	"multiclust"
 	"multiclust/internal/obs"
 )
 
 // ---- clean idioms the rule must accept ----
 
-func deferredImmediately(c *obs.Collector) {
-	defer c.StartSpan("fixture.op", obs.NewSpanID(), 0)()
-}
-
-func deferredVariable(ctx context.Context, rec obs.Recorder) {
-	_, end := obs.SpanCtx(ctx, rec, "fixture.op")
+func deferredVariable(ctx context.Context, c *obs.Collector) {
+	_, end := obs.SpanCtx(ctx, c, "fixture.op")
 	defer end()
 }
 
-func immediateInvoke(c *obs.Collector) {
-	c.StartSpan("fixture.op", obs.NewSpanID(), 0)() // opens and closes on the spot
+func deferredFacade(ctx context.Context) context.Context {
+	ctx, end := multiclust.StartSpan(ctx, "fixture.op")
+	defer end()
+	return ctx
 }
 
-func calledOnEveryPath(c *obs.Collector, fail bool) error {
-	end := c.StartSpan("fixture.op", obs.NewSpanID(), 0)
+func calledOnEveryPath(ctx context.Context, c *obs.Collector, fail bool) error {
+	_, end := obs.SpanCtx(ctx, c, "fixture.op")
 	if fail {
 		end()
 		return errors.New("fixture")
@@ -34,49 +33,53 @@ func calledOnEveryPath(c *obs.Collector, fail bool) error {
 	return nil
 }
 
-func calledBeforeFallOff(c *obs.Collector) {
-	end := c.StartSpan("fixture.op", obs.NewSpanID(), 0)
+func calledBeforeFallOff(ctx context.Context, c *obs.Collector) {
+	_, end := obs.SpanCtx(ctx, c, "fixture.op")
 	end()
 }
 
 // Escapes are assumed managed by the receiver.
-func escapeAsReturn(c *obs.Collector) func() {
-	return c.StartSpan("fixture.op", obs.NewSpanID(), 0)
+func escapeAsReturn(ctx context.Context, c *obs.Collector) (context.Context, func()) {
+	return obs.SpanCtx(ctx, c, "fixture.op")
 }
 
-func escapeAsArg(c *obs.Collector) {
-	runThenEnd(c.StartSpan("fixture.op", obs.NewSpanID(), 0))
+func escapeAsArg(ctx context.Context, c *obs.Collector) {
+	runThenEnd(obs.SpanCtx(ctx, c, "fixture.op"))
 }
 
-func runThenEnd(end func()) { end() }
+func runThenEnd(_ context.Context, end func()) { end() }
 
-func escapeViaClosure(c *obs.Collector) func() {
-	end := c.StartSpan("fixture.op", obs.NewSpanID(), 0)
+func escapeViaClosure(ctx context.Context, c *obs.Collector) func() {
+	_, end := obs.SpanCtx(ctx, c, "fixture.op")
 	return func() { end() }
 }
 
 // ---- leaks the rule must flag ----
 
-func statementDiscard(c *obs.Collector) {
-	c.StartSpan("fixture.op", obs.NewSpanID(), 0) // want `result of Collector.StartSpan is discarded`
+func statementDiscard(ctx context.Context, c *obs.Collector) {
+	obs.SpanCtx(ctx, c, "fixture.op") // want `result of obs.SpanCtx is discarded`
 }
 
-func blankAssign(ctx context.Context, rec obs.Recorder) context.Context {
-	lctx, _ := obs.SpanCtx(ctx, rec, "fixture.op") // want `end function of obs.SpanCtx assigned to the blank identifier`
+func blankAssign(ctx context.Context, c *obs.Collector) context.Context {
+	lctx, _ := obs.SpanCtx(ctx, c, "fixture.op") // want `end function of obs.SpanCtx assigned to the blank identifier`
 	return lctx
 }
 
-func deferOpenNotEnd(c *obs.Collector) {
-	defer c.StartSpan("fixture.op", obs.NewSpanID(), 0) // want `defer Collector.StartSpan\(\.\.\.\) discards the span end function`
+func deferOpenNotEnd(ctx context.Context, c *obs.Collector) {
+	defer obs.SpanCtx(ctx, c, "fixture.op") // want `defer obs.SpanCtx\(\.\.\.\) discards the span end function — open the span first: ctx, end := obs.SpanCtx\(\.\.\.\); defer end\(\)`
 }
 
-func neverCalled(c *obs.Collector) {
-	end := c.StartSpan("fixture.op", obs.NewSpanID(), 0) // want `end function "end" of Collector.StartSpan is never deferred or called`
-	_ = end                                              // blank re-assignment is not a close
+func deferFacadeOpen(ctx context.Context) {
+	defer multiclust.StartSpan(ctx, "fixture.op") // want `open the span first: ctx, end := multiclust.StartSpan\(\.\.\.\); defer end\(\)`
 }
 
-func missingReturnPath(c *obs.Collector, fail bool) error {
-	end := c.StartSpan("fixture.op", obs.NewSpanID(), 0) // want `not called on every return path \(the path through line 81 leaks the span\)`
+func neverCalled(ctx context.Context, c *obs.Collector) {
+	_, end := obs.SpanCtx(ctx, c, "fixture.op") // want `end function "end" of obs.SpanCtx is never deferred or called`
+	_ = end                                     // blank re-assignment is not a close
+}
+
+func missingReturnPath(ctx context.Context, c *obs.Collector, fail bool) error {
+	_, end := obs.SpanCtx(ctx, c, "fixture.op") // want `not called on every return path \(the path through line 84 leaks the span\)`
 	if fail {
 		return errors.New("fixture") // leaks the span
 	}
@@ -84,22 +87,18 @@ func missingReturnPath(c *obs.Collector, fail bool) error {
 	return nil
 }
 
-func conditionalFallOff(c *obs.Collector, fail bool) {
-	end := c.StartSpan("fixture.op", obs.NewSpanID(), 0) // want `not called on every return path \(the path through line 92 leaks the span\)`
+func conditionalFallOff(ctx context.Context, c *obs.Collector, fail bool) {
+	_, end := obs.SpanCtx(ctx, c, "fixture.op") // want `not called on every return path \(the path through line 95 leaks the span\)`
 	if !fail {
 		end()
 	} // falling off the end with fail=true leaks the span
 }
 
-func methodDiscard(rec obs.Recorder) {
-	rec.StartSpan("fixture.op", obs.NewSpanID(), 0) // want `result of Recorder.StartSpan is discarded`
-}
-
 // ---- shapes decided on the CFG's paths ----
 
 // Both arms of an if/else close the span: every path is covered.
-func calledInBothBranches(c *obs.Collector, fail bool) (n int) {
-	end := c.StartSpan("fixture.op", obs.NewSpanID(), 0)
+func calledInBothBranches(ctx context.Context, c *obs.Collector, fail bool) (n int) {
+	_, end := obs.SpanCtx(ctx, c, "fixture.op")
 	if fail {
 		n = 1
 		end()
@@ -110,8 +109,8 @@ func calledInBothBranches(c *obs.Collector, fail bool) (n int) {
 }
 
 // Every case of a switch with a default closes the span.
-func calledInEveryCase(c *obs.Collector, mode int) int {
-	end := c.StartSpan("fixture.op", obs.NewSpanID(), 0)
+func calledInEveryCase(ctx context.Context, c *obs.Collector, mode int) int {
+	_, end := obs.SpanCtx(ctx, c, "fixture.op")
 	switch mode {
 	case 0:
 		end()
@@ -125,8 +124,8 @@ func calledInEveryCase(c *obs.Collector, mode int) int {
 }
 
 // A panic between the open and the close leaves without closing the span.
-func panicPath(c *obs.Collector, bad bool) {
-	end := c.StartSpan("fixture.op", obs.NewSpanID(), 0) // want `not called on every return path \(the path through line 131 leaks the span\)`
+func panicPath(ctx context.Context, c *obs.Collector, bad bool) {
+	_, end := obs.SpanCtx(ctx, c, "fixture.op") // want `not called on every return path \(the path through line 130 leaks the span\)`
 	if bad {
 		panic("fixture")
 	}

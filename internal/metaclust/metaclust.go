@@ -137,8 +137,8 @@ func RunContext(ctx context.Context, points [][]float64, cfg Config) (*Result, e
 		res.Representatives = append(res.Representatives, res.Generated[idx])
 	}
 	if rec != nil {
-		obs.Count(rec, "metaclust.representatives", int64(len(res.Representatives)))
-		obs.Gauge(rec, "metaclust.mean_pairwise", res.MeanPairwise)
+		rec.Count("metaclust.representatives", int64(len(res.Representatives)))
+		rec.Gauge("metaclust.mean_pairwise", res.MeanPairwise)
 	}
 	if interrupted != nil {
 		return res, fmt.Errorf("metaclust: interrupted: %v: %w", interrupted, core.ErrInterrupted)
@@ -161,7 +161,7 @@ func Generate(ctx context.Context, points [][]float64, cfg Config) ([]BaseSoluti
 	n, d := len(points), len(points[0])
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	rec := obs.From(ctx)
-	obs.Count(rec, "metaclust.base_solutions", int64(cfg.NumSolutions))
+	rec.Count("metaclust.base_solutions", int64(cfg.NumSolutions))
 
 	sols := make([]BaseSolution, cfg.NumSolutions)
 	for s := range sols {

@@ -110,10 +110,10 @@ func CoEM(viewA, viewB [][]float64, cfg CoEMConfig) (*CoEMResult, error) {
 				Agreement: agreement(postA, postB),
 			})
 			if rec != nil {
-				obs.Count(rec, "coem.rounds", 1)
-				obs.Observe(rec, "coem.agreement", iter, res.History[iter].Agreement)
-				obs.Observe(rec, "coem.loglik_a", iter, llA)
-				obs.Observe(rec, "coem.loglik_b", iter, llB)
+				rec.Count("coem.rounds", 1)
+				rec.Observe("coem.agreement", iter, res.History[iter].Agreement)
+				rec.Observe("coem.loglik_a", iter, llA)
+				rec.Observe("coem.loglik_b", iter, llB)
 			}
 			return llA + llB
 		}()

@@ -1,31 +1,18 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 	"time"
 )
 
-// spanEvent is one ended span instance: the unit both WriteChromeTrace
-// entry points render. Start is the offset from the recorder's creation.
+// spanEvent is one ended span instance: the unit WriteChromeTrace
+// renders. Start is the offset from the Collector's creation.
 type spanEvent struct {
 	Name       string
 	ID, Parent SpanID
 	Start, Dur time.Duration
-}
-
-// traceSpanLine is the subset of a TraceWriter JSONL line needed to
-// rebuild the span tree; non-span lines and extra fields are ignored.
-type traceSpanLine struct {
-	Type   string `json:"type"`
-	Name   string `json:"name"`
-	ID     uint64 `json:"id"`
-	Parent uint64 `json:"parent"`
-	TUs    int64  `json:"t_us"`
-	DurNs  int64  `json:"dur_ns"`
 }
 
 // chromeEvent is one Chrome trace-event object. Ph "X" is a complete
@@ -47,62 +34,26 @@ type chromeArgs struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// WriteChromeTrace converts a JSONL trace (as written by TraceWriter)
-// read from r into the Chrome trace-event JSON format on w, loadable in
-// chrome://tracing or Perfetto. Only span events convert — each becomes
-// one complete ("X") event whose tid is the id of its root ancestor, so
-// every top-level operation renders as its own track with its children
-// stacked beneath it. Count/gauge/observe lines are skipped. Events are
-// sorted by (start, id) so the output is independent of span end order.
-func WriteChromeTrace(r io.Reader, w io.Writer) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	var spans []spanEvent
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var ev traceSpanLine
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return fmt.Errorf("obs: chrome trace: line %d: %w", lineNo, err)
-		}
-		if ev.Type == "span" {
-			spans = append(spans, spanEvent{
-				Name: ev.Name, ID: SpanID(ev.ID), Parent: SpanID(ev.Parent),
-				Start: time.Duration(ev.TUs) * time.Microsecond, Dur: time.Duration(ev.DurNs),
-			})
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("obs: chrome trace: %w", err)
-	}
-	return writeChrome(w, spans, "", 0)
-}
-
 // writeChrome renders spans as one Chrome trace document, with args.trace_id
 // on every event when traceID is set and otherData.dropped_spans when
-// dropped is positive. It reorders spans.
+// dropped is positive. Events are sorted by (start, id), so the output is
+// independent of span end order.
 func writeChrome(w io.Writer, spans []spanEvent, traceID string, dropped int64) error {
 	parentOf := make(map[SpanID]SpanID, len(spans))
 	for _, s := range spans {
 		parentOf[s.ID] = s.Parent
 	}
-	// root walks to the top of a span's ancestry; a missing or zero
-	// parent ends the walk, and the hop bound guards against id cycles
-	// from a corrupted trace.
+	// root walks to the top of a span's ancestry; a zero parent, or one
+	// not among spans, ends the walk. A parent opens before its child, so
+	// its id is smaller and the walk cannot cycle.
 	root := func(id SpanID) SpanID {
-		cur := id
-		for hops := 0; hops <= len(spans); hops++ {
-			p, ok := parentOf[cur]
+		for {
+			p, ok := parentOf[id]
 			if !ok || p == 0 {
-				return cur
+				return id
 			}
-			cur = p
+			id = p
 		}
-		return id
 	}
 	sort.Slice(spans, func(i, j int) bool {
 		if spans[i].Start != spans[j].Start {

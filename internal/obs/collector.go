@@ -24,27 +24,34 @@ type SpanStat struct {
 	Total time.Duration
 }
 
+// treeStat is one span path's aggregate plus the name of the span that
+// ends the path, which Snapshot sums the flat per-name view by.
+type treeStat struct {
+	name string
+	SpanStat
+}
+
 // spanRingSize bounds the span instances a Collector keeps for
 // WriteChromeTrace. It is well above what a typical job records (a
 // meta-clustering job records 24 spans, a 40-chunk k-means stream 81);
 // a longer run keeps its newest instances.
 const spanRingSize = 1024
 
-// Collector is the in-memory Recorder. All methods are safe for
-// concurrent use from internal/parallel workers; the recorded state is
-// scheduling-independent because counters are additive, gauges are
-// last-write-wins on deterministic values, and series are sorted by
-// (iter, value) at snapshot time. Besides the aggregates, it keeps the
-// newest spanRingSize span instances, timed from its creation, for
-// WriteChromeTrace.
+// Collector is the one recorder. A nil *Collector records nothing: every
+// recording method returns at once on it, so instrumented code calls it
+// unguarded. All methods are safe for concurrent use from
+// internal/parallel workers; the recorded state is scheduling-independent
+// because counters are additive, gauges are last-write-wins on
+// deterministic values, and series are sorted by (iter, value) at
+// snapshot time. Besides the aggregates, it keeps the newest spanRingSize
+// span instances, timed from its creation, for WriteChromeTrace.
 type Collector struct {
 	mu       sync.Mutex
 	counters map[string]int64
 	gauges   map[string]float64
 	series   map[string][]Sample
 	hists    map[string]*HistStat
-	spans    map[string]SpanStat
-	tree     map[string]SpanStat // keyed by slash-joined root→leaf name path
+	tree     map[string]treeStat // keyed by slash-joined root→leaf name path
 	active   map[SpanID]string   // live span id → its full path
 	created  time.Time
 	ring     []spanEvent // ended span instances; oldest at next once full
@@ -59,39 +66,64 @@ func NewCollector() *Collector {
 		gauges:   map[string]float64{},
 		series:   map[string][]Sample{},
 		hists:    map[string]*HistStat{},
-		spans:    map[string]SpanStat{},
-		tree:     map[string]SpanStat{},
+		tree:     map[string]treeStat{},
 		active:   map[SpanID]string{},
 		created:  time.Now(),
 	}
 }
 
-// Count implements Recorder.
+// Count adds delta to the named monotonic counter.
 func (c *Collector) Count(name string, delta int64) {
+	if c != nil {
+		c.count(name, delta)
+	}
+}
+
+func (c *Collector) count(name string, delta int64) {
 	c.mu.Lock()
 	c.counters[name] += delta
 	c.mu.Unlock()
 }
 
-// Gauge implements Recorder.
+// Gauge sets the named gauge to v (last write wins).
 func (c *Collector) Gauge(name string, v float64) {
+	if c != nil {
+		c.gauge(name, v)
+	}
+}
+
+func (c *Collector) gauge(name string, v float64) {
 	c.mu.Lock()
 	c.gauges[name] = v
 	c.mu.Unlock()
 }
 
-// Observe implements Recorder.
+// Observe appends one (iter, v) sample to the named series, e.g. SSE per
+// k-means iteration or log-likelihood per EM iteration.
 func (c *Collector) Observe(name string, iter int, v float64) {
+	if c != nil {
+		c.observe(name, iter, v)
+	}
+}
+
+func (c *Collector) observe(name string, iter int, v float64) {
 	c.mu.Lock()
 	c.series[name] = append(c.series[name], Sample{Iter: iter, Value: v})
 	c.mu.Unlock()
 }
 
-// Histogram implements Recorder. Bucket counts and the integer-nanosecond
-// sum are both additive, so the aggregate state — like the counters — is
-// scheduling-independent: any interleaving of the same observations
-// yields the same HistStat.
+// Histogram folds one latency observation (in seconds) into the named
+// histogram; see HistogramBounds for the process-wide bucket scheme.
+// Bucket counts and the integer-nanosecond sum are both additive, so the
+// aggregate state — like the counters — is scheduling-independent: any
+// interleaving of the same observations yields the same HistStat.
 func (c *Collector) Histogram(name string, seconds float64) {
+	if c != nil {
+		c.histogram(name, seconds)
+	}
+}
+
+func (c *Collector) histogram(name string, seconds float64) {
 	c.mu.Lock()
 	h := c.hists[name]
 	if h == nil {
@@ -114,36 +146,30 @@ func (c *Collector) HistValue(name string) (HistStat, bool) {
 	return *h, true
 }
 
-// StartSpan implements Recorder. The span is aggregated twice: under its
-// bare name (back-compatible flat view, Snapshot.Spans) and under its
-// slash-joined root→leaf path (hierarchical view, Snapshot.Tree). The
+// startSpan opens a named timed region and returns the function that
+// closes it; SpanCtx is its one caller. id identifies this span instance
+// and parent is the id of the enclosing span (0 for a root). The span is
+// aggregated under its slash-joined root→leaf path (Snapshot.Tree); the
 // path is resolved at open time from the live parent, so a child whose
 // parent has already ended — or whose parent id is 0/unknown — roots a
 // fresh subtree. Counts are additive and paths depend only on the
 // open-time ancestry, so the tree is scheduling-independent for any
 // worker count once Totals are stripped.
-func (c *Collector) StartSpan(name string, id, parent SpanID) func() {
+func (c *Collector) startSpan(name string, id, parent SpanID) func() {
 	c.mu.Lock()
 	path := name
-	if pp, ok := c.active[parent]; parent != 0 && ok {
+	if pp, ok := c.active[parent]; ok {
 		path = pp + "/" + name
 	}
-	if id != 0 {
-		c.active[id] = path
-	}
+	c.active[id] = path
 	c.mu.Unlock()
 	start := time.Now()
 	return func() {
 		elapsed := time.Since(start)
 		c.mu.Lock()
-		if id != 0 {
-			delete(c.active, id)
-		}
-		s := c.spans[name]
-		s.Count++
-		s.Total += elapsed
-		c.spans[name] = s
+		delete(c.active, id)
 		ts := c.tree[path]
+		ts.name = name
 		ts.Count++
 		ts.Total += elapsed
 		c.tree[path] = ts
@@ -162,10 +188,13 @@ func (c *Collector) StartSpan(name string, id, parent SpanID) func() {
 }
 
 // WriteChromeTrace renders the span instances the Collector kept, the
-// newest spanRingSize of them, as Chrome trace-event JSON (see the
-// package-level WriteChromeTrace for the shape). A non-empty traceID is
-// stamped on every event as args.trace_id; spans that fell out of the
-// ring are counted in otherData.dropped_spans.
+// newest spanRingSize of them, as Chrome trace-event JSON, loadable in
+// chrome://tracing or Perfetto. Each span becomes one complete ("X")
+// event whose tid is the id of its root ancestor, so every top-level
+// operation renders as its own track with its children stacked beneath
+// it. A non-empty traceID is stamped on every event as args.trace_id;
+// spans that fell out of the ring are counted in
+// otherData.dropped_spans.
 func (c *Collector) WriteChromeTrace(w io.Writer, traceID string) error {
 	c.mu.Lock()
 	spans := make([]spanEvent, 0, len(c.ring))
@@ -184,8 +213,7 @@ func (c *Collector) Reset() {
 	c.gauges = map[string]float64{}
 	c.series = map[string][]Sample{}
 	c.hists = map[string]*HistStat{}
-	c.spans = map[string]SpanStat{}
-	c.tree = map[string]SpanStat{}
+	c.tree = map[string]treeStat{}
 	c.active = map[SpanID]string{}
 	c.ring, c.next, c.dropped = nil, 0, 0
 	c.mu.Unlock()
@@ -221,11 +249,11 @@ func (c *Collector) Series(name string) []Sample {
 	return out
 }
 
-// Snapshot is a deep, deterministic copy of a Collector's state. Spans
-// holds the flat per-name aggregation; Tree holds the same spans keyed
-// by their slash-joined root→leaf name path (e.g.
+// Snapshot is a deep, deterministic copy of a Collector's state. Tree
+// holds the spans keyed by their slash-joined root→leaf name path (e.g.
 // "metaclust.run/metaclust.generate/kmeans.run"), reconstructing the
-// call hierarchy.
+// call hierarchy; Spans is the flat per-name view, the sum of the Tree
+// entries whose path ends in that span's name.
 type Snapshot struct {
 	Counters map[string]int64
 	Gauges   map[string]float64
@@ -237,7 +265,8 @@ type Snapshot struct {
 
 // Snapshot copies the recorded state. Series are sorted by (iter, value);
 // map iteration order is irrelevant because every consumer below sorts
-// keys before rendering.
+// keys before rendering, and Spans sums integers, which any order adds
+// exactly.
 func (c *Collector) Snapshot() Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -246,7 +275,7 @@ func (c *Collector) Snapshot() Snapshot {
 		Gauges:   make(map[string]float64, len(c.gauges)),
 		Series:   make(map[string][]Sample, len(c.series)),
 		Hists:    make(map[string]HistStat, len(c.hists)),
-		Spans:    make(map[string]SpanStat, len(c.spans)),
+		Spans:    make(map[string]SpanStat, len(c.tree)),
 		Tree:     make(map[string]SpanStat, len(c.tree)),
 	}
 	for k, v := range c.counters {
@@ -264,11 +293,12 @@ func (c *Collector) Snapshot() Snapshot {
 	for k, v := range c.hists {
 		snap.Hists[k] = *v
 	}
-	for k, v := range c.spans {
-		snap.Spans[k] = v
-	}
-	for k, v := range c.tree {
-		snap.Tree[k] = v
+	for path, v := range c.tree {
+		snap.Tree[path] = v.SpanStat
+		st := snap.Spans[v.name]
+		st.Count += v.Count
+		st.Total += v.Total
+		snap.Spans[v.name] = st
 	}
 	return snap
 }

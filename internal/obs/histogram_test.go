@@ -147,19 +147,3 @@ func TestHistogramStripTimings(t *testing.T) {
 		t.Fatalf("stripped prom dump wrong:\n%s", sb.String())
 	}
 }
-
-// The Tee fan-out and the TraceWriter both receive histogram events; the
-// trace stream carries the raw observation.
-func TestHistogramTeeAndTrace(t *testing.T) {
-	c := obs.NewCollector()
-	var sb syncBuilder
-	tw := obs.NewTraceWriter(&sb)
-	rec := obs.Tee(c, tw)
-	obs.Histogram(rec, "h", 0.002)
-	if h, ok := c.HistValue("h"); !ok || h.Count != 1 {
-		t.Fatalf("collector side of tee missed the observation: %+v ok=%v", h, ok)
-	}
-	if got := sb.String(); got != "{\"type\":\"hist\",\"name\":\"h\",\"value\":0.002}\n" {
-		t.Fatalf("trace line = %q", got)
-	}
-}

@@ -1,17 +1,15 @@
 // Package obs is multiclust's observability layer: counters, gauges,
-// per-iteration observations and timed spans, recorded through a single
-// Recorder interface.
+// per-iteration observations, latency histograms and timed spans,
+// recorded into one in-memory *Collector.
 //
-// The design contract is zero cost when disabled. Algorithms never call
-// Recorder methods directly; they go through the package-level helpers
-// (Count, Gauge, Observe, Histogram, SpanCtx), which compile to a nil
-// check and return when no recorder is installed. The helpers take only
-// concrete argument types, so the disabled path performs no interface
-// boxing and no allocation — pinned by TestNilRecorderPathDoesNotAllocate
-// and the obs_bench_test.go benchmarks at the repository root. The obsnil
-// lint rule (internal/lint) flags any direct method call on a
-// Recorder-typed value outside this package, so the guarantee cannot
-// erode silently.
+// The design contract is zero cost when disabled. A nil *Collector is the
+// disabled recorder: its recording methods (Count, Gauge, Observe,
+// Histogram) and SpanCtx return at once on it. Each method is an
+// inlinable nil test around an unexported body and takes only concrete
+// argument types, so the disabled path is a single pointer test with no
+// interface boxing and no allocation — pinned by
+// TestNilRecorderPathDoesNotAllocate and the obs_bench_test.go benchmarks
+// at the repository root. Call sites need no guard of their own.
 //
 // Determinism: counters are additive and series entries carry their own
 // iteration index, so the recorded totals are scheduling-independent even
@@ -20,7 +18,7 @@
 // exposes them separately so deterministic comparisons can zero them out.
 //
 // Resolution order mirrors internal/parallel's worker-count idiom: an
-// explicit recorder in the context (NewContext / facade WithRecorder)
+// explicit collector in the context (NewContext / facade WithRecorder)
 // wins, else the process-wide default (SetDefault / facade SetRecorder),
 // else nil (disabled).
 //
@@ -42,38 +40,9 @@ import (
 	"sync/atomic"
 )
 
-// Recorder receives instrumentation events. Implementations must be safe
-// for concurrent use: hot paths invoke them from internal/parallel
-// workers. Call sites outside this package must use the nil-guarded
-// package helpers instead of invoking these methods directly (enforced by
-// the obsnil lint rule).
-type Recorder interface {
-	// Count adds delta to the named monotonic counter.
-	Count(name string, delta int64)
-	// Gauge sets the named gauge to v (last write wins).
-	Gauge(name string, v float64)
-	// Observe appends one (iter, v) sample to the named series, e.g. SSE
-	// per k-means iteration or log-likelihood per EM iteration.
-	Observe(name string, iter int, v float64)
-	// Histogram folds one latency observation (in seconds) into the
-	// named fixed-exponential-bucket histogram; see HistogramBounds for
-	// the process-wide bucket scheme. Callers outside this package use
-	// the nil-guarded Histogram helper.
-	Histogram(name string, seconds float64)
-	// StartSpan opens a named timed region and returns the function that
-	// closes it. Implementations record count and total duration. id
-	// identifies this span instance (0 when the caller does not track
-	// identity) and parent is the id of the enclosing span (0 for a
-	// root), letting implementations reconstruct the span tree. Callers
-	// outside this package use the SpanCtx helper, which allocates ids
-	// from NewSpanID.
-	StartSpan(name string, id, parent SpanID) func()
-}
-
 // SpanID identifies one live span instance for parent/child attribution.
-// Ids are process-unique (drawn from NewSpanID) so a Tee'd recorder set
-// sees one consistent id per span; 0 means "no span" and is never
-// returned by NewSpanID.
+// Ids are process-unique (drawn from NewSpanID); 0 means "no span" and is
+// never returned by NewSpanID.
 type SpanID uint64
 
 var spanIDs atomic.Uint64
@@ -84,37 +53,6 @@ func NewSpanID() SpanID { return SpanID(spanIDs.Add(1)) }
 // noopEnd is the shared span terminator for the disabled path, so
 // SpanCtx(ctx, nil, ...) never allocates a closure.
 var noopEnd = func() {}
-
-// Count adds delta to rec's named counter; no-op when rec is nil.
-func Count(rec Recorder, name string, delta int64) {
-	if rec != nil {
-		rec.Count(name, delta)
-	}
-}
-
-// Gauge sets rec's named gauge; no-op when rec is nil.
-func Gauge(rec Recorder, name string, v float64) {
-	if rec != nil {
-		rec.Gauge(name, v)
-	}
-}
-
-// Observe appends one sample to rec's named series; no-op when rec is nil.
-func Observe(rec Recorder, name string, iter int, v float64) {
-	if rec != nil {
-		rec.Observe(name, iter, v)
-	}
-}
-
-// Histogram folds one latency observation (seconds) into rec's named
-// histogram; no-op when rec is nil. Like the other helpers it takes only
-// concrete argument types, so the disabled path is a single pointer test
-// with zero allocations.
-func Histogram(rec Recorder, name string, seconds float64) {
-	if rec != nil {
-		rec.Histogram(name, seconds)
-	}
-}
 
 // spanKey is the context key carrying the current span's id.
 type spanKey struct{}
@@ -129,25 +67,25 @@ func SpanFromContext(ctx context.Context) SpanID {
 	return id
 }
 
-// SpanCtx opens a named span as a child of the span carried by ctx and
-// returns a derived context (carrying the new span id, for deeper
+// SpanCtx opens a named span in c as a child of the span carried by ctx
+// and returns a derived context (carrying the new span id, for deeper
 // nesting) plus the end function. It also applies runtime/pprof
 // goroutine labels — algo is the span name up to its last dot, phase the
 // part after it — so CPU profile samples taken inside the span are
 // attributable to the algorithm phase; the end function restores the
 // caller's labels. Goroutines spawned inside the span (internal/parallel
-// workers) inherit the labels automatically. When rec is nil it returns
+// workers) inherit the labels automatically. When c is nil it returns
 // ctx unchanged and a shared no-op end — zero allocations, preserving
 // the disabled-path contract.
-func SpanCtx(ctx context.Context, rec Recorder, name string) (context.Context, func()) {
-	if rec == nil {
+func SpanCtx(ctx context.Context, c *Collector, name string) (context.Context, func()) {
+	if c == nil {
 		return ctx, noopEnd
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	id := NewSpanID()
-	end := rec.StartSpan(name, id, SpanFromContext(ctx))
+	end := c.startSpan(name, id, SpanFromContext(ctx))
 	algo, phase := splitSpanName(name)
 	lctx := pprof.WithLabels(context.WithValue(ctx, spanKey{}, id),
 		pprof.Labels("algo", algo, "phase", phase))
@@ -174,109 +112,42 @@ func splitSpanName(name string) (algo, phase string) {
 	return name, name
 }
 
-// holder wraps the default recorder so atomic.Value tolerates differing
-// concrete types (and nil) across stores.
-type holder struct{ rec Recorder }
+var defaultCollector atomic.Pointer[Collector]
 
-var defaultRecorder atomic.Value // holder
-
-// SetDefault installs rec as the process-wide recorder consulted by hot
+// SetDefault installs c as the process-wide collector consulted by hot
 // paths that have no context. Pass nil to disable. Safe for concurrent
-// use, but the deterministic-dump guarantee assumes the recorder is not
+// use, but the deterministic-dump guarantee assumes the collector is not
 // swapped mid-run.
-func SetDefault(rec Recorder) { defaultRecorder.Store(holder{rec: rec}) }
+func SetDefault(c *Collector) { defaultCollector.Store(c) }
 
-// Default returns the process-wide recorder, or nil when none is set.
-func Default() Recorder {
-	if h, ok := defaultRecorder.Load().(holder); ok {
-		return h.rec
-	}
-	return nil
-}
+// Default returns the process-wide collector, or nil when none is set.
+func Default() *Collector { return defaultCollector.Load() }
 
-// ctxKey is the context key for a request-scoped recorder.
+// ctxKey is the context key for a request-scoped collector.
 type ctxKey struct{}
 
-// NewContext returns a copy of ctx carrying rec. The facade exposes this
+// NewContext returns a copy of ctx carrying c. The facade exposes this
 // as WithRecorder.
-func NewContext(ctx context.Context, rec Recorder) context.Context {
-	return context.WithValue(ctx, ctxKey{}, rec)
+func NewContext(ctx context.Context, c *Collector) context.Context {
+	return context.WithValue(ctx, ctxKey{}, c)
 }
 
-// FromContext returns the recorder stored in ctx, or nil.
-func FromContext(ctx context.Context) Recorder {
+// FromContext returns the collector stored in ctx, or nil.
+func FromContext(ctx context.Context) *Collector {
 	if ctx == nil {
 		return nil
 	}
-	rec, _ := ctx.Value(ctxKey{}).(Recorder)
-	return rec
+	c, _ := ctx.Value(ctxKey{}).(*Collector)
+	return c
 }
 
-// From resolves the recorder for a context-carrying entry point: the
-// context's recorder if present, else the process default, else nil.
+// From resolves the collector for a context-carrying entry point: the
+// context's collector if present, else the process default, else nil.
 // Hot paths call this once on entry and thread the result through their
 // loops.
-func From(ctx context.Context) Recorder {
-	if rec := FromContext(ctx); rec != nil {
-		return rec
+func From(ctx context.Context) *Collector {
+	if c := FromContext(ctx); c != nil {
+		return c
 	}
 	return Default()
-}
-
-// Tee fans every event out to each non-nil recorder. It returns nil when
-// no recorder remains (keeping the disabled fast path), and the recorder
-// itself when exactly one remains (no fan-out indirection).
-func Tee(recs ...Recorder) Recorder {
-	var live multiRecorder
-	for _, r := range recs {
-		if r != nil {
-			live = append(live, r)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return live
-}
-
-type multiRecorder []Recorder
-
-func (m multiRecorder) Count(name string, delta int64) {
-	for _, r := range m {
-		r.Count(name, delta)
-	}
-}
-
-func (m multiRecorder) Gauge(name string, v float64) {
-	for _, r := range m {
-		r.Gauge(name, v)
-	}
-}
-
-func (m multiRecorder) Observe(name string, iter int, v float64) {
-	for _, r := range m {
-		r.Observe(name, iter, v)
-	}
-}
-
-func (m multiRecorder) Histogram(name string, seconds float64) {
-	for _, r := range m {
-		r.Histogram(name, seconds)
-	}
-}
-
-func (m multiRecorder) StartSpan(name string, id, parent SpanID) func() {
-	ends := make([]func(), len(m))
-	for i, r := range m {
-		ends[i] = r.StartSpan(name, id, parent)
-	}
-	return func() {
-		// Close in reverse order so nesting semantics match defer.
-		for i := len(ends) - 1; i >= 0; i-- {
-			ends[i]()
-		}
-	}
 }

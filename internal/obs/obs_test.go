@@ -2,18 +2,18 @@ package obs
 
 import (
 	"context"
-	"errors"
-	"math"
 	"strings"
 	"testing"
 )
 
+// The recording methods are the nil-guarded helpers: on a nil Collector
+// they must not panic and must not do anything observable.
 func TestHelpersNilRecorderAreNoOps(t *testing.T) {
-	// Must not panic, must not do anything observable.
-	Count(nil, "x", 3)
-	Gauge(nil, "x", 1.5)
-	Observe(nil, "x", 0, 2.5)
-	Histogram(nil, "x", 0.001)
+	var c *Collector
+	c.Count("x", 3)
+	c.Gauge("x", 1.5)
+	c.Observe("x", 0, 2.5)
+	c.Histogram("x", 0.001)
 	ctx := context.Background()
 	got, end := SpanCtx(ctx, nil, "x")
 	if end == nil {
@@ -25,15 +25,17 @@ func TestHelpersNilRecorderAreNoOps(t *testing.T) {
 	end()
 }
 
-// The zero-overhead contract: every nil-recorder helper, and recorder
-// resolution itself, performs zero heap allocations.
+// The zero-overhead contract: every recording method on a nil Collector,
+// SpanCtx with a nil Collector, and recorder resolution itself perform
+// zero heap allocations.
 func TestNilRecorderPathDoesNotAllocate(t *testing.T) {
 	ctx := context.Background()
+	var c *Collector
 	cases := map[string]func(){
-		"count":     func() { Count(nil, "kmeans.iterations", 1) },
-		"gauge":     func() { Gauge(nil, "metaclust.mean_pairwise", 0.5) },
-		"observe":   func() { Observe(nil, "kmeans.sse", 3, 12.5) },
-		"histogram": func() { Histogram(nil, "jobs.exec_seconds", 0.004) },
+		"count":     func() { c.Count("kmeans.iterations", 1) },
+		"gauge":     func() { c.Gauge("metaclust.mean_pairwise", 0.5) },
+		"observe":   func() { c.Observe("kmeans.sse", 3, 12.5) },
+		"histogram": func() { c.Histogram("jobs.exec_seconds", 0.004) },
 		"spanctx": func() {
 			_, end := SpanCtx(ctx, nil, "kmeans.run")
 			end()
@@ -55,7 +57,7 @@ func TestCollectorRecordsAndSnapshots(t *testing.T) {
 	c.Gauge("g", 1.25)
 	c.Observe("s", 1, 10)
 	c.Observe("s", 0, 20)
-	end := c.StartSpan("sp", NewSpanID(), 0)
+	_, end := SpanCtx(context.Background(), c, "sp")
 	end()
 
 	if got := c.Counter("a.b"); got != 5 {
@@ -100,7 +102,8 @@ func TestWritePromDeterministicAndSanitised(t *testing.T) {
 	c.Gauge("EM.LogLik", -12.5)
 	c.Observe("kmeans.sse", 0, 100)
 	c.Observe("kmeans.sse", 1, 60)
-	c.StartSpan("kmeans.run", NewSpanID(), 0)()
+	_, end := SpanCtx(context.Background(), c, "kmeans.run")
+	end()
 
 	var a, b strings.Builder
 	if err := c.WriteProm(&a); err != nil {
@@ -130,7 +133,8 @@ func TestWritePromDeterministicAndSanitised(t *testing.T) {
 func TestStripTimingsZeroesOnlySpanDurations(t *testing.T) {
 	c := NewCollector()
 	c.Count("n", 1)
-	c.StartSpan("sp", NewSpanID(), 0)()
+	_, end := SpanCtx(context.Background(), c, "sp")
+	end()
 	s := c.Snapshot().StripTimings()
 	if s.Spans["sp"].Total != 0 {
 		t.Error("StripTimings left a nonzero span total")
@@ -157,93 +161,16 @@ func TestDefaultAndContextResolution(t *testing.T) {
 
 	def := NewCollector()
 	SetDefault(def)
-	if From(context.Background()) != Recorder(def) {
+	if From(context.Background()) != def {
 		t.Error("From() did not fall back to the default recorder")
 	}
 
 	ctxRec := NewCollector()
 	ctx := NewContext(context.Background(), ctxRec)
-	if From(ctx) != Recorder(ctxRec) {
+	if From(ctx) != ctxRec {
 		t.Error("context recorder must win over the default")
 	}
 	if FromContext(context.Background()) != nil {
 		t.Error("FromContext without a recorder must be nil")
-	}
-}
-
-func TestTee(t *testing.T) {
-	if Tee() != nil || Tee(nil, nil) != nil {
-		t.Error("Tee of no live recorders must be nil (disabled fast path)")
-	}
-	c := NewCollector()
-	if Tee(nil, c) != Recorder(c) {
-		t.Error("Tee of one live recorder must return it unwrapped")
-	}
-	c2 := NewCollector()
-	m := Tee(c, c2)
-	m.Count("n", 4)
-	m.Gauge("g", 1)
-	m.Observe("s", 0, 2)
-	m.StartSpan("sp", NewSpanID(), 0)()
-	for i, cc := range []*Collector{c, c2} {
-		if cc.Counter("n") != 4 || len(cc.Series("s")) != 1 {
-			t.Errorf("recorder %d missed teed events", i)
-		}
-		if cc.Snapshot().Spans["sp"].Count != 1 {
-			t.Errorf("recorder %d missed teed span", i)
-		}
-	}
-}
-
-func TestTraceWriterEmitsJSONL(t *testing.T) {
-	var sb strings.Builder
-	tw := NewTraceWriter(&sb)
-	tw.Count("a", 2)
-	tw.Gauge("g", 0.5)
-	tw.Observe("s", 3, 1.5)
-	tw.StartSpan("sp", 7, 3)()
-	if err := tw.Err(); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("got %d lines, want 4:\n%s", len(lines), sb.String())
-	}
-	wants := []string{
-		`{"type":"count","name":"a","delta":2}`,
-		`{"type":"gauge","name":"g","value":0.5}`,
-		`{"type":"observe","name":"s","iter":3,"value":1.5}`,
-		`{"type":"span","name":"sp","id":7,"parent":3,"t_us":`,
-	}
-	for i, w := range wants {
-		if !strings.HasPrefix(lines[i], strings.TrimSuffix(w, "}")) {
-			t.Errorf("line %d = %q, want prefix %q", i, lines[i], w)
-		}
-	}
-}
-
-func TestTraceWriterNonFiniteValues(t *testing.T) {
-	var sb strings.Builder
-	tw := NewTraceWriter(&sb)
-	tw.Gauge("nan", math.NaN())
-	tw.Gauge("inf", math.Inf(1))
-	out := sb.String()
-	if !strings.Contains(out, `"value":"NaN"`) || !strings.Contains(out, `"value":"+Inf"`) {
-		t.Errorf("non-finite values not quoted:\n%s", out)
-	}
-}
-
-type failWriter struct{}
-
-func (failWriter) Write([]byte) (int, error) { return 0, errFail }
-
-var errFail = errors.New("sink failed")
-
-func TestTraceWriterRetainsFirstError(t *testing.T) {
-	tw := NewTraceWriter(failWriter{})
-	tw.Count("a", 1)
-	tw.Count("b", 1)
-	if err := tw.Err(); !errors.Is(err, errFail) {
-		t.Fatalf("Err() = %v, want wrapped sink error", err)
 	}
 }

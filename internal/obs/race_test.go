@@ -24,7 +24,7 @@ func hammer(c *obs.Collector, workers int) {
 		c.Count("hammer.tasks", 1)
 		c.Count("hammer.weighted", int64(i%7))
 		c.Observe("hammer.series", i, float64(i*i%101))
-		end := c.StartSpan("hammer.span", obs.NewSpanID(), 0)
+		_, end := obs.SpanCtx(context.Background(), c, "hammer.span")
 		c.Gauge("hammer.fixed", 42)
 		end()
 	})
@@ -76,7 +76,8 @@ func TestCollectorConcurrentSnapshot(t *testing.T) {
 			_ = c.WriteProm(&sb)
 			_ = c.WriteChromeTrace(&sb, "")
 		}
-		c.StartSpan(fmt.Sprintf("span.%d", i%3), obs.NewSpanID(), 0)()
+		_, end := obs.SpanCtx(context.Background(), c, fmt.Sprintf("span.%d", i%3))
+		end()
 	})
 	if c.Counter("n") != 200 {
 		t.Fatalf("n = %d, want 200", c.Counter("n"))
@@ -91,95 +92,57 @@ func TestCollectorConcurrentSnapshot(t *testing.T) {
 	}
 }
 
-// The TraceWriter must also tolerate concurrent producers: lines may
-// interleave in any order but each line stays intact.
-func TestTraceWriterConcurrent(t *testing.T) {
-	var sb syncBuilder
-	tw := obs.NewTraceWriter(&sb)
-	parallel.Each(100, 4, func(i int) {
-		tw.Count("c", int64(i))
-		tw.Observe("s", i, float64(i))
-	})
-	if err := tw.Err(); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n")
-	if len(lines) != 200 {
-		t.Fatalf("got %d lines, want 200", len(lines))
-	}
-	for _, l := range lines {
-		if !strings.HasPrefix(l, `{"type":`) || !strings.HasSuffix(l, "}") {
-			t.Fatalf("torn trace line: %q", l)
-		}
-	}
-}
-
-// Concurrent span emission through the TraceWriter: lines may land in
-// any order (a parent's line follows its children's), but every line
-// must be intact JSON, span ids must be unique, and every child's parent
-// field must resolve to the shared root — the invariants offline
-// consumers (WriteChromeTrace) rebuild the tree from.
-func TestTraceWriterConcurrentSpanOrdering(t *testing.T) {
-	var sb syncBuilder
-	tw := obs.NewTraceWriter(&sb)
-	ctx, endRoot := obs.SpanCtx(context.Background(), tw, "root.run")
+// Concurrent span emission into one Collector: span ids must be unique,
+// and every child opened from parallel workers must render with the
+// shared root as its parent and on the root's track.
+func TestCollectorConcurrentSpanTree(t *testing.T) {
+	c := obs.NewCollector()
+	ctx, endRoot := obs.SpanCtx(context.Background(), c, "root.run")
 	parallel.Each(64, 8, func(i int) {
-		_, end := obs.SpanCtx(ctx, tw, "child.work")
+		_, end := obs.SpanCtx(ctx, c, "child.work")
 		end()
 	})
 	endRoot()
-	if err := tw.Err(); err != nil {
+	var out strings.Builder
+	if err := c.WriteChromeTrace(&out, ""); err != nil {
 		t.Fatal(err)
 	}
-	type line struct {
-		Type   string `json:"type"`
-		Name   string `json:"name"`
-		ID     uint64 `json:"id"`
-		Parent uint64 `json:"parent"`
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Tid  uint64 `json:"tid"`
+			Args struct {
+				ID     uint64 `json:"id"`
+				Parent uint64 `json:"parent"`
+			} `json:"args"`
+		} `json:"traceEvents"`
 	}
-	var rootID uint64
+	if err := json.Unmarshal([]byte(out.String()), &doc); err != nil {
+		t.Fatalf("chrome output is not valid JSON: %v", err)
+	}
+	rootID := uint64(obs.SpanFromContext(ctx))
 	ids := map[uint64]bool{}
-	var children []line
-	for _, raw := range strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n") {
-		var l line
-		if err := json.Unmarshal([]byte(raw), &l); err != nil {
-			t.Fatalf("torn or invalid trace line %q: %v", raw, err)
+	children := 0
+	for _, ev := range doc.TraceEvents {
+		if ids[ev.Args.ID] {
+			t.Fatalf("duplicate span id %d", ev.Args.ID)
 		}
-		if l.Type != "span" {
-			t.Fatalf("unexpected event type %q", l.Type)
-		}
-		if ids[l.ID] {
-			t.Fatalf("duplicate span id %d", l.ID)
-		}
-		ids[l.ID] = true
-		switch l.Name {
+		ids[ev.Args.ID] = true
+		switch ev.Name {
 		case "root.run":
-			rootID = l.ID
+			if ev.Args.ID != rootID {
+				t.Fatalf("root span id = %d, want %d", ev.Args.ID, rootID)
+			}
 		case "child.work":
-			children = append(children, l)
+			children++
+			if ev.Args.Parent != rootID || ev.Tid != rootID {
+				t.Fatalf("child span parent %d tid %d, want root id %d", ev.Args.Parent, ev.Tid, rootID)
+			}
 		default:
-			t.Fatalf("unexpected span name %q", l.Name)
+			t.Fatalf("unexpected span name %q", ev.Name)
 		}
 	}
-	if rootID == 0 {
-		t.Fatal("root span line missing")
-	}
-	if len(children) != 64 {
-		t.Fatalf("got %d child spans, want 64", len(children))
-	}
-	for _, c := range children {
-		if c.Parent != rootID {
-			t.Fatalf("child span parent = %d, want root id %d", c.Parent, rootID)
-		}
+	if !ids[rootID] || children != 64 {
+		t.Fatalf("root kept %v, %d child spans; want the root and 64", ids[rootID], children)
 	}
 }
-
-// syncBuilder is a goroutine-safe strings.Builder stand-in. TraceWriter
-// serialises writes itself, but the test reads it afterwards, and -race
-// is happier with explicit ownership.
-type syncBuilder struct {
-	sb strings.Builder
-}
-
-func (s *syncBuilder) Write(p []byte) (int, error) { return s.sb.Write(p) }
-func (s *syncBuilder) String() string              { return s.sb.String() }

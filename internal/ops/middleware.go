@@ -169,8 +169,8 @@ func Instrument(next http.Handler, log *obs.Logger) http.Handler {
 		}
 		route := routeKey(r.URL.Path)
 		if rec := obs.From(r.Context()); rec != nil {
-			obs.Count(rec, "http.requests", 1)
-			obs.Histogram(rec, "http."+route+"."+statusClass(sw.status)+"_seconds", elapsed.Seconds())
+			rec.Count("http.requests", 1)
+			rec.Histogram("http."+route+"."+statusClass(sw.status)+"_seconds", elapsed.Seconds())
 		}
 		if log != nil {
 			fields := []obs.LogField{

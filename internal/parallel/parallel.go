@@ -112,7 +112,7 @@ type panicCapture struct {
 func (c *panicCapture) protect(idx int, f func()) {
 	defer func() {
 		if r := recover(); r != nil {
-			obs.Count(obs.Default(), "parallel.panics_contained", 1)
+			obs.Default().Count("parallel.panics_contained", 1)
 			stack := debug.Stack()
 			c.mu.Lock()
 			if c.err == nil || idx < c.err.Index {
@@ -229,9 +229,9 @@ func noteDispatch(n, w int) {
 	if rec == nil {
 		return
 	}
-	obs.Count(rec, "parallel.dispatches", 1)
-	obs.Count(rec, "parallel.tasks", int64(n))
-	obs.Count(rec, "parallel.workers", int64(w))
+	rec.Count("parallel.dispatches", 1)
+	rec.Count("parallel.tasks", int64(n))
+	rec.Count("parallel.workers", int64(w))
 }
 
 func clampWorkers(workers, n int) int {

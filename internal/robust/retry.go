@@ -44,7 +44,7 @@ func Retry[T any](ctx context.Context, seed int64, fn func(seed int64) (T, error
 		}
 		// Cold path: only degenerate outcomes reach here, so the success
 		// path reads no recorder.
-		obs.Count(obs.From(ctx), "robust.degenerate_retries", 1)
+		obs.From(ctx).Count("robust.degenerate_retries", 1)
 	}
 	return zero, fmt.Errorf("robust: %d attempts with seeds %d..%d all degenerate: %w",
 		attempts, seed, seed+attempts-1, err)

@@ -71,6 +71,16 @@ func RBFAffinity(points [][]float64, sigma float64) (*linalg.Matrix, float64) {
 	return w, sigma
 }
 
+// finite reports whether every value of v is neither NaN nor Inf.
+func finite(v []float64) bool {
+	for _, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
+}
+
 func median(v []float64) float64 {
 	if len(v) == 0 {
 		return 0
@@ -163,23 +173,29 @@ func RunAffinity(w *linalg.Matrix, k int, seed int64, sigma float64) (*Result, e
 	return RunAffinityContext(context.Background(), w, k, seed, sigma)
 }
 
+// errNonFinite reports an embedding with a NaN or Inf coordinate.
+var errNonFinite = fmt.Errorf("spectral: non-finite embedding: %w", core.ErrDegenerate)
+
 // RunAffinityContext is RunAffinity with cancellation; see RunContext.
 // An embedding with a NaN or Inf coordinate is an error wrapping
 // core.ErrDegenerate, returned before any k-means runs: the embedding
-// depends only on w and k, so no seed can repair it.
+// depends only on w and k, so no seed can repair it. A NaN or Inf in w
+// makes such an embedding, so it fails the same way before the
+// eigensolve.
 func RunAffinityContext(ctx context.Context, w *linalg.Matrix, k int, seed int64, sigma float64) (*Result, error) {
 	rec := obs.From(ctx)
 	ctx, endSpan := obs.SpanCtx(ctx, rec, "spectral.run")
 	defer endSpan()
-	obs.Count(rec, "spectral.embeddings", 1)
+	rec.Count("spectral.embeddings", 1)
+	if !finite(w.Data) {
+		return nil, errNonFinite
+	}
 	emb, eerr := EmbedContext(ctx, w, k)
 	if emb == nil {
 		return nil, eerr
 	}
-	for _, v := range emb.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("spectral: non-finite embedding: %w", core.ErrDegenerate)
-		}
+	if !finite(emb.Data) {
+		return nil, errNonFinite
 	}
 	rows := make([][]float64, emb.Rows)
 	for i := range rows {

@@ -200,7 +200,7 @@ func (s *CoEM) SnapshotContext(ctx context.Context) (*CoEMSnapshot, error) {
 		}
 		avg[i] = row
 	}
-	obs.Count(rec, cntSnapshots, 1)
+	rec.Count(cntSnapshots, 1)
 	return &CoEMSnapshot{
 		ModelA:        s.modelA.Clone(),
 		ModelB:        s.modelB.Clone(),

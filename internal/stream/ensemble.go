@@ -133,7 +133,7 @@ func (e *Ensemble) PushContext(ctx context.Context, rows [][]float64) error {
 	if len(e.window) > e.cfg.Window {
 		e.window = e.window[1:]
 		e.evicted++
-		obs.Count(rec, cntEvicted, 1)
+		rec.Count(cntEvicted, 1)
 	}
 	e.rowsSeen += int64(len(rows))
 	e.chunks++
@@ -198,7 +198,7 @@ func (e *Ensemble) SnapshotContext(ctx context.Context) (*EnsembleSnapshot, erro
 	if err != nil {
 		return nil, err
 	}
-	obs.Count(rec, cntSnapshots, 1)
+	rec.Count(cntSnapshots, 1)
 	snap := &EnsembleSnapshot{
 		MetaLabels:   g.MetaLabels,
 		MeanPairwise: g.MeanPairwise,

@@ -160,7 +160,7 @@ func (m *MiniBatch) PushContext(ctx context.Context, rows [][]float64) error {
 // chunk, seeded Seed+reseeds. The draw is not retried: weightedPick fails
 // only when no row of the chunk lies at a positive distance, whatever the
 // seed, so the centroid stays starved and the next chunk tries again.
-func (m *MiniBatch) reseedStarved(rec obs.Recorder, perChunk []int64, rows [][]float64, sqd []float64) {
+func (m *MiniBatch) reseedStarved(rec *obs.Collector, perChunk []int64, rows [][]float64, sqd []float64) {
 	for c := range perChunk {
 		if perChunk[c] > 0 {
 			m.starved[c] = 0
@@ -178,7 +178,7 @@ func (m *MiniBatch) reseedStarved(rec obs.Recorder, perChunk []int64, rows [][]f
 		copy(m.centers[c], rows[idx])
 		m.counts[c] = 1
 		m.starved[c] = 0
-		obs.Count(rec, cntReseeds, 1)
+		rec.Count(cntReseeds, 1)
 	}
 }
 
@@ -224,7 +224,7 @@ func (m *MiniBatch) SnapshotContext(ctx context.Context) (*KMeansSnapshot, error
 		return nil, fmt.Errorf("stream: snapshot of an empty stream: %w", core.ErrEmptyDataset)
 	}
 	rec := obs.From(ctx)
-	obs.Count(rec, cntSnapshots, 1)
+	rec.Count(cntSnapshots, 1)
 	snap := &KMeansSnapshot{
 		Centers:    make([][]float64, len(m.centers)),
 		Counts:     append([]int64(nil), m.counts...),

@@ -67,7 +67,7 @@ func boundary(ctx context.Context) error {
 }
 
 // countChunk records the per-chunk counters for one accepted chunk.
-func countChunk(rec obs.Recorder, rows int) {
-	obs.Count(rec, cntChunks, 1)
-	obs.Count(rec, cntRowsSeen, int64(rows))
+func countChunk(rec *obs.Collector, rows int) {
+	rec.Count(cntChunks, 1)
+	rec.Count(cntRowsSeen, int64(rows))
 }

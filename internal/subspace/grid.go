@@ -155,10 +155,10 @@ func denseUnits(points [][]float64, cfg gridConfig) ([]Unit, GridStats, error) {
 		prev = cur
 	}
 	if rec != nil {
-		obs.Count(rec, "subspace.grid.searches", 1)
-		obs.Count(rec, "subspace.grid.candidates", int64(stats.CandidatesGenerated))
-		obs.Count(rec, "subspace.grid.pruned", int64(stats.CandidatesPruned))
-		obs.Count(rec, "subspace.grid.dense_units", int64(stats.DenseUnits))
+		rec.Count("subspace.grid.searches", 1)
+		rec.Count("subspace.grid.candidates", int64(stats.CandidatesGenerated))
+		rec.Count("subspace.grid.pruned", int64(stats.CandidatesPruned))
+		rec.Count("subspace.grid.dense_units", int64(stats.DenseUnits))
 	}
 	return all, stats, nil
 }
@@ -167,15 +167,15 @@ func denseUnits(points [][]float64, cfg gridConfig) ([]Unit, GridStats, error) {
 // slide-71 pruning curve — as (level, delta) samples. before holds the
 // cumulative stats when the level started; UnitsPerDim is keyed by
 // dimensionality, so the level's dense-unit count needs no delta.
-func observeLevel(rec obs.Recorder, level int, after, before GridStats) {
+func observeLevel(rec *obs.Collector, level int, after, before GridStats) {
 	if rec == nil {
 		return
 	}
-	obs.Observe(rec, "subspace.grid.level_candidates", level,
+	rec.Observe("subspace.grid.level_candidates", level,
 		float64(after.CandidatesGenerated-before.CandidatesGenerated))
-	obs.Observe(rec, "subspace.grid.level_pruned", level,
+	rec.Observe("subspace.grid.level_pruned", level,
 		float64(after.CandidatesPruned-before.CandidatesPruned))
-	obs.Observe(rec, "subspace.grid.level_dense", level, float64(after.UnitsPerDim[level]))
+	rec.Observe("subspace.grid.level_dense", level, float64(after.UnitsPerDim[level]))
 }
 
 // appendLevel appends a level's dense units to all in key order and

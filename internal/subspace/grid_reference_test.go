@@ -117,10 +117,10 @@ func denseUnitsReference(points [][]float64, cfg gridConfig) ([]Unit, GridStats,
 		prev = cur
 	}
 	if rec != nil {
-		obs.Count(rec, "subspace.grid.searches", 1)
-		obs.Count(rec, "subspace.grid.candidates", int64(stats.CandidatesGenerated))
-		obs.Count(rec, "subspace.grid.pruned", int64(stats.CandidatesPruned))
-		obs.Count(rec, "subspace.grid.dense_units", int64(stats.DenseUnits))
+		rec.Count("subspace.grid.searches", 1)
+		rec.Count("subspace.grid.candidates", int64(stats.CandidatesGenerated))
+		rec.Count("subspace.grid.pruned", int64(stats.CandidatesPruned))
+		rec.Count("subspace.grid.dense_units", int64(stats.DenseUnits))
 	}
 	return all, stats, nil
 }

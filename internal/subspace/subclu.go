@@ -104,9 +104,9 @@ func SubcluContext(ctx context.Context, points [][]float64, cfg SubcluConfig) (*
 		level, err = sc.examineLevel(ctx, res, s, joinLevel(level))
 	}
 	if rec != nil {
-		obs.Count(rec, "subspace.subclu.runs", 1)
-		obs.Count(rec, "subspace.subclu.subspaces_examined", int64(res.SubspacesExamined))
-		obs.Count(rec, "subspace.subclu.subspaces_clustered", int64(res.SubspacesWithClust))
+		rec.Count("subspace.subclu.runs", 1)
+		rec.Count("subspace.subclu.subspaces_examined", int64(res.SubspacesExamined))
+		rec.Count("subspace.subclu.subspaces_clustered", int64(res.SubspacesWithClust))
 	}
 	if err != nil && !errors.Is(err, core.ErrInterrupted) {
 		return nil, err
@@ -183,7 +183,7 @@ func (res *SubcluResult) add(si *subInfo) {
 type subcluSearch struct {
 	points  [][]float64
 	cfg     SubcluConfig
-	rec     obs.Recorder
+	rec     *obs.Collector
 	workers int
 	scratch sync.Pool // idle *walkScratch, which the next candidate reuses
 }
@@ -245,7 +245,7 @@ func (sc *subcluSearch) examineLevel(ctx context.Context, res *SubcluResult, s i
 			res.add(o.si)
 		}
 	}
-	obs.Observe(sc.rec, "subspace.subclu.level_examined", s, float64(len(cands)))
+	sc.rec.Observe("subspace.subclu.level_examined", s, float64(len(cands)))
 	return next, nil
 }
 
@@ -348,7 +348,7 @@ func (sc *subcluSearch) derive(ctx context.Context, ws *walkScratch, rows [][]fl
 		off = append(off, len(idx))
 	}
 	ws.idx, ws.off = idx, off
-	obs.Count(sc.rec, "dbscan.region_queries", int64(len(rows)))
+	sc.rec.Count("dbscan.region_queries", int64(len(rows)))
 	return func(o int) []int { return idx[off[o]:off[o+1]:off[o+1]] }
 }
 

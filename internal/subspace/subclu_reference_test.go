@@ -104,7 +104,7 @@ func subcluReference(points [][]float64, cfg SubcluConfig) (*SubcluResult, error
 			}
 		}
 	}()
-	obs.Observe(rec, "subspace.subclu.level_examined", 1, float64(res.SubspacesExamined))
+	rec.Observe("subspace.subclu.level_examined", 1, float64(res.SubspacesExamined))
 
 	for s := 2; s <= cfg.MaxDim && len(level) > 1; s++ {
 		examinedBefore := res.SubspacesExamined
@@ -146,13 +146,13 @@ func subcluReference(points [][]float64, cfg SubcluConfig) (*SubcluResult, error
 				}
 			}
 		}()
-		obs.Observe(rec, "subspace.subclu.level_examined", s, float64(res.SubspacesExamined-examinedBefore))
+		rec.Observe("subspace.subclu.level_examined", s, float64(res.SubspacesExamined-examinedBefore))
 		level = next
 	}
 	if rec != nil {
-		obs.Count(rec, "subspace.subclu.runs", 1)
-		obs.Count(rec, "subspace.subclu.subspaces_examined", int64(res.SubspacesExamined))
-		obs.Count(rec, "subspace.subclu.subspaces_clustered", int64(res.SubspacesWithClust))
+		rec.Count("subspace.subclu.runs", 1)
+		rec.Count("subspace.subclu.subspaces_examined", int64(res.SubspacesExamined))
+		rec.Count("subspace.subclu.subspaces_clustered", int64(res.SubspacesWithClust))
 	}
 	return res, nil
 }

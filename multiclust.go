@@ -86,58 +86,39 @@ func WorkersDefault() int { return parallel.Default() }
 // Observability
 // ---------------------------------------------------------------------------
 
-// Recorder receives instrumentation events from the hot paths: counters
-// (k-means reassignments, apriori candidates pruned, DBSCAN region
-// queries, tasks dispatched by the worker pool), gauges, per-iteration
-// observations (SSE per k-means iteration, log-likelihood per EM
-// iteration, co-EM agreement per round) and timed spans. When no recorder
-// is installed the instrumentation costs one nil check per event — zero
-// allocations, pinned by obs_bench_test.go.
-type Recorder = obs.Recorder
-
-// Collector is the in-memory Recorder: thread-safe under any worker
-// count, with deterministic exports (Snapshot, WriteProm) for a fixed
-// seed.
+// Collector is the recorder: it receives instrumentation events from the
+// hot paths — counters (k-means reassignments, apriori candidates
+// pruned, DBSCAN region queries, tasks dispatched by the worker pool),
+// gauges, per-iteration observations (SSE per k-means iteration,
+// log-likelihood per EM iteration, co-EM agreement per round), latency
+// histograms and timed spans. It is thread-safe under any worker count,
+// with deterministic exports (Snapshot, WriteProm) for a fixed seed, and
+// renders its spans as a Chrome trace (WriteChromeTrace). A nil
+// *Collector records nothing: when none is installed the instrumentation
+// costs one nil check per event — zero allocations, pinned by
+// obs_bench_test.go.
 type Collector = obs.Collector
-
-// TraceWriter is the streaming Recorder: one JSON object per event
-// (JSONL), for `cmd/multiclust -trace out.jsonl` style capture.
-type TraceWriter = obs.TraceWriter
 
 // NewCollector returns an empty in-memory recorder.
 func NewCollector() *Collector { return obs.NewCollector() }
-
-// NewTraceWriter returns a recorder streaming JSONL events to w. The
-// caller owns buffering and closing of w; check Err() after the run.
-func NewTraceWriter(w io.Writer) *TraceWriter { return obs.NewTraceWriter(w) }
 
 // SetRecorder installs a process-wide recorder consulted by every
 // instrumented hot path (the observability analogue of SetWorkers). Pass
 // nil to disable. A recorder carried by a context (WithRecorder) takes
 // precedence for the call it is passed to.
-func SetRecorder(r Recorder) { obs.SetDefault(r) }
+func SetRecorder(c *Collector) { obs.SetDefault(c) }
 
 // RecorderDefault returns the process-wide recorder installed with
 // SetRecorder, or nil.
-func RecorderDefault() Recorder { return obs.Default() }
+func RecorderDefault() *Collector { return obs.Default() }
 
-// WithRecorder returns a context carrying r; the ...Context algorithm
+// WithRecorder returns a context carrying c; the ...Context algorithm
 // variants report into it instead of the process-wide recorder. Hot paths
 // without a context parameter (co-EM, the subspace miners other than
 // SubcluContext and DuscContext) see only the process-wide recorder.
-func WithRecorder(ctx context.Context, r Recorder) context.Context {
-	return obs.NewContext(ctx, r)
+func WithRecorder(ctx context.Context, c *Collector) context.Context {
+	return obs.NewContext(ctx, c)
 }
-
-// TeeRecorders fans events out to every non-nil argument — e.g. a
-// Collector for a metrics dump plus a TraceWriter for the event stream.
-// It returns nil when no live recorder remains, preserving the disabled
-// fast path.
-func TeeRecorders(rs ...Recorder) Recorder { return obs.Tee(rs...) }
-
-// SpanID identifies one span instance in the trace tree; 0 means "no
-// span". Recorder implementations receive it in StartSpan.
-type SpanID = obs.SpanID
 
 // StartSpan opens an application-level span named name as a child of any
 // span already carried by ctx, resolving the recorder like the
@@ -152,13 +133,6 @@ type SpanID = obs.SpanID
 func StartSpan(ctx context.Context, name string) (context.Context, func()) {
 	return obs.SpanCtx(ctx, obs.From(ctx), name)
 }
-
-// WriteChromeTrace converts a JSONL trace captured by a TraceWriter
-// (read from r) into the Chrome trace-event format on w, loadable in
-// chrome://tracing or Perfetto: one complete event per span, grouped
-// into tracks by root span. `cmd/multiclust -trace out.jsonl -chrome
-// out.json` wraps this.
-func WriteChromeTrace(r io.Reader, w io.Writer) error { return obs.WriteChromeTrace(r, w) }
 
 // RuntimePoller periodically samples Go runtime metrics (goroutines,
 // live heap, GC pause and scheduling-latency totals) into a Collector as

@@ -42,14 +42,14 @@ func benchObsPoints(n, dim int) [][]float64 {
 
 // withRecorder installs rec as the process default for one benchmark and
 // restores the previous recorder afterwards.
-func withRecorder(b *testing.B, rec multiclust.Recorder) {
+func withRecorder(b *testing.B, rec *multiclust.Collector) {
 	b.Helper()
 	prev := multiclust.RecorderDefault()
 	multiclust.SetRecorder(rec)
 	b.Cleanup(func() { multiclust.SetRecorder(prev) })
 }
 
-func benchKMeans(b *testing.B, rec multiclust.Recorder, workers int) {
+func benchKMeans(b *testing.B, rec *multiclust.Collector, workers int) {
 	withRecorder(b, rec)
 	pts := benchObsPoints(240, 4)
 	cfg := multiclust.KMeansConfig{K: 3, MaxIter: 25, Restarts: 2, Seed: 7, Workers: workers}
@@ -74,7 +74,7 @@ func BenchmarkObsKMeansCollector(b *testing.B) {
 	}
 }
 
-func benchEM(b *testing.B, rec multiclust.Recorder) {
+func benchEM(b *testing.B, rec *multiclust.Collector) {
 	withRecorder(b, rec)
 	pts := benchObsPoints(200, 3)
 	cfg := multiclust.EMConfig{K: 3, MaxIter: 40, Seed: 7}
@@ -90,30 +90,47 @@ func benchEM(b *testing.B, rec multiclust.Recorder) {
 func BenchmarkObsEMNilRecorder(b *testing.B) { benchEM(b, nil) }
 func BenchmarkObsEMCollector(b *testing.B)   { benchEM(b, multiclust.NewCollector()) }
 
-// TestDisabledRecorderHotPathDoesNotAllocate replays the exact
-// instrumentation sequence the k-means and EM iteration loops execute —
-// resolve the recorder once, then per iteration a span, counters and a
-// per-iteration observation — with no recorder installed, and fails if
-// any of it allocates. This is the mechanism behind the <=1% overhead
-// budget: a zero-allocation nil path is a handful of pointer tests the
-// branch predictor eats for free.
+// TestDisabledRecorderHotPathDoesNotAllocate calls each recording method
+// on the nil Collector a hot path resolves when no recorder is installed,
+// opens a span with SpanCtx, and replays the exact instrumentation
+// sequence the k-means and EM iteration loops execute — resolve the
+// recorder once, then per iteration a span, counters and a per-iteration
+// observation — and fails if any of it allocates. This is the mechanism
+// behind the <=1% overhead budget: a zero-allocation nil path is a
+// handful of pointer tests the branch predictor eats for free.
 func TestDisabledRecorderHotPathDoesNotAllocate(t *testing.T) {
 	prev := multiclust.RecorderDefault()
 	multiclust.SetRecorder(nil)
 	defer multiclust.SetRecorder(prev)
 	ctx := context.Background()
-	allocs := testing.AllocsPerRun(1000, func() {
-		rec := obs.From(ctx)
-		_, end := obs.SpanCtx(ctx, rec, "kmeans.run")
-		for iter := 0; iter < 8; iter++ {
-			obs.Count(rec, "kmeans.iterations", 1)
-			obs.Count(rec, "kmeans.reassignments", 17)
-			obs.Observe(rec, "kmeans.sse", iter, 42.5)
+	rec := obs.From(ctx)
+	if rec != nil {
+		t.Fatal("a recorder resolved with none installed")
+	}
+	cases := map[string]func(){
+		"count":     func() { rec.Count("kmeans.iterations", 1) },
+		"gauge":     func() { rec.Gauge("metaclust.mean_pairwise", 0.5) },
+		"observe":   func() { rec.Observe("kmeans.sse", 3, 42.5) },
+		"histogram": func() { rec.Histogram("jobs.exec_seconds", 0.0042) },
+		"spanctx": func() {
+			_, end := obs.SpanCtx(ctx, nil, "kmeans.run")
+			end()
+		},
+		"kmeans-loop": func() {
+			rec := obs.From(ctx)
+			_, end := obs.SpanCtx(ctx, rec, "kmeans.run")
+			for iter := 0; iter < 8; iter++ {
+				rec.Count("kmeans.iterations", 1)
+				rec.Count("kmeans.reassignments", 17)
+				rec.Observe("kmeans.sse", iter, 42.5)
+			}
+			rec.Histogram("jobs.exec_seconds", 0.0042)
+			end()
+		},
+	}
+	for name, fn := range cases {
+		if allocs := testing.AllocsPerRun(1000, fn); allocs != 0 {
+			t.Errorf("%s: disabled-recorder path allocates %.1f times per run, want 0", name, allocs)
 		}
-		obs.Histogram(rec, "jobs.exec_seconds", 0.0042)
-		end()
-	})
-	if allocs != 0 {
-		t.Fatalf("disabled-recorder hot path allocates %.1f times per run, want 0", allocs)
 	}
 }

@@ -295,8 +295,9 @@ func TestRobustnessMetricsDegenerate(t *testing.T) {
 // exactly on the documented seeds s, s+1, s+2, counts one
 // robust.degenerate_retries per collapsed fit, and fails with
 // ErrDegenerate naming that one range. Spectral clustering's embedding
-// does not depend on the seed, so it fails at once, before any k-means,
-// and so do MSC and TwoViewSpectral, which run the same pipeline.
+// does not depend on the seed, so it fails at once: its affinity is
+// already NaN, so neither the eigensolve nor any k-means runs. MSC and
+// TwoViewSpectral, which run the same pipeline, fail the same way.
 func TestRobustnessReseedSchedule(t *testing.T) {
 	pts := [][]float64{{1e200, 1e200}, {-1e200, -1e200}, {1e200, -1e200}, {-1e200, 1e200}, {1e200, 1e200}, {-1e200, -1e200}}
 	for _, tc := range []struct {
@@ -336,6 +337,9 @@ func TestRobustnessReseedSchedule(t *testing.T) {
 		}
 		if got := snap.Spans["kmeans.run"].Count; tc.span == "spectral.run" && got != 0 {
 			t.Errorf("%s: %d kmeans.run spans, want none on a non-finite embedding", tc.name, got)
+		}
+		if got := snap.Counters["linalg.eigen_sweeps"]; tc.span == "spectral.run" && got != 0 {
+			t.Errorf("%s: linalg.eigen_sweeps = %d, want none on a non-finite affinity", tc.name, got)
 		}
 		if got := snap.Counters["robust.degenerate_retries"]; got != tc.retries {
 			t.Errorf("%s: robust.degenerate_retries = %d, want %d", tc.name, got, tc.retries)
