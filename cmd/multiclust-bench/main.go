@@ -442,6 +442,19 @@ func sortedKeys(m map[string]int64) []string {
 	return keys
 }
 
+// selected returns rep with only the workloads of the cases that runSuite
+// runs under filter, so a filtered run is compared with those alone.
+func (rep Report) selected(filter string) Report {
+	var kept []Workload
+	for _, w := range rep.Workloads {
+		if name, _, _ := strings.Cut(w.Name, "/"); strings.Contains(name, filter) {
+			kept = append(kept, w)
+		}
+	}
+	rep.Workloads = kept
+	return rep
+}
+
 // runSuite measures every case matching filter at every worker count.
 func runSuite(filter string, quick bool, stamp string, progress func(string)) (Report, error) {
 	cases, err := workloads()
@@ -558,7 +571,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "multiclust-bench:", err)
 			os.Exit(1)
 		}
-		regressions, notes := compare(base, rep, *threshold, *counterThreshold)
+		regressions, notes := compare(base.selected(*filter), rep, *threshold, *counterThreshold)
 		for _, n := range notes {
 			fmt.Fprintln(os.Stderr, "multiclust-bench: NOTE:", n)
 		}

@@ -55,6 +55,20 @@ func TestCompareDetectsInjectedRegressions(t *testing.T) {
 	}
 }
 
+// TestCompareFilteredRun pins that a -filter run is compared only with the
+// baseline workloads of the cases it ran: the others are not missing.
+func TestCompareFilteredRun(t *testing.T) {
+	base := report(1000, nil)
+	base.Workloads = append(base.Workloads, Workload{Name: "subclu/w1", NsOp: 1000}, Workload{Name: "subclu/w4", NsOp: 1000})
+	cur := Report{Schema: Schema, Quick: true, Workloads: base.Workloads[1:]}
+	if regs, _ := compare(base.selected("subclu"), cur, 10, 10); len(regs) != 0 {
+		t.Errorf("filtered run flagged: %v", regs)
+	}
+	if regs, _ := compare(base.selected(""), cur, 10, 10); len(regs) != 1 || !strings.Contains(regs[0], "kmeans/w1: workload missing") {
+		t.Errorf("unfiltered run must miss kmeans/w1, got %v", regs)
+	}
+}
+
 func TestCompareRejectsModeAndSchemaMismatch(t *testing.T) {
 	base := report(1000, nil)
 	full := report(1000, nil)

@@ -116,6 +116,17 @@ func RunGeneric(n int, neighbors NeighborFunc, minPts int) (*core.Clustering, er
 
 // RunGenericContext is RunGeneric with cancellation at each outer-object
 // boundary; see RunContext for the interruption semantics.
+//
+// The labels and the lookup, core and cluster counters depend on which
+// objects each neighborhood holds, not on their order within the list, so
+// a NeighborFunc may serve its lists in any order. Clusters are numbered
+// in the order of their first core object's index; a cluster claims every
+// object density-reachable from it that is still unvisited or noise, the
+// whole list of each core object it reaches whatever that list's order,
+// before the next cluster starts; and whether a reached object is looked
+// up depends only on whether the outer loop visited it before, which
+// follows the object indices. So a border object within reach of two
+// clusters joins the lower-numbered one either way.
 func RunGenericContext(ctx context.Context, n int, neighbors NeighborFunc, minPts int) (*core.Clustering, error) {
 	if n == 0 {
 		return nil, core.ErrEmptyDataset

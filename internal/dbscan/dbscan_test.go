@@ -1,11 +1,16 @@
 package dbscan
 
 import (
+	"context"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"multiclust/internal/core"
 	"multiclust/internal/dataset"
 	"multiclust/internal/dist"
+	"multiclust/internal/obs"
 )
 
 func TestRunRingAndBlob(t *testing.T) {
@@ -103,4 +108,104 @@ func TestRunGenericCustomNeighborhood(t *testing.T) {
 	if c.K() != 1 {
 		t.Errorf("path graph should form one cluster, K = %d", c.K())
 	}
+}
+
+// orderFreePoints draws two seeded 2-D blobs one unit apart, a few points
+// on the segment between them, which can lie within ε of both blobs' edges,
+// and exact copies of a tenth of the rows, in shuffled order.
+func orderFreePoints(seed int64) [][]float64 {
+	rng := rand.New(rand.NewSource(seed))
+	var pts [][]float64
+	for _, cx := range []float64{0, 1} {
+		for i := 0; i < 30; i++ {
+			pts = append(pts, []float64{cx + 0.15*rng.NormFloat64(), 0.15 * rng.NormFloat64()})
+		}
+	}
+	for i := 0; i < 6; i++ {
+		pts = append(pts, []float64{0.3 + 0.4*rng.Float64(), 0.05 * rng.NormFloat64()})
+	}
+	for i := len(pts) / 10; i > 0; i-- {
+		pts = append(pts, slices.Clone(pts[rng.Intn(len(pts))]))
+	}
+	rng.Shuffle(len(pts), func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
+	return pts
+}
+
+// sharedBorders counts the objects that are not core under minPts but lie
+// in the neighborhoods of core objects of two or more clusters.
+func sharedBorders(nbs [][]int, labels []int, minPts int) int {
+	shared := 0
+	for _, nb := range nbs {
+		if len(nb) >= minPts {
+			continue
+		}
+		first := core.Noise
+		for _, q := range nb {
+			if len(nbs[q]) < minPts {
+				continue
+			}
+			if first == core.Noise {
+				first = labels[q]
+			} else if labels[q] != first {
+				shared++
+				break
+			}
+		}
+	}
+	return shared
+}
+
+// TestRunGenericOrderFree pins that DBSCAN's labels and its lookup, core
+// and cluster counters depend on which objects each neighborhood holds,
+// not on their order: every list of the linear scan, shuffled per object,
+// must give the same labels and counters, at minPts from 1 to above n. The
+// seeded sets hold duplicate rows and border objects within ε of core
+// objects of two clusters, whose label is the one place an order could
+// show; the test fails if no such border object occurred.
+func TestRunGenericOrderFree(t *testing.T) {
+	counters := []string{"dbscan.neighborhood_lookups", "dbscan.core_objects", "dbscan.clusters"}
+	run := func(nbs [][]int, minPts int) ([]int, []int64) {
+		col := obs.NewCollector()
+		c, err := RunGenericContext(obs.NewContext(context.Background(), col), len(nbs), func(o int) []int { return nbs[o] }, minPts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := make([]int64, len(counters))
+		for i, k := range counters {
+			counts[i] = col.Counter(k)
+		}
+		return c.Labels, counts
+	}
+	shared := 0
+	for seed := int64(1); seed <= 20; seed++ {
+		pts := orderFreePoints(seed)
+		nbs := make([][]int, len(pts))
+		for o := range pts {
+			nbs[o] = linearNeighbors(pts, o, 0.25)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		for _, minPts := range []int{1, 2, 3, 5, 8, 13, 21, len(pts), len(pts) + 1} {
+			want, wantCounts := run(nbs, minPts)
+			shared += sharedBorders(nbs, want, minPts)
+			for trial := 0; trial < 5; trial++ {
+				shuffled := make([][]int, len(nbs))
+				for o, nb := range nbs {
+					l := slices.Clone(nb)
+					rng.Shuffle(len(l), func(i, j int) { l[i], l[j] = l[j], l[i] })
+					shuffled[o] = l
+				}
+				got, gotCounts := run(shuffled, minPts)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d minPts %d trial %d: labels %v, ascending lists %v", seed, minPts, trial, got, want)
+				}
+				if !slices.Equal(gotCounts, wantCounts) {
+					t.Fatalf("seed %d minPts %d trial %d: %v = %v, ascending lists %v", seed, minPts, trial, counters, gotCounts, wantCounts)
+				}
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no border object lay within ε of two clusters' core objects")
+	}
+	t.Logf("%d border objects within ε of two clusters' core objects", shared)
 }

@@ -17,10 +17,11 @@ import (
 // to replace and NewGridIndex declines.
 const maxGridDims = 6
 
-// maxCellSpan bounds the per-dimension cell-coordinate range. Beyond it the
-// int64 cell arithmetic could overflow (coordinate range / eps close to
-// 2^63) and NewGridIndex declines in favor of the linear scan.
-const maxCellSpan = 1e15
+// chunkPoints is about how many points' lists one precompute task builds:
+// a chunk of consecutive cells closes once it holds this many members. The
+// chunks are handed out dynamically, so a chunk of dense cells does not
+// hold up the workers that finished theirs.
+const chunkPoints = 128
 
 // GridIndex is a uniform-grid spatial index over a point set for Euclidean
 // ε-region queries: every point is binned once into the cell of width
@@ -34,26 +35,33 @@ const maxCellSpan = 1e15
 // rounding in the float64 binning can never push an in-range pair two cells
 // apart.
 //
-// The point indices are sorted once by (cell coordinate, index), so each
-// occupied cell is a run of that order and the cells are in lexicographic
-// coordinate order. Three flat arrays describe them: each
-// cell's start in the order, each cell's coordinate, and each point's cell.
+// A cell is named by one uint64 key that packs its per-dimension offsets,
+// the last dimension in the lowest bits, each in a field wide enough to
+// hold the offset plus or minus one, so a neighbor cell's key is the
+// cell's own plus or minus one step per field with no carry. The point
+// indices are sorted once by (key, index), so each occupied cell is a run
+// of that order and the cells ascend by key, which is the lexicographic
+// order of their offsets. A point with a non-finite coordinate is within
+// the finite eps of no point, not even itself, so it gets no cell.
 type GridIndex struct {
 	points [][]float64
 	sq     float64 // dist.SqBound(eps): the ε-test on squared distances
 	dims   int
-	order  []int   // point indices sorted by (cell coordinate, index)
-	start  []int   // cell c holds order[start[c]:start[c+1]]; one entry per cell plus one
-	coord  []int64 // cell c's coordinate is coord[c*dims : (c+1)*dims]
-	cellOf []int   // the cell of each point
+	one    [maxGridDims]uint64 // one step in dimension j's key field
+	order  []int               // cell members sorted by (key, index)
+	start  []int               // cell c holds order[start[c]:start[c+1]]; one entry per cell plus one
+	keys   []uint64            // cell c's key, ascending
+	cellOf []int               // the cell of each point, -1 for a point with a non-finite coordinate
 }
 
 // NewGridIndex builds the index, or returns nil when the grid would not pay
-// off (no points, dimensionality above maxGridDims, or a degenerate
-// coordinate-range/eps ratio) — callers fall back to the linear scan.
+// off or cannot serve the geometry — no points, dimensionality above
+// maxGridDims, eps not positive and finite, no point with finite
+// coordinates, or cell offsets whose fields together need more than 64
+// bits — and callers fall back to the linear scan.
 func NewGridIndex(points [][]float64, eps float64) *GridIndex {
 	n := len(points)
-	if n == 0 || eps <= 0 {
+	if n == 0 || !(eps > 0 && eps <= math.MaxFloat64) {
 		return nil
 	}
 	dims := len(points[0])
@@ -62,130 +70,175 @@ func NewGridIndex(points [][]float64, eps float64) *GridIndex {
 	}
 	var minBuf, maxBuf [maxGridDims]float64
 	mins, maxs := minBuf[:dims], maxBuf[:dims]
-	copy(mins, points[0])
-	copy(maxs, points[0])
-	for _, p := range points[1:] {
-		for j, v := range p {
-			if v < mins[j] {
-				mins[j] = v
-			}
-			if v > maxs[j] {
-				maxs[j] = v
-			}
+	for j := range mins {
+		mins[j], maxs[j] = math.Inf(1), math.Inf(-1)
+	}
+	finite := 0
+	for _, p := range points {
+		if !finiteRow(p) {
+			continue
 		}
+		finite++
+		for j, v := range p {
+			mins[j] = min(mins[j], v)
+			maxs[j] = max(maxs[j], v)
+		}
+	}
+	if finite == 0 {
+		return nil
 	}
 	cw := eps * (1 + 1e-9)
-	for j := range mins {
-		if (maxs[j]-mins[j])/cw > maxCellSpan {
+	g := &GridIndex{points: points, sq: dist.SqBound(eps), dims: dims}
+	// Dimension j's offsets run from 0 to span, stored plus one so that the
+	// probe's offset minus one stays in the field: a field of
+	// bits.Len64(span+2) bits holds every probed value.
+	used := 0
+	for j := dims - 1; j >= 0; j-- {
+		span := (maxs[j] - mins[j]) / cw
+		if !(span < 1<<62) { // an overflowed range is +Inf
 			return nil
 		}
+		g.one[j] = 1 << used
+		used += bits.Len64(uint64(span) + 2)
 	}
-	pc := make([]int64, n*dims) // each point's cell coordinate
-	order := make([]int, n)
+	if used > 64 {
+		return nil
+	}
+	pk := make([]keyed, 0, finite)
 	for i, p := range points {
+		if !finiteRow(p) {
+			continue
+		}
+		var key uint64
 		for j, v := range p {
-			pc[i*dims+j] = int64((v - mins[j]) / cw)
+			key += (uint64((v-mins[j])/cw) + 1) * g.one[j]
 		}
-		order[i] = i
+		pk = append(pk, keyed{key, i})
 	}
-	slices.SortFunc(order, func(a, b int) int {
-		if c := slices.Compare(pc[a*dims:(a+1)*dims], pc[b*dims:(b+1)*dims]); c != 0 {
-			return c
-		}
-		return a - b
-	})
-	// A new cell starts wherever the coordinate changes along the order.
-	row := func(k int) []int64 { return pc[order[k]*dims : (order[k]+1)*dims] }
+	pk = radixSort(pk, used)
 	cells := 1
-	for k := 1; k < n; k++ {
-		if !slices.Equal(row(k), row(k-1)) {
+	for k := 1; k < len(pk); k++ {
+		if pk[k].key != pk[k-1].key {
 			cells++
 		}
 	}
-	g := &GridIndex{
-		points: points,
-		sq:     dist.SqBound(eps),
-		dims:   dims,
-		order:  order,
-		start:  make([]int, 0, cells+1),
-		coord:  make([]int64, 0, cells*dims),
-		cellOf: make([]int, n),
+	g.order = make([]int, len(pk))
+	g.start = make([]int, 0, cells+1)
+	g.keys = make([]uint64, 0, cells)
+	g.cellOf = make([]int, n)
+	for i := range g.cellOf {
+		g.cellOf[i] = -1
 	}
-	for k, i := range order {
-		if k == 0 || !slices.Equal(row(k), row(k-1)) {
+	for k, e := range pk {
+		if k == 0 || e.key != pk[k-1].key {
 			g.start = append(g.start, k)
-			g.coord = append(g.coord, row(k)...)
+			g.keys = append(g.keys, e.key)
 		}
-		g.cellOf[i] = len(g.start) - 1
+		g.order[k] = e.i
+		g.cellOf[e.i] = len(g.keys) - 1
 	}
-	g.start = append(g.start, n)
+	g.start = append(g.start, len(pk))
 	return g
 }
 
-// cells returns the number of occupied cells.
-func (g *GridIndex) cells() int { return len(g.start) - 1 }
+// keyed is a point's cell key and index.
+type keyed struct {
+	key uint64
+	i   int
+}
 
-// candidates gathers into buf the members of the 3^dims cells adjacent to
-// cell c, sorted ascending. Every point within eps of any point in cell c
-// is among them (cell width > eps bounds the coordinate delta by one per
-// dimension), so a distance filter over the returned slice — which visits
-// candidates in ascending index order — yields the linear scan's neighbor
-// list without any per-point sort.
-//
-// The cells that differ from a given cell only in the last coordinate
-// follow it directly in the cell order, so for each of the 3^(dims-1)
-// offsets of the other coordinates one binary search finds the first cell
-// at or after (base+offset, last-1), and the up-to-three cells of that
-// offset hold one contiguous run of the order. An offset that would leave
-// the int64 range is skipped. Finite values bin into [0, maxCellSpan], so
-// only a NaN lands at either end: a NaN point, which is no point's
-// neighbor, or every point at once, when a NaN first point made that
-// dimension's minimum NaN, and then offset zero holds them all.
-func (g *GridIndex) candidates(c int, buf []int) []int {
-	d := g.dims
-	var lo, hi [maxGridDims]int64
-	for j, v := range g.coord[c*d : (c+1)*d] {
-		lo[j], hi[j] = v, v
-		if v > math.MinInt64 {
-			lo[j] = v - 1
+// radixSort sorts pk, given in ascending index order, by key in passes of
+// one byte each over the low keyBits bits, lowest byte first. Each pass is
+// stable, so the result is sorted by (key, index).
+func radixSort(pk []keyed, keyBits int) []keyed {
+	tmp := make([]keyed, len(pk))
+	for shift := 0; shift < keyBits; shift += 8 {
+		var at [256]int
+		for _, e := range pk {
+			at[byte(e.key>>shift)]++
 		}
-		if v < math.MaxInt64 {
-			hi[j] = v + 1
+		sum := 0
+		for b, c := range at {
+			at[b] = sum
+			sum += c
+		}
+		for _, e := range pk {
+			b := byte(e.key >> shift)
+			tmp[at[b]] = e
+			at[b]++
+		}
+		pk, tmp = tmp, pk
+	}
+	return pk
+}
+
+// finiteRow reports whether every coordinate of p is finite.
+func finiteRow(p []float64) bool {
+	for _, v := range p {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
 		}
 	}
-	// Odometer over the leading coordinates, the last of them fastest, so
-	// the probed keys ascend and each search starts where the last ended.
-	key := lo
-	buf = buf[:0]
-	from := 0
+	return true
+}
+
+// cells returns the number of occupied cells.
+func (g *GridIndex) cells() int { return len(g.keys) }
+
+// appendCandidates appends to buf the members of the 3^dims cells adjacent
+// to cell c, sorted ascending. Every point within eps of any point in cell
+// c is among them (cell width > eps bounds the offset delta by one per
+// dimension), so a distance filter over them — which visits candidates in
+// ascending index order — yields the linear scan's neighbor list without
+// any per-point sort.
+//
+// The cells that differ from a given cell only in the last offset have
+// consecutive keys, so for each of the 3^(dims-1) offsets of the other
+// dimensions one binary search finds the first cell at or after the
+// lowest of those keys, and the up-to-three cells up to the highest are one
+// run of the order.
+func (g *GridIndex) appendCandidates(c int, buf []int) []int {
+	d := g.dims
+	var ones uint64 // one step in every field
+	for _, one := range g.one[:d] {
+		ones += one
+	}
+	// Odometer over the leading offsets, the last of them fastest, so the
+	// probed keys ascend and each search starts where the last ended.
+	var step [maxGridDims]int
+	probe := g.keys[c] - ones
+	from := len(buf)
+	at := 0
 	for {
-		from = g.search(from, key[:d])
-		to := from
-		for to < g.cells() && g.hasPrefix(to, key[:d-1]) && g.coord[to*d+d-1] <= hi[d-1] {
+		at = g.search(at, probe)
+		to := at
+		for to < g.cells() && g.keys[to] <= probe+2 {
 			to++
 		}
-		buf = append(buf, g.order[g.start[from]:g.start[to]]...)
-		from = to
+		buf = append(buf, g.order[g.start[at]:g.start[to]]...)
+		at = to
 		j := d - 2
-		for ; j >= 0 && key[j] == hi[j]; j-- {
-			key[j] = lo[j]
+		for ; j >= 0 && step[j] == 2; j-- {
+			step[j] = 0
+			probe -= 2 * g.one[j]
 		}
 		if j < 0 {
 			break
 		}
-		key[j]++
+		step[j]++
+		probe += g.one[j]
 	}
-	slices.Sort(buf)
+	slices.Sort(buf[from:])
 	return buf
 }
 
-// search returns the first cell at or after from whose coordinate is not
-// below key in lexicographic order.
-func (g *GridIndex) search(from int, key []int64) int {
+// search returns the first cell at or after from whose key is not below
+// key.
+func (g *GridIndex) search(from int, key uint64) int {
 	lo, hi := from, g.cells()
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if slices.Compare(g.coord[mid*g.dims:(mid+1)*g.dims], key) < 0 {
+		if g.keys[mid] < key {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -194,18 +247,16 @@ func (g *GridIndex) search(from int, key []int64) int {
 	return lo
 }
 
-// hasPrefix reports whether cell c's leading coordinates equal prefix.
-func (g *GridIndex) hasPrefix(c int, prefix []int64) bool {
-	return slices.Equal(g.coord[c*g.dims:c*g.dims+len(prefix)], prefix)
-}
-
 // Neighbors returns the ascending indices of all points within eps of point
 // o (including o itself) — byte-identical to the linear Euclidean scan,
 // enforced by the differential tests in grid_test.go.
 func (g *GridIndex) Neighbors(o int) []int {
+	if g.cellOf[o] < 0 {
+		return nil
+	}
 	p := g.points[o]
 	var out []int
-	for _, i := range g.candidates(g.cellOf[o], nil) {
+	for _, i := range g.appendCandidates(g.cellOf[o], nil) {
 		if dist.SqEuclidean(p, g.points[i]) <= g.sq {
 			out = append(out, i)
 		}
@@ -223,9 +274,16 @@ func PrecomputeGridNeighbors(rec *obs.Collector, points [][]float64, eps float64
 		return precomputeNeighbors(rec, points, dist.Euclidean, eps, workers)
 	}
 	nbs := make([][]int, len(points))
-	parallel.Each(g.cells(), workers, func(c int) {
-		s := scratchPool.Get().(*cellScratch)
-		g.cellNeighbors(c, s, nbs)
+	bounds := []int{0}
+	for c, members := 0, 0; c < g.cells(); c++ {
+		if members += g.start[c+1] - g.start[c]; members >= chunkPoints || c == g.cells()-1 {
+			bounds = append(bounds, c+1)
+			members = 0
+		}
+	}
+	parallel.Each(len(bounds)-1, workers, func(k int) {
+		s := scratchPool.Get().(*chunkScratch)
+		g.chunkNeighbors(bounds[k], bounds[k+1], s, nbs)
 		scratchPool.Put(s)
 	})
 	// One region query ran per object, exactly as in the linear precompute —
@@ -236,58 +294,68 @@ func PrecomputeGridNeighbors(rec *obs.Collector, points [][]float64, eps float64
 	return func(o int) []int { return nbs[o] }
 }
 
-// cellScratch is a worker's reusable buffers for cellNeighbors: the cell's
-// candidates and one hit bit per (member, candidate) pair.
-type cellScratch struct {
+// chunkScratch is a chunk's reusable buffers for chunkNeighbors: the
+// candidates of its cells one after another, where each cell's end, and one
+// hit bit per (member, candidate) pair.
+type chunkScratch struct {
 	cand []int
+	ends []int
 	hits []uint64
 }
 
-// scratchPool hands each precompute worker its scratch, so buffers are
-// reused from cell to cell and from one grid to the next.
-var scratchPool = sync.Pool{New: func() any { return new(cellScratch) }}
+// scratchPool hands each chunk its scratch, so buffers are reused from
+// chunk to chunk and from one grid to the next.
+var scratchPool = sync.Pool{New: func() any { return new(chunkScratch) }}
 
-// cellNeighbors writes the neighbor list of every member of cell c into
-// nbs. The queries are batched per occupied cell: every point of a cell
-// shares the same 3^d candidate set, so the probe and the candidate sort
-// run once per CELL rather than once per point, and the distance filter
-// visits candidates in ascending index order, so each list comes out
-// sorted. The filter marks hits in s.hits and counts them; the cell's lists
-// are then written into one exactly sized slab and cut with full slice
-// expressions, so no caller's append can reach the next list.
-func (g *GridIndex) cellNeighbors(c int, s *cellScratch, nbs [][]int) {
-	s.cand = g.candidates(c, s.cand)
-	cand := s.cand
-	members := g.order[g.start[c]:g.start[c+1]]
-	words := (len(cand) + 63) / 64
-	if cap(s.hits) < len(members)*words {
-		s.hits = make([]uint64, len(members)*words)
-	}
-	hits := s.hits[:len(members)*words]
+// chunkNeighbors writes the neighbor list of every member of the cells
+// [lo, hi) into nbs. The queries are batched per occupied cell: every
+// point of a cell shares the same 3^d candidate set, so the probe and the
+// candidate sort run once per CELL rather than once per point, and the
+// distance filter visits candidates in ascending index order, so each list
+// comes out sorted. The filter marks hits in s.hits and counts them; the
+// chunk's lists are then written into one exactly sized slab and cut with
+// full slice expressions, so no caller's append can reach the next list.
+func (g *GridIndex) chunkNeighbors(lo, hi int, s *chunkScratch, nbs [][]int) {
+	s.cand, s.ends, s.hits = s.cand[:0], s.ends[:0], s.hits[:0]
 	total := 0
-	for m, o := range members {
-		p := g.points[o]
-		for w := range words {
-			var word uint64
-			for b, i := range cand[w*64 : min(w*64+64, len(cand))] {
-				if dist.SqEuclidean(p, g.points[i]) <= g.sq {
-					word |= 1 << b
+	for c := lo; c < hi; c++ {
+		from := len(s.cand)
+		s.cand = g.appendCandidates(c, s.cand)
+		cand := s.cand[from:]
+		s.ends = append(s.ends, len(s.cand))
+		for _, o := range g.order[g.start[c]:g.start[c+1]] {
+			p := g.points[o]
+			for w := 0; w < len(cand); w += 64 {
+				var word uint64
+				for b, i := range cand[w:min(w+64, len(cand))] {
+					// A hit is as likely as not near a cluster's edge, so
+					// the bit is set without a branch.
+					var hit uint64
+					if dist.SqEuclidean(p, g.points[i]) <= g.sq {
+						hit = 1
+					}
+					word |= hit << b
 				}
+				s.hits = append(s.hits, word)
+				total += bits.OnesCount64(word)
 			}
-			hits[m*words+w] = word
-			total += bits.OnesCount64(word)
 		}
 	}
 	slab := make([]int, total)
-	at := 0
-	for m, o := range members {
-		from := at
-		for w, word := range hits[m*words : (m+1)*words] {
-			for ; word != 0; word &= word - 1 {
-				slab[at] = cand[w<<6|bits.TrailingZeros64(word)]
-				at++
+	at, from, h := 0, 0, 0
+	for k, c := 0, lo; c < hi; k, c = k+1, c+1 {
+		cand := s.cand[from:s.ends[k]]
+		from = s.ends[k]
+		for _, o := range g.order[g.start[c]:g.start[c+1]] {
+			first := at
+			for w := 0; w < len(cand); w += 64 {
+				for word := s.hits[h]; word != 0; word &= word - 1 {
+					slab[at] = cand[w+bits.TrailingZeros64(word)]
+					at++
+				}
+				h++
 			}
+			nbs[o] = slab[first:at:at]
 		}
-		nbs[o] = slab[from:at:at]
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -92,6 +93,78 @@ func TestGridEqualsLinear(t *testing.T) {
 			precomputeEqualsLinear(t, pts, tc.eps)
 		})
 	}
+	// The packed cell key at its limit: boxes whose cell offsets need
+	// exactly 64 bits, which the grid serves, and 65, which it declines.
+	for _, tc := range []struct {
+		extent []float64
+		bits   int
+	}{
+		{[]float64{3e9, 3e9}, 64},
+		{[]float64{5e9, 3e9}, 65},
+		{[]float64{1500, 1500, 1500, 1500, 800, 800}, 64},
+		{[]float64{1500, 1500, 1500, 1500, 1500, 800}, 65},
+	} {
+		t.Run(fmt.Sprintf("key=%d_d=%d", tc.bits, len(tc.extent)), func(t *testing.T) {
+			pts := boxPoints(tc.extent)
+			if got := keyWidth(pts, 1); got != tc.bits {
+				t.Fatalf("key width %d bits, want %d", got, tc.bits)
+			}
+			g := NewGridIndex(pts, 1)
+			if (g != nil) != (tc.bits <= 64) {
+				t.Fatalf("grid built: %v, for a %d-bit key", g != nil, tc.bits)
+			}
+			if g != nil {
+				for o := range pts {
+					if got, want := g.Neighbors(o), linearNeighbors(pts, o, 1); !reflect.DeepEqual(got, want) {
+						t.Fatalf("object %d: grid %v != linear %v", o, got, want)
+					}
+				}
+			}
+			precomputeEqualsLinear(t, pts, 1)
+		})
+	}
+}
+
+// boxPoints draws 30 seeded points in the box [0, extent[j]] per
+// dimension, and the box's two corners, which fix the coordinate ranges;
+// each point has a twin at most 0.4 closer to the origin in every
+// coordinate, within ε = 1 of it in up to six dimensions.
+func boxPoints(extent []float64) [][]float64 {
+	rng := rand.New(rand.NewSource(int64(len(extent))))
+	var pts [][]float64
+	for i := 0; i < 32; i++ {
+		p := make([]float64, len(extent))
+		for j, e := range extent {
+			switch i {
+			case 0:
+			case 1:
+				p[j] = e
+			default:
+				p[j] = rng.Float64() * e
+			}
+		}
+		twin := make([]float64, len(p))
+		for j, v := range p {
+			twin[j] = max(v-0.4, 0)
+		}
+		pts = append(pts, p, twin)
+	}
+	return pts
+}
+
+// keyWidth is the number of bits NewGridIndex's packed cell key takes for
+// pts at radius eps: per dimension, the bit length of the largest cell
+// offset plus two.
+func keyWidth(pts [][]float64, eps float64) int {
+	width := 0
+	for j := range pts[0] {
+		lo, hi := pts[0][j], pts[0][j]
+		for _, p := range pts {
+			lo, hi = min(lo, p[j]), max(hi, p[j])
+		}
+		width += bits.Len64(uint64((hi-lo)/(eps*(1+1e-9))) + 2)
+	}
+	return width
 }
 
 // TestGridBoundaryDistances pins the exact-eps edge: pairs at distance
@@ -142,11 +215,8 @@ func TestGridBoundaryDistances(t *testing.T) {
 }
 
 // TestGridNaNCoordinates pins the grid to the linear scan on NaN
-// coordinates. A NaN in the first point makes every point's cell
-// coordinate in that dimension int64(NaN), which is math.MinInt64 on
-// amd64, so the probe of the cells around it must not wrap past the int64
-// range and miss the cell itself. A NaN point has no neighbors, not even
-// itself.
+// coordinates, in the first point and elsewhere. A NaN point has no
+// neighbors, not even itself, so the grid gives it no cell.
 func TestGridNaNCoordinates(t *testing.T) {
 	nan := math.NaN()
 	for i, pts := range [][][]float64{
@@ -237,6 +307,11 @@ func FuzzGridEqualsLinear(f *testing.F) {
 	f.Add(int64(1), uint8(40), uint8(2), 0.2, 1.0)
 	f.Add(int64(7), uint8(15), uint8(1), 0.01, 3.0)
 	f.Add(int64(9), uint8(64), uint8(5), 1.5, 0.5)
+	// Packed keys of exactly 64 bits (served) and 65 (declined), in 2-D
+	// and 6-D; TestFuzzSeedKeyWidths pins the widths.
+	for _, s := range keySeeds {
+		f.Add(s.seed, s.n, s.dims, s.eps, s.spread)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, n, dims uint8, eps, spread float64) {
 		nn := int(n)%128 + 1
 		dd := int(dims)%maxGridDims + 1
@@ -244,24 +319,51 @@ func FuzzGridEqualsLinear(f *testing.F) {
 			t.Skip()
 		}
 		pts := randomPoints(seed, nn, dd, spread)
-		g := NewGridIndex(pts, eps)
-		if g == nil {
-			t.Skip() // geometry declined; linear fallback path
-		}
-		for o := range pts {
-			got := g.Neighbors(o)
-			want := linearNeighbors(pts, o, eps)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("object %d: grid %v != linear %v (n=%d dims=%d eps=%g)", o, got, want, nn, dd, eps)
+		// A declined geometry still runs the precompute's linear fallback.
+		if g := NewGridIndex(pts, eps); g != nil {
+			for o := range pts {
+				got := g.Neighbors(o)
+				want := linearNeighbors(pts, o, eps)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("object %d: grid %v != linear %v (n=%d dims=%d eps=%g)", o, got, want, nn, dd, eps)
+				}
 			}
 		}
 		precomputeEqualsLinear(t, pts, eps)
 	})
 }
 
+// keySeeds are FuzzGridEqualsLinear inputs whose packed cell keys need
+// exactly 64 or 65 bits.
+var keySeeds = []struct {
+	seed        int64
+	n, dims     uint8
+	eps, spread float64
+	bits        int
+}{
+	{12, 39, 1, 2.5e-5, 1e5, 64}, // 40 points in 2-D, 32 + 32 bits
+	{15, 7, 1, 2e-5, 1e5, 65},    // 8 points in 2-D, 32 + 33 bits
+	{4, 9, 5, 77, 1e5, 64},       // 10 points in 6-D, 4×11 + 2×10 bits
+	{3, 9, 5, 73.3, 1e5, 65},     // 10 points in 6-D, 5×11 + 10 bits
+}
+
+// TestFuzzSeedKeyWidths pins the key widths keySeeds claim, and that the
+// grid serves the 64-bit ones and declines the others.
+func TestFuzzSeedKeyWidths(t *testing.T) {
+	for _, s := range keySeeds {
+		pts := randomPoints(s.seed, int(s.n)%128+1, int(s.dims)%maxGridDims+1, s.spread)
+		if got := keyWidth(pts, s.eps); got != s.bits {
+			t.Errorf("seed %d: key width %d bits, want %d", s.seed, got, s.bits)
+		}
+		if g := NewGridIndex(pts, s.eps); (g != nil) != (s.bits <= 64) {
+			t.Errorf("seed %d: grid built: %v, for a %d-bit key", s.seed, g != nil, s.bits)
+		}
+	}
+}
+
 // BenchmarkPrecomputeGrid times the grid precompute behind DBSCAN's nil
-// distance and SUBCLU's first two levels: the 1-D and 2-D projections of
-// the lib-paradigms subspace set (8 dims, a fifth of the objects in each of
+// distance and SUBCLU's level 2: the 1-D and 2-D projections of the
+// lib-paradigms subspace set (8 dims, a fifth of the objects in each of
 // three planted clusters, ε = 0.05) at n = 500 and 2000, and a 4-D set of
 // three Gaussian blobs.
 func BenchmarkPrecomputeGrid(b *testing.B) {

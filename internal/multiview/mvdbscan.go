@@ -103,8 +103,9 @@ func MVDBSCAN(views [][][]float64, cfg MVDBSCANConfig) (*core.Clustering, error)
 					out = append(out, p)
 				}
 			}
-			// DBSCAN expands neighbours in list order; sort so cluster
-			// shapes do not follow randomized map order.
+			// DBSCAN's labels do not depend on the order within a list,
+			// but map iteration order is random; the sort keeps each list
+			// the same on every call, as the Union lists are.
 			sort.Ints(out)
 			return out
 		}

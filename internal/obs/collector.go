@@ -149,17 +149,17 @@ func (c *Collector) HistValue(name string) (HistStat, bool) {
 // startSpan opens a named timed region and returns the function that
 // closes it; SpanCtx is its one caller. id identifies this span instance
 // and parent is the id of the enclosing span (0 for a root). The span is
-// aggregated under its slash-joined root→leaf path (Snapshot.Tree); the
-// path is resolved at open time from the live parent, so a child whose
-// parent has already ended — or whose parent id is 0/unknown — roots a
-// fresh subtree. Counts are additive and paths depend only on the
-// open-time ancestry, so the tree is scheduling-independent for any
-// worker count once Totals are stripped.
+// aggregated under its slash-joined root→leaf path of pathName elements
+// (Snapshot.Tree); the path is resolved at open time from the live parent,
+// so a child whose parent has already ended — or whose parent id is
+// 0/unknown — roots a fresh subtree. Counts are additive and paths depend
+// only on the open-time ancestry, so the tree is scheduling-independent
+// for any worker count once Totals are stripped.
 func (c *Collector) startSpan(name string, id, parent SpanID) func() {
+	path := pathName(name)
 	c.mu.Lock()
-	path := name
 	if pp, ok := c.active[parent]; ok {
-		path = pp + "/" + name
+		path = pp + "/" + path
 	}
 	c.active[id] = path
 	c.mu.Unlock()
@@ -185,6 +185,39 @@ func (c *Collector) startSpan(name string, id, parent SpanID) func() {
 		}
 		c.mu.Unlock()
 	}
+}
+
+// pathEscaper and pathUnescaper escape a span name's own '/' and '\' with
+// a '\' in a tree path, and undo it.
+var (
+	pathEscaper   = strings.NewReplacer(`\`, `\\`, `/`, `\/`)
+	pathUnescaper = strings.NewReplacer(`\\`, `\`, `\/`, `/`)
+)
+
+// pathName is name as one element of a tree path: escaped when it holds a
+// '/' or a '\', so its own '/' neither splits it nor makes its path
+// another's, and itself otherwise.
+func pathName(name string) string {
+	if !strings.ContainsAny(name, `/\`) {
+		return name
+	}
+	return pathEscaper.Replace(name)
+}
+
+// splitPath returns the depth of a tree path, its number of unescaped
+// '/', and its last element's name, unescaped.
+func splitPath(path string) (depth int, name string) {
+	start := 0
+	for i := 0; i < len(path); i++ {
+		switch path[i] {
+		case '\\':
+			i++
+		case '/':
+			depth++
+			start = i + 1
+		}
+	}
+	return depth, pathUnescaper.Replace(path[start:])
 }
 
 // WriteChromeTrace renders the span instances the Collector kept, the
@@ -252,8 +285,10 @@ func (c *Collector) Series(name string) []Sample {
 // Snapshot is a deep, deterministic copy of a Collector's state. Tree
 // holds the spans keyed by their slash-joined root→leaf name path (e.g.
 // "metaclust.run/metaclust.generate/kmeans.run"), reconstructing the
-// call hierarchy; Spans is the flat per-name view, the sum of the Tree
-// entries whose path ends in that span's name.
+// call hierarchy; a name's own '/' and '\' are escaped there with a '\'
+// (a root span "GET /v1/jobs" is `GET \/v1\/jobs`). Spans is the flat
+// per-name view, keyed by the names as given, the sum of the Tree entries
+// whose path ends in that span's name.
 type Snapshot struct {
 	Counters map[string]int64
 	Gauges   map[string]float64
@@ -329,15 +364,15 @@ func (s Snapshot) StripTimings() Snapshot {
 
 // WriteSpanTree renders the hierarchical span aggregation as an indented
 // text tree, two spaces per depth level, one `name count=N total=D` line
-// per path. Paths are sorted lexicographically; '/' sorts before every
-// identifier character, so a parent's whole subtree renders contiguously
-// beneath it. The output is deterministic for a StripTimings snapshot.
+// per path, each name as given. Paths are sorted lexicographically; '/'
+// sorts before every identifier character, so a parent's whole subtree
+// renders contiguously beneath it. The output is deterministic for a
+// StripTimings snapshot.
 func (s Snapshot) WriteSpanTree(w io.Writer) error {
 	var b strings.Builder
 	for _, path := range sortedKeys(s.Tree) {
 		st := s.Tree[path]
-		depth := strings.Count(path, "/")
-		name := path[strings.LastIndex(path, "/")+1:]
+		depth, name := splitPath(path)
 		fmt.Fprintf(&b, "%s%s count=%d total=%s\n",
 			strings.Repeat("  ", depth), name, st.Count, st.Total)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"runtime/pprof"
 	"testing"
 )
@@ -45,7 +46,7 @@ func TestSpanCtxBuildsCollectorTree(t *testing.T) {
 		"metaclust.run/metaclust.generate/kmeans.run": 3,
 		"metaclust.run/metaclust.group":               1,
 		"kmeans.run":                                  1,
-		"GET /v1/jobs":                                1,
+		`GET \/v1\/jobs`:                              1, // a name's own '/' is escaped
 	}
 	if len(snap.Tree) != len(wantCounts) {
 		t.Fatalf("tree has %d paths, want %d: %v", len(snap.Tree), len(wantCounts), snap.Tree)
@@ -143,6 +144,58 @@ func TestWriteSpanTreeRendersIndentedDeterministically(t *testing.T) {
 		"beta.run count=1 total=0s\n"
 	if a.String() != want {
 		t.Errorf("WriteSpanTree =\n%s\nwant\n%s", a.String(), want)
+	}
+}
+
+// TestSpanTreeNamesWithSlash pins tree paths to span names that hold a
+// '/' or a '\': a root "GET /v1/jobs" renders whole at depth 0, a root
+// "a/b" and a root `a\` with a child "b" keep paths apart from a span "b"
+// under a root "a" and from each other, and a name without either renders
+// as it always did.
+func TestSpanTreeNamesWithSlash(t *testing.T) {
+	c := NewCollector()
+	span := func(ctx context.Context, name string) (context.Context, func()) {
+		return SpanCtx(ctx, c, name)
+	}
+	bg := context.Background()
+	_, end := span(bg, "GET /v1/jobs")
+	end()
+	for _, root := range []string{"a", `a\`} {
+		ctx, endRoot := span(bg, root)
+		_, end := span(ctx, "b")
+		end()
+		endRoot()
+	}
+	_, end = span(bg, "a/b")
+	end()
+	s := c.Snapshot().StripTimings()
+	wantTree := map[string]SpanStat{
+		`GET \/v1\/jobs`: {Count: 1},
+		"a":              {Count: 1},
+		"a/b":            {Count: 1},
+		`a\/b`:           {Count: 1},
+		`a\\`:            {Count: 1},
+		`a\\/b`:          {Count: 1},
+	}
+	if !reflect.DeepEqual(s.Tree, wantTree) {
+		t.Errorf("Tree = %v, want %v", s.Tree, wantTree)
+	}
+	wantSpans := map[string]SpanStat{"GET /v1/jobs": {Count: 1}, "a": {Count: 1}, `a\`: {Count: 1}, "a/b": {Count: 1}, "b": {Count: 2}}
+	if !reflect.DeepEqual(s.Spans, wantSpans) {
+		t.Errorf("Spans = %v, want %v", s.Spans, wantSpans)
+	}
+	var out bytes.Buffer
+	if err := s.WriteSpanTree(&out); err != nil {
+		t.Fatal(err)
+	}
+	want := "GET /v1/jobs count=1 total=0s\n" +
+		"a count=1 total=0s\n" +
+		"  b count=1 total=0s\n" +
+		"a/b count=1 total=0s\n" +
+		`a\ count=1 total=0s` + "\n" +
+		"  b count=1 total=0s\n"
+	if out.String() != want {
+		t.Errorf("WriteSpanTree =\n%s\nwant\n%s", out.String(), want)
 	}
 }
 

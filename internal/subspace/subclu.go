@@ -1,10 +1,13 @@
 package subspace
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -44,11 +47,12 @@ type SubcluResult struct {
 //
 // The same monotonicity holds for ε-neighborhoods: the distance in S sums
 // one more non-negative term than the distance in its parent, so every
-// ε-neighborhood in S lies inside the parent's. Levels 1 and 2 build
-// their neighborhoods with dbscan's uniform grid; from level 3 on each
-// candidate's lists are its smallest parent's stored lists re-tested with
-// the grid's exact ε-test, so the result is identical to building a grid
-// for every candidate subspace.
+// ε-neighborhood in S lies inside the parent's. Level 1 takes its
+// neighborhoods from runs of each coordinate's sorted values and level 2
+// from dbscan's uniform grid; from level 3 on each candidate's lists are
+// its smallest parent's stored lists re-tested with the grid's exact
+// ε-test, so the result is identical to building a grid for every
+// candidate subspace.
 func Subclu(points [][]float64, cfg SubcluConfig) (*SubcluResult, error) {
 	return SubcluContext(context.Background(), points, cfg)
 }
@@ -116,7 +120,7 @@ func SubcluContext(ctx context.Context, points [][]float64, cfg SubcluConfig) (*
 
 // candidate is one subspace to examine: its dims, the ascending objects
 // DBSCAN runs over, and the parent's stored neighborhoods over exactly
-// those objects (nil on level 1 and wherever a grid is built instead).
+// those objects (nil on levels 1 and 2, which derive nothing).
 type candidate struct {
 	dims    []int
 	objects []int
@@ -193,9 +197,11 @@ type subcluSearch struct {
 type walkScratch struct {
 	coords []float64 // candidate coordinates in the subspace, row-major
 	rows   [][]float64
-	idx    []int // derived neighbor lists, flat
+	idx    []int // derived neighbor lists, flat, or the sorted 1-D order
 	off    []int
-	pos    []int // candidate position → clustered-object position, -1 for noise
+	pos    []int      // candidate position → clustered-object position, -1 for noise
+	sorted []valuePos // 1-D values in ascending order
+	lo, hi []int      // each candidate's 1-D run of idx
 }
 
 // examineLevel examines the candidate subspaces of level s concurrently,
@@ -260,22 +266,28 @@ func interrupted(ctx context.Context, s int) error {
 
 // examine runs DBSCAN with minPts in subspace c.dims over the objects
 // c.objects on the scratch ws and returns the subspace's record, or nil
-// when it holds no cluster. With a nil c.parent the neighborhoods come
-// from dbscan's grid on up to workers workers; otherwise they are derived
-// from the parent's stored lists. The record keeps its own lists when a
-// later level will derive from them. A done ctx is returned as its error,
-// and DBSCAN's error is returned as it is.
+// when it holds no cluster. The neighborhoods are derived from the
+// parent's stored lists when c has them; otherwise a one-dimensional
+// subspace takes them from sorted runs and any other from dbscan's grid on
+// up to workers workers. At ε = +Inf a non-finite value can pass the ε-test
+// against a finite one, which no run holds, so a one-dimensional subspace
+// goes to the grid too, which declines to the linear scan there. The
+// record keeps its own lists when a later level will derive from them. A
+// done ctx is returned as its error, and DBSCAN's error is returned as it
+// is.
 func (sc *subcluSearch) examine(ctx context.Context, ws *walkScratch, c candidate, minPts, workers int) (*subInfo, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	cand := c.objects
-	rows := sc.subspaceRows(ws, c.dims, cand)
 	var nf dbscan.NeighborFunc
-	if c.parent == nil {
-		nf = sc.gridNeighbors(ctx, rows, workers)
-	} else {
-		nf = sc.derive(ctx, ws, rows, c.parent)
+	switch {
+	case c.parent != nil:
+		nf = sc.derive(ctx, ws, sc.subspaceRows(ws, c.dims, cand), c.parent)
+	case len(c.dims) == 1 && !math.IsInf(sc.cfg.Eps, 1):
+		nf = sc.runNeighbors(ctx, ws, c.dims[0], cand)
+	default:
+		nf = sc.gridNeighbors(ctx, sc.subspaceRows(ws, c.dims, cand), workers)
 	}
 	cl, err := dbscan.RunGenericContext(ctx, len(cand), nf, minPts)
 	if err != nil {
@@ -314,6 +326,67 @@ func (sc *subcluSearch) subspaceRows(ws *walkScratch, dims, cand []int) [][]floa
 		ws.rows[i] = row
 	}
 	return ws.rows
+}
+
+// runNeighbors serves the ε-neighborhoods of the candidates cand in the
+// one-dimensional subspace {dim} without a grid. It sorts the candidates
+// with a finite value once by (value, position). The grid's own test on
+// the difference d of two values, d*d <= dist.SqBound(ε), passes for a
+// contiguous run of that order around each value, since the rounded
+// difference and its square can only grow as the other value moves away,
+// and the runs of ascending values start and end at ascending positions,
+// so two pointers find them all in one pass. A non-finite value passes
+// against nothing, itself included, for a finite ε, so its list is empty.
+// Each list is the run itself, in value order rather than ascending:
+// level-1 lists are never stored, and DBSCAN's labels and counters do not
+// depend on the order within a list. The runs are built in ws, under the
+// grid's span name, and each counts as one region query, as a grid query
+// does.
+func (sc *subcluSearch) runNeighbors(ctx context.Context, ws *walkScratch, dim int, cand []int) dbscan.NeighborFunc {
+	_, end := obs.SpanCtx(ctx, sc.rec, "dbscan.neighbors")
+	defer end()
+	sorted := ws.sorted[:0]
+	for k, o := range cand {
+		if v := sc.points[o][dim]; !math.IsNaN(v) && !math.IsInf(v, 0) {
+			sorted = append(sorted, valuePos{v, k})
+		}
+	}
+	slices.SortFunc(sorted, func(a, b valuePos) int {
+		if c := cmp.Compare(a.v, b.v); c != 0 {
+			return c
+		}
+		return a.k - b.k
+	})
+	order := grow(ws.idx, len(sorted))
+	lo, hi := grow(ws.lo, len(cand)), grow(ws.hi, len(cand))
+	clear(lo)
+	clear(hi)
+	sq := dist.SqBound(sc.cfg.Eps)
+	a, b := 0, 0
+	for p, e := range sorted {
+		for ; a < p; a++ {
+			if d := e.v - sorted[a].v; d*d <= sq {
+				break
+			}
+		}
+		for b = max(b, p); b < len(sorted); b++ {
+			if d := sorted[b].v - e.v; !(d*d <= sq) {
+				break
+			}
+		}
+		order[p] = e.k
+		lo[e.k], hi[e.k] = a, b
+	}
+	ws.sorted, ws.idx, ws.lo, ws.hi = sorted, order, lo, hi
+	sc.rec.Count("dbscan.region_queries", int64(len(cand)))
+	return func(o int) []int { return order[lo[o]:hi[o]:hi[o]] }
+}
+
+// valuePos is one candidate's value in a one-dimensional subspace and its
+// position among the candidates.
+type valuePos struct {
+	v float64
+	k int
 }
 
 // gridNeighbors precomputes the neighborhoods of rows through dbscan's

@@ -154,6 +154,32 @@ func TestSubcluEqualsReference(t *testing.T) {
 	if !hasDims(checkSubcluEqualsReference(t, "d=12", ds.Points, SubcluConfig{Eps: 0.06, MinPts: 6, MaxDim: 4}), 4) {
 		t.Fatal("the d=12 case found no 4-dimensional cluster")
 	}
+
+	// Non-finite rows: one all NaN, one of +Inf and -Inf values, and one
+	// with a NaN in dimension 0 only. For a finite ε a non-finite value is
+	// within ε of nothing, itself included, in the 1-D runs, in the grid
+	// and in the reference's linear scan alike, so with MinPts 1 the
+	// non-finite objects are noise where every finite object is clustered.
+	points := libPoints(t, 3, 500)
+	inf := math.Inf(1)
+	for j := range points[0] {
+		points[0][j] = math.NaN()
+		points[1][j] = inf
+		inf = -inf
+	}
+	points[2][0] = math.NaN()
+	for _, minPts := range []int{1, libConfig.MinPts} {
+		cfg := libConfig
+		cfg.MinPts = minPts
+		res := checkSubcluEqualsReference(t, fmt.Sprintf("non-finite rows minPts=%d", minPts), points, cfg)
+		for _, c := range res.Clusters {
+			if slices.Contains(c.Objects, 0) || slices.Contains(c.Objects, 1) || slices.Contains(c.Dims, 0) && slices.Contains(c.Objects, 2) {
+				t.Fatalf("minPts=%d: a non-finite value is clustered in %v", minPts, c.Dims)
+			}
+		}
+	}
+	// At ε = +Inf an infinite value passes the ε-test against a finite one.
+	checkSubcluEqualsReference(t, "non-finite rows eps=+Inf", points[:60], SubcluConfig{Eps: math.Inf(1), MinPts: 4, MaxDim: 2})
 }
 
 // TestSubcluContextInterruptedAtLevel cancels the search from the
