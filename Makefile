@@ -116,14 +116,14 @@ fuzz-smoke:
 # (internal/robust/chaos) against every facade algorithm, plus the
 # cancellation and validation-gate contracts. The timeout bounds any single
 # hang so a wedged iteration fails fast instead of stalling CI. The
-# worker-count determinism tests of SUBCLU's level fan-out and the E-step
-# run three more times, so an ordering race in them shows up here;
-# TestSubcluEqualsReference, whose linear oracle takes about 90 s per run
-# under -race, runs once in `make race`.
+# worker-count determinism tests of SUBCLU's level fan-out, the E-step and
+# meta clustering's grouping run three more times, so an ordering race in
+# them shows up here; TestSubcluEqualsReference, whose linear oracle takes
+# about 90 s per run under -race, runs once in `make race`.
 chaos:
 	$(GO) test -race -timeout 120s -run 'TestChaos|TestCancelled|TestValidationGates|TestRobustness' .
 	$(GO) test -race -timeout 120s ./internal/robust/...
-	$(GO) test -race -count=3 -timeout 180s -run '^(FuzzSubcluEqualsReference|TestSubcluContextInterruptedAtLevel|TestDuscUnbiasedAcrossDimensionality|TestCoEMWorkersDeterministic|TestEStepEqualsReference)$$' ./internal/subspace/ ./internal/multiview/ ./internal/em/
+	$(GO) test -race -count=3 -timeout 180s -run '^(FuzzSubcluEqualsReference|TestSubcluContextInterruptedAtLevel|TestDuscUnbiasedAcrossDimensionality|TestCoEMWorkersDeterministic|TestEStepEqualsReference|TestMetaClusteringWorkersDeterministic|TestGroupNilDissEqualsRandDissimilarity)$$' ./internal/subspace/ ./internal/multiview/ ./internal/em/ ./internal/metaclust/
 
 # Service-layer fault injection under the race detector: the job engine's
 # property suite (panic containment, exactly-one terminal state, 429-iff-full

@@ -16,8 +16,9 @@
 // single-chunk stream stays byte-identical to RunContext.
 //
 // Grouping m solutions of n objects costs O(m²·n) with the default
-// dissimilarity: each of the m(m−1)/2 Rand indices is read from contingency
-// sums in O(n), not from the n(n−1)/2 object pairs.
+// dissimilarity, 1 − Rand index: each solution is relabelled to dense ids
+// once, and each of the m(m−1)/2 Rand indices is read from contingency sums
+// in O(n), not from the n(n−1)/2 object pairs (metrics.RandDissimilarities).
 package metaclust
 
 import (
@@ -44,7 +45,7 @@ type Config struct {
 	FeatureJitter float64 // stddev of the log-normal feature weights (default 1)
 	Seed          int64
 	Workers       int                    // parallelism; <=0 resolves via internal/parallel
-	Diss          core.DissimilarityFunc // default 1 - Rand index
+	Diss          core.DissimilarityFunc // nil means 1 - Rand index, computed for all pairs at once
 }
 
 // normalize validates cfg against an n-point dataset and fills defaults.
@@ -66,9 +67,6 @@ func (cfg Config) normalize(n int) (Config, error) {
 	}
 	if cfg.FeatureJitter <= 0 {
 		cfg.FeatureJitter = 1
-	}
-	if cfg.Diss == nil {
-		cfg.Diss = metrics.RandDissimilarity()
 	}
 	return cfg, nil
 }
@@ -192,9 +190,10 @@ func Generate(ctx context.Context, points [][]float64, cfg Config) ([]BaseSoluti
 		defer end()
 		return parallel.Map(cfg.NumSolutions, workers, func(s int) genOut {
 			w := sols[s].Weights
+			flat := make([]float64, n*d)
 			weighted := make([][]float64, n)
 			for i, p := range points {
-				row := make([]float64, d)
+				row := flat[i*d : (i+1)*d : (i+1)*d]
 				for j, v := range p {
 					row[j] = v * w[j]
 				}
@@ -228,10 +227,12 @@ type Grouping struct {
 	MeanPairwise    float64 // mean pairwise dissimilarity
 }
 
-// Group clusters the base solutions themselves: pairwise dissimilarities
-// (default 1 − Rand index when dissFn is nil), average-link agglomerative
-// grouping into metaClusters groups, and the medoid of each group as its
-// representative. The triangular dissimilarity loop is sharded by row and
+// Group clusters the base solutions themselves: pairwise dissimilarities,
+// average-link agglomerative grouping into metaClusters groups, and the
+// medoid of each group as its representative. A nil dissFn is 1 − Rand
+// index, computed for all pairs at once by metrics.RandDissimilarities,
+// which relabels each solution once; any other dissFn is called once per
+// pair. Either way the triangular dissimilarity loop is sharded by row and
 // the mean accumulated in row order afterwards, so the grouping is
 // byte-identical for any worker count. All clusterings must label the same
 // objects.
@@ -246,27 +247,33 @@ func Group(ctx context.Context, sols []*core.Clustering, metaClusters int, dissF
 	if metaClusters > m {
 		return nil, errors.New("metaclust: MetaClusters exceeds NumSolutions")
 	}
-	if dissFn == nil {
-		dissFn = metrics.RandDissimilarity()
-	}
 	workers = parallel.Workers(workers)
 	rec := obs.From(ctx)
 	_, end := obs.SpanCtx(ctx, rec, "metaclust.group")
 	defer end()
 
 	g := &Grouping{}
-	diss := make([][]float64, m)
+	var diss [][]float64
+	if dissFn == nil {
+		labels := make([][]int, m)
+		for i, s := range sols {
+			labels[i] = s.Labels
+		}
+		diss = metrics.RandDissimilarities(labels, workers)
+	} else {
+		diss = make([][]float64, m)
+		for i := range diss {
+			diss[i] = make([]float64, m)
+		}
+		parallel.Each(m, workers, func(i int) {
+			for j := i + 1; j < m; j++ {
+				v := dissFn(sols[i], sols[j])
+				diss[i][j], diss[j][i] = v, v
+			}
+		})
+	}
 	var sum float64
 	var cnt int
-	for i := range diss {
-		diss[i] = make([]float64, m)
-	}
-	parallel.Each(m, workers, func(i int) {
-		for j := i + 1; j < m; j++ {
-			v := dissFn(sols[i], sols[j])
-			diss[i][j], diss[j][i] = v, v
-		}
-	})
 	for i := 0; i < m; i++ {
 		for j := i + 1; j < m; j++ {
 			sum += diss[i][j]

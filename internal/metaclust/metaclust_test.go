@@ -1,11 +1,44 @@
 package metaclust
 
 import (
+	"context"
 	"testing"
 
 	"multiclust/internal/dataset"
 	"multiclust/internal/metrics"
+	"multiclust/internal/obs"
 )
+
+// servedShape is the dataset shape of the served meta benchmark job: 300
+// rows of two hidden 4-dimensional views with 4 and 3 clusters.
+func servedShape(seed int64) [][]float64 {
+	ds, _, _ := dataset.MultiViewGaussians(seed, 300, []dataset.ViewSpec{
+		{Dims: 4, K: 4, Sep: 4, Sigma: 0.6},
+		{Dims: 4, K: 3, Sep: 4, Sigma: 0.6},
+	})
+	return ds.Points
+}
+
+// BenchmarkMetaJob runs one served meta job's clustering (K 4, 20 base
+// solutions, 3 groups on the served shape) with no recorder and with a
+// fresh per-job Collector, as the job engine installs one.
+func BenchmarkMetaJob(b *testing.B) {
+	pts := servedShape(1)
+	for _, name := range []string{"nil", "collector"} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ctx := context.Background()
+				if name == "collector" {
+					ctx = obs.NewContext(ctx, obs.NewCollector())
+				}
+				if _, err := RunContext(ctx, pts, Config{K: 4, NumSolutions: 20, MetaClusters: 3, Seed: int64(i % 8)}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
 
 func TestRunRecoversBothToyViews(t *testing.T) {
 	ds, hor, ver := dataset.FourBlobToy(1, 30)

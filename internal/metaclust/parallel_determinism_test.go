@@ -1,9 +1,14 @@
 package metaclust
 
 import (
+	"context"
+	"math"
+	"slices"
 	"testing"
 
+	"multiclust/internal/core"
 	"multiclust/internal/dataset"
+	"multiclust/internal/metrics"
 )
 
 // Ensemble generation fans out over the worker pool while the RNG draws stay
@@ -37,6 +42,38 @@ func TestMetaClusteringWorkersDeterministic(t *testing.T) {
 	for i := range serial.MetaLabels {
 		if par.MetaLabels[i] != serial.MetaLabels[i] {
 			t.Fatalf("meta label %d differs", i)
+		}
+	}
+}
+
+// Group with a nil Diss reads 1 − Rand index for all pairs at once; with an
+// explicit metrics.RandDissimilarity it calls the function once per pair.
+// Both must group the served meta shape identically, bit for bit, at every
+// worker count.
+func TestGroupNilDissEqualsRandDissimilarity(t *testing.T) {
+	sols, err := Generate(context.Background(), servedShape(1), Config{K: 4, NumSolutions: 20, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clusterings := make([]*core.Clustering, len(sols))
+	for i, s := range sols {
+		clusterings[i] = s.Clustering
+	}
+	want, err := Group(context.Background(), clusterings, 3, metrics.RandDissimilarity(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		for _, diss := range []core.DissimilarityFunc{nil, metrics.RandDissimilarity()} {
+			got, err := Group(context.Background(), clusterings, 3, diss, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.MetaLabels, want.MetaLabels) ||
+				!slices.Equal(got.Representatives, want.Representatives) ||
+				math.Float64bits(got.MeanPairwise) != math.Float64bits(want.MeanPairwise) {
+				t.Fatalf("workers=%d nil Diss=%v: got %+v, want %+v", workers, diss == nil, got, want)
+			}
 		}
 	}
 }

@@ -14,8 +14,9 @@ func wideLabel(v byte) int {
 
 // FuzzComparisonMeasures drives the pair-counting and information-theoretic
 // comparison measures with arbitrary labelings and asserts their ranges and
-// symmetry, whatever the input, and that the pair-counting kernel equals the
-// pair-visiting reference exactly.
+// symmetry, whatever the input, that the pair-counting kernel equals the
+// pair-visiting reference exactly, and that the all-pairs matrix equals
+// 1 − RandIndex entry for entry.
 func FuzzComparisonMeasures(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 1}, []byte{1, 1, 0, 0})
 	f.Add([]byte{}, []byte{})
@@ -39,6 +40,7 @@ func FuzzComparisonMeasures(f *testing.F) {
 		}
 		assertMatchesReference(t, a, b)
 		assertMatchesReference(t, wa, wb)
+		assertRandMatrixMatches(t, [][]int{a, b, wa, wb})
 		ri := RandIndex(a, b)
 		if ri < 0 || ri > 1 {
 			t.Fatalf("Rand out of range: %v", ri)

@@ -13,6 +13,7 @@ import (
 
 	"multiclust/internal/core"
 	"multiclust/internal/dist"
+	"multiclust/internal/parallel"
 	"multiclust/internal/stats"
 )
 
@@ -41,60 +42,112 @@ func CountPairs(x, y []int) PairCounts {
 	if len(x) != len(y) {
 		return PairCounts{}
 	}
-	a, rows, cols, n := pairSums(x, y)
-	b, c := rows-a, cols-a
+	return pairSums(x, y).counts()
+}
+
+// contingencySums are the sums every pair-counting index is built from,
+// over the n objects that are non-noise in both labelings: together =
+// Σᵢⱼ C(nᵢⱼ, 2), rowPairs = Σᵢ C(rowᵢ, 2) and colPairs = Σⱼ C(colⱼ, 2).
+// They are exact int64 arithmetic, so their float64 conversions are exact
+// below 2⁵³.
+type contingencySums struct{ together, rowPairs, colPairs, n int64 }
+
+func (s contingencySums) counts() PairCounts {
+	b, c := s.rowPairs-s.together, s.colPairs-s.together
 	return PairCounts{
-		A: float64(a),
+		A: float64(s.together),
 		B: float64(b),
 		C: float64(c),
-		D: float64(n*(n-1)/2 - a - b - c),
+		D: float64(s.n*(s.n-1)/2 - s.together - b - c),
 	}
 }
 
-// pairSums returns the contingency sums every pair-counting index is built
-// from, over the n objects that are non-noise in both labelings (of equal
-// length): together = Σᵢⱼ C(nᵢⱼ, 2), rowPairs = Σᵢ C(rowᵢ, 2) and
-// colPairs = Σⱼ C(colⱼ, 2). The sums are exact int64 arithmetic, so their
-// float64 conversions are exact below 2⁵³.
+// rand is the Rand index of the sums, the one formula RandIndex and
+// RandDissimilarities share, so their values agree bit for bit.
+func (s contingencySums) rand() float64 {
+	pc := s.counts()
+	tot := pc.A + pc.B + pc.C + pc.D
+	if tot == 0 {
+		return 1
+	}
+	return (pc.A + pc.D) / tot
+}
+
+// pairSums relabels two labelings of equal length to dense ids and counts
+// their contingency sums.
+func pairSums(x, y []int) contingencySums {
+	ids := make([]int32, 2*len(x))
+	rx, ry := ids[:len(x)], ids[len(x):]
+	kx, ky := stats.Relabel(rx, x), stats.Relabel(ry, y)
+	return countSums(rx, ry, kx, ky, make([]int32, len(x)+kx+ky))
+}
+
+// countSums is the counting step every pair-counting index shares. rx and
+// ry are dense ids of the same n objects (rx[i] in [0, kx), ry[i] in
+// [0, ky), -1 for noise); objects that are noise in either are skipped.
+// scratch must hold n + kx + ky entries, in any state.
 //
-// Time and memory are O(n + kx + ky); no kx×ky table is built. The objects
-// are counting-sorted by row, and each row's cells are tallied in one
-// ky-length counter that is cleared again before the next row.
-func pairSums(x, y []int) (together, rowPairs, colPairs, n int64) {
-	buf := make([]int32, 3*len(x))
-	rx, ry, byRow := buf[:len(x)], buf[len(x):2*len(x)], buf[2*len(x):]
-	kx, ky := stats.RelabelPair(rx, ry, x, y)
-	rowEnd := make([]int32, kx)
-	count := make([]int64, ky)
+// When kx·ky ≤ n the cells are tallied in a kx×ky table, followed by ky
+// column sums. Otherwise the objects are counting-sorted by row and each
+// row's cells are tallied in one ky-length counter, cleared again before
+// the next row. Either way time and memory are O(n + kx + ky): no table
+// outgrows n.
+func countSums(rx, ry []int32, kx, ky int, scratch []int32) (s contingencySums) {
+	if ky == 0 || kx <= len(rx)/ky {
+		cells, cols := scratch[:kx*ky], scratch[kx*ky:kx*ky+ky]
+		clear(cells)
+		clear(cols)
+		for i, r := range rx {
+			if c := ry[i]; r|c >= 0 {
+				cells[int(r)*ky+int(c)]++
+			}
+		}
+		for r := 0; r < kx; r++ {
+			var row int64
+			for c, v := range cells[r*ky : (r+1)*ky] {
+				row += int64(v)
+				s.together += int64(v) * int64(v-1) / 2
+				cols[c] += v
+			}
+			s.rowPairs += row * (row - 1) / 2
+			s.n += row
+		}
+		for _, v := range cols {
+			s.colPairs += int64(v) * int64(v-1) / 2
+		}
+		return s
+	}
+	byRow, rowEnd, count := scratch[:len(rx)], scratch[len(rx):len(rx)+kx], scratch[len(rx)+kx:len(rx)+kx+ky]
+	clear(rowEnd)
+	clear(count)
 	for i, r := range rx {
-		if r >= 0 {
+		if c := ry[i]; r|c >= 0 {
 			rowEnd[r]++
-			count[ry[i]]++
-			n++
+			count[c]++
+			s.n++
 		}
 	}
 	var off int32
-	for r, s := range rowEnd {
-		rowPairs += int64(s) * int64(s-1) / 2
+	for r, v := range rowEnd {
+		s.rowPairs += int64(v) * int64(v-1) / 2
 		rowEnd[r] = off // the start of row r until the fill below
-		off += s
+		off += v
 	}
-	for _, s := range count {
-		colPairs += s * (s - 1) / 2
+	for c, v := range count {
+		s.colPairs += int64(v) * int64(v-1) / 2
+		count[c] = 0 // count now tallies the current row's cells
 	}
 	for i, r := range rx {
-		if r >= 0 {
-			byRow[rowEnd[r]] = ry[i]
+		if c := ry[i]; r|c >= 0 {
+			byRow[rowEnd[r]] = c
 			rowEnd[r]++
 		}
 	}
-	// count now tallies the current row's cells and is cleared after it.
-	clear(count)
 	var lo int32
 	for _, hi := range rowEnd {
 		row := byRow[lo:hi]
 		for _, c := range row {
-			together += count[c] // the m-th object of a cell pairs with the m-1 before it
+			s.together += int64(count[c]) // the m-th object of a cell pairs with the m-1 before it
 			count[c]++
 		}
 		for _, c := range row {
@@ -102,7 +155,7 @@ func pairSums(x, y []int) (together, rowPairs, colPairs, n int64) {
 		}
 		lo = hi
 	}
-	return together, rowPairs, colPairs, n
+	return s
 }
 
 // RandIndex returns (a+d)/(a+b+c+d) in [0,1]; 1 means identical partitions.
@@ -112,12 +165,52 @@ func RandIndex(x, y []int) float64 {
 	if ValidatePair(x, y) != nil {
 		return math.NaN()
 	}
-	pc := CountPairs(x, y)
-	tot := pc.A + pc.B + pc.C + pc.D
-	if tot == 0 {
-		return 1
+	return pairSums(x, y).rand()
+}
+
+// RandDissimilarities returns the m×m matrix of 1 − Rand index over every
+// pair of the m labelings: entry [i][j] is bit-identical to
+// 1 − RandIndex(labelings[i], labelings[j]), NaN for a pair of unequal
+// lengths and 0 on the diagonal. Each labeling is relabelled to dense ids
+// once, and one parallel.Each over the rows fills row i's pairs with every
+// j > i and their mirror images, so for m labelings of n objects the cost
+// is O(m·n) for the relabels plus O(n + kᵢ + kⱼ) per pair, and the matrix
+// is the same for any worker count.
+func RandDissimilarities(labelings [][]int, workers int) [][]float64 {
+	m := len(labelings)
+	total := 0
+	for _, l := range labelings {
+		total += len(l)
 	}
-	return (pc.A + pc.D) / tot
+	flatIDs := make([]int32, total)
+	ids := make([][]int32, m)
+	ks := make([]int, m)
+	kMax := 0
+	for i, l := range labelings {
+		ids[i], flatIDs = flatIDs[:len(l):len(l)], flatIDs[len(l):]
+		ks[i] = stats.Relabel(ids[i], l)
+		kMax = max(kMax, ks[i])
+	}
+	flat := make([]float64, m*m)
+	diss := make([][]float64, m)
+	for i := range diss {
+		diss[i] = flat[i*m : (i+1)*m : (i+1)*m]
+	}
+	parallel.Each(m, workers, func(i int) {
+		if i == m-1 {
+			return
+		}
+		n := len(ids[i])
+		scratch := make([]int32, n+ks[i]+kMax)
+		for j := i + 1; j < m; j++ {
+			v := math.NaN()
+			if len(ids[j]) == n {
+				v = 1 - countSums(ids[i], ids[j], ks[i], ks[j], scratch).rand()
+			}
+			diss[i][j], diss[j][i] = v, v
+		}
+	})
+	return diss
 }
 
 // AdjustedRand returns the Hubert–Arabie adjusted Rand index, which is 0 in
@@ -128,9 +221,9 @@ func AdjustedRand(x, y []int) float64 {
 	if ValidatePair(x, y) != nil {
 		return math.NaN()
 	}
-	together, rowPairs, colPairs, n := pairSums(x, y)
-	sumComb, sumRow, sumCol := float64(together), float64(rowPairs), float64(colPairs)
-	total := float64(n * (n - 1) / 2)
+	s := pairSums(x, y)
+	sumComb, sumRow, sumCol := float64(s.together), float64(s.rowPairs), float64(s.colPairs)
+	total := float64(s.n * (s.n - 1) / 2)
 	if total == 0 {
 		return 1
 	}

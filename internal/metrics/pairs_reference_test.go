@@ -89,6 +89,24 @@ func assertMatchesReference(t *testing.T, x, y []int) {
 	}
 }
 
+// assertRandMatrixMatches fails t unless every entry of the all-pairs matrix
+// equals 1 − RandIndex of its pair bit for bit, at one worker and at three.
+func assertRandMatrixMatches(t *testing.T, labelings [][]int) {
+	t.Helper()
+	for _, workers := range []int{1, 3} {
+		diss := RandDissimilarities(labelings, workers)
+		for i, x := range labelings {
+			for j, y := range labelings {
+				want := 1 - RandIndex(x, y)
+				if got := diss[i][j]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("workers=%d: RandDissimilarities[%d][%d] = %v, 1 - RandIndex = %v\nx=%v\ny=%v",
+						workers, i, j, got, want, x, y)
+				}
+			}
+		}
+	}
+}
+
 // randomLabeling draws n labels from k clusters with ids spread by stride,
 // turning each object into noise with probability noise.
 func randomLabeling(r *rand.Rand, n, k, stride int, noise float64) []int {
@@ -105,9 +123,12 @@ func randomLabeling(r *rand.Rand, n, k, stride int, noise float64) []int {
 
 // Property: the contingency-sum kernel reproduces the pair-visiting loop
 // exactly, across noise shares, cluster counts up to n (singletons), and
-// ids that are dense, sparse, or far beyond n.
+// ids that are dense, sparse, or far beyond n; and every entry of the
+// all-pairs matrix over each ten trials' labelings, whose lengths mostly
+// differ, is 1 − RandIndex of its pair.
 func TestCountPairsMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
+	var batch [][]int
 	for trial := 0; trial < 400; trial++ {
 		n := r.Intn(150)
 		stride := []int{1, 1, 3, 500003}[r.Intn(4)]
@@ -120,9 +141,15 @@ func TestCountPairsMatchesReference(t *testing.T) {
 			}
 		}
 		assertMatchesReference(t, x, y)
+		if batch = append(batch, x, y); len(batch) == 20 {
+			assertRandMatrixMatches(t, batch)
+			batch = batch[:0]
+		}
 	}
 	assertMatchesReference(t, nil, nil)
 	assertMatchesReference(t, []int{0, 1}, []int{0})
+	assertRandMatrixMatches(t, [][]int{nil, {}, {0}, {-1}, {0, 1}, {3, 3}})
+	assertRandMatrixMatches(t, nil)
 }
 
 // Two all-singleton labelings of jobs.MaxPoints objects: no pair is together

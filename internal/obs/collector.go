@@ -364,13 +364,17 @@ func (s Snapshot) StripTimings() Snapshot {
 
 // WriteSpanTree renders the hierarchical span aggregation as an indented
 // text tree, two spaces per depth level, one `name count=N total=D` line
-// per path, each name as given. Paths are sorted lexicographically; '/'
-// sorts before every identifier character, so a parent's whole subtree
-// renders contiguously beneath it. The output is deterministic for a
-// StripTimings snapshot.
+// per path, each name as given. Paths are ordered segment by segment
+// (pathLess), so a parent's whole subtree renders contiguously beneath it.
+// The output is deterministic for a StripTimings snapshot.
 func (s Snapshot) WriteSpanTree(w io.Writer) error {
+	paths := make([]string, 0, len(s.Tree))
+	for path := range s.Tree {
+		paths = append(paths, path)
+	}
+	sort.Slice(paths, func(i, j int) bool { return pathLess(paths[i], paths[j]) })
 	var b strings.Builder
-	for _, path := range sortedKeys(s.Tree) {
+	for _, path := range paths {
 		st := s.Tree[path]
 		depth, name := splitPath(path)
 		fmt.Fprintf(&b, "%s%s count=%d total=%s\n",
@@ -378,6 +382,30 @@ func (s Snapshot) WriteSpanTree(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
+}
+
+// pathLess orders tree paths segment by segment, comparing the segments'
+// escaped bytes: a path sorts right before its own subtree, and the
+// subtree ends before any sibling whose name extends the path's last name.
+// Plain string order gets that wrong where the name goes on with a byte
+// below '/', such as ' ', '-' or '.': it puts the root "jobs.run.retry"
+// between "jobs.run" and "jobs.run/kmeans.run". Where no sibling's name
+// extends another's, the two orders agree.
+func pathLess(a, b string) bool {
+	escaped := false
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			switch {
+			case !escaped && a[i] == '/':
+				return true
+			case !escaped && b[i] == '/':
+				return false
+			}
+			return a[i] < b[i]
+		}
+		escaped = !escaped && a[i] == '\\'
+	}
+	return len(a) < len(b)
 }
 
 // WriteProm renders the snapshot in the Prometheus text exposition style:

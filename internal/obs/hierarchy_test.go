@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"runtime/pprof"
+	"strings"
 	"testing"
 )
 
@@ -196,6 +198,72 @@ func TestSpanTreeNamesWithSlash(t *testing.T) {
 		"  b count=1 total=0s\n"
 	if out.String() != want {
 		t.Errorf("WriteSpanTree =\n%s\nwant\n%s", out.String(), want)
+	}
+}
+
+// TestWriteSpanTreeSubtreesUnderOwnParent pins the span tree's order. A
+// root whose name extends another root's name with a byte below '/' (' ',
+// '-', '.') must not split that root from its children; and a tree where no
+// sibling's name extends another's renders exactly as plain string order of
+// the paths does, the order e2ebench's span-tree parser has always read.
+func TestWriteSpanTreeSubtreesUnderOwnParent(t *testing.T) {
+	render := func(spans [][]string) (got, plain string) {
+		c := NewCollector()
+		for _, chain := range spans {
+			ctx := context.Background()
+			var ends []func()
+			for _, name := range chain {
+				var end func()
+				ctx, end = SpanCtx(ctx, c, name)
+				ends = append(ends, end)
+			}
+			for i := len(ends) - 1; i >= 0; i-- {
+				ends[i]()
+			}
+		}
+		s := c.Snapshot().StripTimings()
+		var out bytes.Buffer
+		if err := s.WriteSpanTree(&out); err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		for _, path := range sortedKeys(s.Tree) {
+			depth, name := splitPath(path)
+			fmt.Fprintf(&b, "%s%s count=%d total=0s\n", strings.Repeat("  ", depth), name, s.Tree[path].Count)
+		}
+		return out.String(), b.String()
+	}
+
+	got, _ := render([][]string{
+		{"jobs.run", "kmeans.run"},
+		{"jobs.run.retry"},
+		{"jobs.run-x", "kmeans.seed"},
+		{"jobs.run x"},
+		{"jobs.run", "kmeans.run.a", "kmeans.run"},
+	})
+	want := "jobs.run count=2 total=0s\n" +
+		"  kmeans.run count=1 total=0s\n" +
+		"  kmeans.run.a count=1 total=0s\n" +
+		"    kmeans.run count=1 total=0s\n" +
+		"jobs.run x count=1 total=0s\n" +
+		"jobs.run-x count=1 total=0s\n" +
+		"  kmeans.seed count=1 total=0s\n" +
+		"jobs.run.retry count=1 total=0s\n"
+	if got != want {
+		t.Errorf("extended names: WriteSpanTree =\n%s\nwant\n%s", got, want)
+	}
+
+	got, plain := render([][]string{
+		{"jobs.run", "metaclust.run", "metaclust.generate", "kmeans.run", "kmeans.seed"},
+		{"jobs.run", "metaclust.run", "metaclust.group"},
+		{"GET /v1/jobs"},
+		{"a", "b"},
+		{`a\`, "b"},
+		{"a/b"},
+		{"subspace.subclu.search", "dbscan.neighbors"},
+	})
+	if got != plain {
+		t.Errorf("no extended names: WriteSpanTree =\n%s\nplain string order renders\n%s", got, plain)
 	}
 }
 

@@ -31,7 +31,7 @@ func NewContingencyTable(a, b []int) (*ContingencyTable, error) {
 	}
 	ra := make([]int32, len(a))
 	rb := make([]int32, len(b))
-	kx, ky := RelabelPair(ra, rb, a, b)
+	kx, ky := relabelPair(ra, rb, a, b)
 	t := &ContingencyTable{
 		Counts:  make([][]float64, kx),
 		RowSums: make([]float64, kx),
@@ -64,14 +64,13 @@ func NewContingencyTable(a, b []int) (*ContingencyTable, error) {
 	return t, nil
 }
 
-// RelabelPair maps the labels of every object that is non-noise in both
+// relabelPair maps the labels of every object that is non-noise in both
 // labelings to dense ids numbered in first-seen order: ra[i] in [0, kx) for
 // a[i], rb[i] in [0, ky) for b[i]. An object that is noise (label < 0) in
-// either labeling gets -1 in both. Labels in [0, len(a)) resolve through a
-// slice and only larger ones through a map, so time and memory are O(len(a))
-// whatever the label values. ra and rb must be as long as a and b, which
-// must have equal length.
-func RelabelPair(ra, rb []int32, a, b []int) (kx, ky int) {
+// either labeling gets -1 in both, so the table's rows and columns are the
+// labels the two labelings share objects under. ra and rb must be as long
+// as a and b, which must have equal length.
+func relabelPair(ra, rb []int32, a, b []int) (kx, ky int) {
 	da := denseIDs{slot: make([]int32, len(a))}
 	db := denseIDs{slot: make([]int32, len(b))}
 	for i, l := range a {
@@ -84,7 +83,27 @@ func RelabelPair(ra, rb []int32, a, b []int) (kx, ky int) {
 	return int(da.k), int(db.k)
 }
 
-// denseIDs hands out dense ids to labels in first-seen order.
+// Relabel maps each label of a to a dense id numbered in first-seen order,
+// dst[i] in [0, k), and each noise label (< 0) to -1. It reads one labeling
+// alone, so a pair-counting kernel can relabel each of m labelings once and
+// compare every pair of the results. Labels in [0, len(a)) resolve through a
+// slice and only larger ones through a map, so time and memory are
+// O(len(a)) whatever the label values. dst must be as long as a.
+func Relabel(dst []int32, a []int) (k int) {
+	ids := denseIDs{slot: make([]int32, len(a))}
+	for i, l := range a {
+		if l < 0 {
+			dst[i] = -1
+			continue
+		}
+		dst[i] = ids.id(l)
+	}
+	return int(ids.k)
+}
+
+// denseIDs hands out dense ids to labels in first-seen order. Labels in
+// [0, len(slot)) resolve through the slice and only larger ones through
+// the map.
 type denseIDs struct {
 	slot []int32       // id+1 of label l < len(slot); 0 means unseen
 	far  map[int]int32 // id+1 of labels beyond the slot range

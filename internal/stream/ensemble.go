@@ -19,7 +19,7 @@ type EnsembleConfig struct {
 	Window        int // chunks retained; older chunks evict FIFO (default 8)
 	Seed          int64
 	Workers       int
-	Diss          core.DissimilarityFunc // default 1 - Rand index
+	Diss          core.DissimilarityFunc // nil means 1 - Rand index, computed for all pairs at once
 }
 
 func (cfg EnsembleConfig) withDefaults() EnsembleConfig {
